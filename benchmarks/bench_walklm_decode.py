@@ -5,11 +5,11 @@ Two seconds-scale smoke gates cover the hot NN-generation path:
 * ``test_decode_smoke_incremental_beats_full_recompute`` — the KV-cached
   incremental decoder (one O(T) step per token) against the old
   full-prefix recompute (O(T^2) per token);
-* ``test_decode_smoke_fused_whole_step_vs_per_op`` — the whole-step
-  ``Backend.decode_step`` compound kernel (one backend call per token,
-  preallocated scratch) against the per-op reference loop (~10 backend
-  calls per layer per token), with byte-identical logits and walks as a
-  hard invariant.
+* ``test_decode_smoke_fused_whole_step_vs_per_op`` — the fused
+  ``FusedNumpyBackend.decode_step`` kernel (preallocated scratch, one
+  GEMM over ``[Wq|Wk|Wv]``) against the per-op reference
+  ``Backend.decode_step`` (one shared-kernel call per primitive), with
+  byte-identical logits and walks as a hard invariant.
 
 Results merge-update per-benchmark entries in ``BENCH_decode.json`` at
 the repo root (same map format as ``BENCH_train.json`` /
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.models.walk_lm import TransformerWalkModel
-from repro.nn import WalkDecoder, active_backend, set_backend
+from repro.nn import WalkDecoder, use_backend
 
 #: the smoke gates require the win to show at this length (>= 32)
 LENGTH = 48
@@ -42,13 +42,6 @@ FUSED_WALKS = 8
 FUSED_ROUNDS = 10
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_decode.json"
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    previous = active_backend().name
-    yield
-    set_backend(previous)
 
 
 def _smoke_model() -> TransformerWalkModel:
@@ -120,91 +113,69 @@ def test_decode_smoke_incremental_beats_full_recompute():
         f"recompute ({full:.3f}s) at length >= 32")
 
 
-def _decode_fixed_stream(model: TransformerWalkModel, per_op: bool,
+def _decode_fixed_stream(model: TransformerWalkModel, backend: str,
                          ids: np.ndarray) -> np.ndarray:
     """Decode a predetermined token stream, returning all step logits.
 
-    Fixing the stream (rather than sampling) keeps both paths on the
+    Fixing the stream (rather than sampling) keeps both kernels on the
     exact same inputs, so the stacked logits are directly comparable
     bit for bit — and the timing measures decode alone, not the
-    cumsum/RNG sampling overhead both paths share.
+    cumsum/RNG sampling overhead both kernels share.
     """
     n = ids.shape[1]
-    decoder = WalkDecoder(model, per_op=per_op)
-    outs = [decoder.prefill(np.full((n, 1), model.start_token))]
-    for step_ids in ids:
-        outs.append(decoder.step(step_ids))
+    with use_backend(backend):
+        decoder = WalkDecoder(model)
+        outs = [decoder.prefill(np.full((n, 1), model.start_token))]
+        for step_ids in ids:
+            outs.append(decoder.step(step_ids))
     return np.stack(outs)
-
-
-def _sample_per_op(model: TransformerWalkModel, num_walks: int,
-                   length: int, rng: np.random.Generator) -> np.ndarray:
-    """``model.sample`` with the per-op reference decoder.
-
-    Mirrors :meth:`TransformerWalkModel.sample` exactly (same RNG
-    contract) but routes every forward through the per-op loop instead
-    of the whole-step kernel, giving the walk-level parity oracle for
-    the fused gate.
-    """
-    tokens = np.full((num_walks, 1), model.start_token, dtype=np.int64)
-    decoder = WalkDecoder(model, per_op=True)
-    logits = decoder.prefill(tokens)
-    while True:
-        next_ids = model._sample_step(logits, 1.0, model.num_nodes, rng)
-        tokens = np.concatenate([tokens, next_ids[:, None]], axis=1)
-        if tokens.shape[1] >= length + 1:
-            return tokens[:, 1:]
-        logits = decoder.step(next_ids)
 
 
 @pytest.mark.smoke
 def test_decode_smoke_fused_whole_step_vs_per_op():
-    """Whole-step ``decode_step`` vs the per-op backend loop, length 48.
+    """Fused ``decode_step`` vs the per-op reference kernel, length 48.
 
     Byte-identity is the hard invariant: the fused kernel must emit the
     exact logits of the per-op reference at every step, and sampled
     walks must match token for token.
 
     On the timing side the gate is deliberately conservative.  Trials
-    interleave the two paths so host noise lands on both alike, and the
-    recorded speedup is min-over-min.  Measured margin at this shape is
-    ~1.15-1.2x: a straight-line dispatch-floor experiment (every buffer
-    preallocated, zero Python overhead) tops out at ~1.19x over the
-    per-op path, because the same PR that landed the fused kernel also
-    made the per-op baseline ~40% faster (the reference gelu cube now
-    avoids libm ``pow``), and what remains is C-level work both paths
-    share.  The hard assert sits at 1.05x so the gate stays green under
-    CI load while still catching a regression that loses the fusion win.
+    interleave the two kernels so host noise lands on both alike, and
+    the recorded speedup is min-over-min.  Measured margin at this shape
+    is ~1.15-1.2x: a straight-line dispatch-floor experiment (every
+    buffer preallocated, zero Python overhead) tops out at ~1.19x over
+    the per-op kernel, because what remains is C-level work both
+    kernels share.  The hard assert sits at 1.05x so the gate stays
+    green under CI load while still catching a regression that loses
+    the fusion win.
     """
     model = _smoke_model()
     rng = np.random.default_rng(5)
     ids = rng.integers(0, NUM_NODES, size=(LENGTH - 1, FUSED_WALKS))
 
-    set_backend("numpy")
-    per_op_logits = _decode_fixed_stream(model, True, ids)
-    set_backend("fused")
-    fused_logits = _decode_fixed_stream(model, False, ids)
+    per_op_logits = _decode_fixed_stream(model, "numpy", ids)
+    fused_logits = _decode_fixed_stream(model, "fused", ids)
     np.testing.assert_array_equal(fused_logits, per_op_logits)
 
-    # Walk-level parity: fused whole-step sampling vs per-op sampling.
-    fused_walks = model.sample(FUSED_WALKS, LENGTH, np.random.default_rng(6))
-    set_backend("numpy")
-    per_op_walks = _sample_per_op(model, FUSED_WALKS, LENGTH,
-                                  np.random.default_rng(6))
+    # Walk-level parity: fused sampling vs per-op reference sampling.
+    with use_backend("fused"):
+        fused_walks = model.sample(FUSED_WALKS, LENGTH,
+                                   np.random.default_rng(6))
+    with use_backend("numpy"):
+        per_op_walks = model.sample(FUSED_WALKS, LENGTH,
+                                    np.random.default_rng(6))
     assert np.array_equal(fused_walks, per_op_walks)
 
     per_op_s = fused_s = float("inf")
     for _ in range(FUSED_ROUNDS):
-        set_backend("numpy")
-        per_op_s = min(per_op_s,
-                       _time(lambda: _decode_fixed_stream(model, True, ids)))
-        set_backend("fused")
-        fused_s = min(fused_s,
-                      _time(lambda: _decode_fixed_stream(model, False, ids)))
+        per_op_s = min(per_op_s, _time(
+            lambda: _decode_fixed_stream(model, "numpy", ids)))
+        fused_s = min(fused_s, _time(
+            lambda: _decode_fixed_stream(model, "fused", ids)))
 
     speedup = per_op_s / max(fused_s, 1e-9)
     print(f"\n\nFused decode smoke — {FUSED_WALKS} walks x length {LENGTH}: "
-          f"per-op {per_op_s*1e3:.1f}ms vs whole-step {fused_s*1e3:.1f}ms "
+          f"per-op {per_op_s*1e3:.1f}ms vs fused {fused_s*1e3:.1f}ms "
           f"({speedup:.2f}x), logits and walks byte-identical")
 
     _record("walklm_fused_decode_step_smoke", {
@@ -218,8 +189,8 @@ def test_decode_smoke_fused_whole_step_vs_per_op():
     })
 
     assert speedup >= 1.05, (
-        f"whole-step decode_step ({fused_s*1e3:.1f}ms) must beat the "
-        f"per-op backend path ({per_op_s*1e3:.1f}ms) at length {LENGTH}")
+        f"fused decode_step ({fused_s*1e3:.1f}ms) must beat the per-op "
+        f"reference kernel ({per_op_s*1e3:.1f}ms) at length {LENGTH}")
 
 
 def test_decode_scaling_with_length(benchmark):

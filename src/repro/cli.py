@@ -93,9 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="FairGen reproduction command line")
     parser.add_argument("--backend", choices=None, default=None,
                         metavar="NAME",
-                        help="tensor backend for every numeric op "
-                             "(default: $REPRO_BACKEND or 'numpy'; see "
-                             "repro.nn.available_backends())")
+                        help="decode kernel, 'numpy' or 'fused' "
+                             "(default: $REPRO_BACKEND or 'numpy')")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write a Chrome trace_event file of this "
                              "invocation (open in Perfetto or "
@@ -215,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="resident-model LRU capacity")
     srv.add_argument("--max-walks", type=int, default=256,
                      help="walk rows resident per decode batch")
-    srv.add_argument("--lookahead", type=int, default=1,
-                     help="tokens decoded per engine tick (multi-token "
-                          "decode; served walks stay byte-identical)")
     srv.add_argument("--max-inflight", type=int, default=8,
                      help="target concurrently decoding requests")
     srv.add_argument("--queue-depth", type=int, default=16,
@@ -675,7 +671,6 @@ def _cmd_serve(args) -> int:
     daemon = ServeDaemon(args.cache_dir, host=args.host, port=args.port,
                          max_models=args.max_models,
                          max_walks=args.max_walks,
-                         lookahead=args.lookahead,
                          max_inflight=args.max_inflight,
                          queue_depth=args.queue_depth,
                          request_timeout=args.request_timeout,

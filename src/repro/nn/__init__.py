@@ -1,8 +1,6 @@
 """NumPy neural-network substrate (autograd, layers, attention, LSTM)."""
 
-from .backend import (Backend, FusedNumpyBackend, NumpyBackend, OPS,
-                      available_backends, get_backend, register_backend,
-                      set_backend, use_backend)
+from .backend import Backend, FusedNumpyBackend, set_backend, use_backend
 from .backend import active as active_backend
 from .tensor import Tensor, no_grad, is_grad_enabled
 from .layers import (Dropout, Embedding, LayerNorm, Linear, MLP, Module,
@@ -19,9 +17,8 @@ from . import functional
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled",
-    "Backend", "NumpyBackend", "FusedNumpyBackend", "OPS",
-    "register_backend", "available_backends", "get_backend",
-    "set_backend", "use_backend", "active_backend",
+    "Backend", "FusedNumpyBackend", "set_backend", "use_backend",
+    "active_backend",
     "Module", "Parameter", "Linear", "Embedding", "LayerNorm", "Dropout",
     "Sequential", "MLP",
     "MultiHeadSelfAttention", "TransformerBlock", "causal_mask",

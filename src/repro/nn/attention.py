@@ -195,47 +195,25 @@ class LayerKVCache:
         self._length = int(self._row_lengths.max())
 
     def append_ragged(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Append ``S >= 1`` positions per row at each row's own offset.
+        """Append one position per row at each row's own offset.
 
-        ``k_new``/``v_new`` are ``(B, H, S, d)`` — the decode-step
-        projections of a ragged batch (``S == 1`` on the steady-state
-        serving path; ``S > 1`` is the multi-token catch-up forward of
-        a freshly admitted request).  Row ``i``'s new positions land at
-        its current ``row_lengths[i]``; lengths advance by ``S``.
-
-        An empty capacity-mode cache bootstraps here too — all rows
-        start at offset 0, the catch-up forward of a batch admitted
-        from scratch.
+        ``k_new``/``v_new`` are ``(B, H, 1, d)`` — the decode-step
+        projections of a ragged batch.  Row ``i``'s new position lands
+        at its current ``row_lengths[i]``; lengths advance by one.
         """
         if self._k is None:
-            if self.capacity is None:
-                raise ValueError("row-level cache ops need capacity mode")
-            batch, heads, _, dim = k_new.shape
-            self._k = np.empty((batch, heads, self.capacity, dim),
-                               dtype=k_new.dtype)
-            self._v = np.empty_like(self._k)
-            self._row_lengths = np.zeros(batch, dtype=np.int64)
+            raise ValueError("cache holds no rows to append to")
         batch = self._k.shape[0]
-        if k_new.shape[0] != batch or k_new.shape[2] < 1:
-            raise ValueError(f"expected ({batch}, H, S, d) step arrays, "
+        if k_new.shape[0] != batch or k_new.shape[2] != 1:
+            raise ValueError(f"expected ({batch}, H, 1, d) step arrays, "
                              f"got {k_new.shape}")
-        steps = k_new.shape[2]
         lengths = self.row_lengths
-        if self._row_lengths is None:
-            self._row_lengths = lengths
-        if int(lengths.max()) + steps > self.capacity:
+        if int(lengths.max()) + 1 > self.capacity:
             raise ValueError("KV cache capacity exceeded")
-        if steps == 1:
-            idx = np.arange(batch)
-            self._k[idx, :, lengths] = k_new[:, :, 0]
-            self._v[idx, :, lengths] = v_new[:, :, 0]
-        else:
-            # (B, 1, S) per-row target positions, broadcast over heads
-            slots = lengths[:, None] + np.arange(steps)[None, :]
-            idx = np.arange(batch)[:, None]
-            self._k[idx, :, slots] = k_new.transpose(0, 2, 1, 3)
-            self._v[idx, :, slots] = v_new.transpose(0, 2, 1, 3)
-        self._row_lengths = lengths + steps
+        idx = np.arange(batch)
+        self._k[idx, :, lengths] = k_new[:, :, 0]
+        self._v[idx, :, lengths] = v_new[:, :, 0]
+        self._row_lengths = lengths + 1
         self._length = int(self._row_lengths.max())
 
     def rows_view(self, start: int, stop: int,
@@ -284,9 +262,9 @@ class MultiHeadSelfAttention(Module):
         inference only and raises under autograd rather than silently
         severing the key/value gradient flow.
 
-        :meth:`repro.nn.inference.WalkDecoder._forward` is the raw-
-        ndarray mirror of this arm (the production decode path); any
-        change to the caching contract must land in both.
+        :meth:`repro.nn.backend.Backend.decode_step` is the raw-ndarray
+        mirror of this arm (the production decode path); any change to
+        the caching contract must land in both.
         """
         batch, length, _ = x.shape
         q = self._split_heads(self.q_proj(x), batch, length)

@@ -1,36 +1,26 @@
-"""Pluggable tensor backends: one ops table behind every numeric op.
+"""Compound tensor kernels, and the one op a backend swaps: decode.
 
-Every numeric primitive of the autograd engine — the ~40 operations used
-by :class:`~repro.nn.Tensor`, :mod:`~repro.nn.functional`, the layers,
-attention, the LSTM and the grad-free
-:class:`~repro.nn.inference.WalkDecoder` — routes through the active
-:class:`Backend`.  The default :class:`NumpyBackend` reproduces the
-pre-backend engine **bit for bit**: its methods are the exact
-expressions the ops used to inline, in the exact evaluation order, so
-the seeded training parity pins (``tests/fixtures/train_parity.json``)
-pass unchanged.
+The compound kernels of the engine live here as plain functions,
+written once.  :class:`~repro.nn.Tensor` calls the activations
+(``relu``, ``sigmoid``, ``gelu``), the softmax family and their
+gradients on the training path; :meth:`Backend.decode_step` calls the
+same functions, plus ``layer_norm`` and ``linear`` (the op order of
+:class:`~repro.nn.LayerNorm` and :class:`~repro.nn.Linear`), on the
+grad-free decode path.  The pass-through ops (``add``, ``matmul``,
+``sum`` ...) are plain numpy calls inside :class:`~repro.nn.Tensor`.
 
-Alternative backends trade that one-op-at-a-time dispatch for fused or
-compiled kernels:
-
-* :class:`FusedNumpyBackend` (``"fused"``) keeps every operation's
-  rounding order but evaluates the compound primitives (``sigmoid``,
-  ``gelu``, ``softmax``, ``layer_norm``, ``linear`` ...) with
-  preallocated/in-place ``out=`` buffers — the same float sequence with
-  far fewer temporaries, so it stays bit-identical while cutting
-  allocator traffic on training hot loops;
-* ``"numba"`` JIT-compiles the compound element-wise kernels when the
-  optional :mod:`numba` package is importable (a soft import — the
-  backend simply does not register when numba is absent).
-
-The largest compound primitive is :meth:`Backend.decode_step`: one call
+A backend replaces exactly one op: :meth:`Backend.decode_step`, which
 advances a whole transformer decode step (embed + positions, every
 block's layer-norm/QKV/cached-attention/out-proj/FFN, final norm,
-vocabulary head) for both the single-session :class:`WalkDecoder` and
-the ragged continuous-batching serving engine.  The base implementation
-is the bit-identical per-op reference; ``fused`` runs the step inside
-preallocated per-session scratch buffers (:func:`scratch_buffer`) in
-the exact reference rounding order.
+vocabulary head) for both the single-session
+:class:`~repro.nn.inference.WalkDecoder` and the ragged
+continuous-batching serving engine.  Two kernels exist:
+
+* ``"numpy"`` — :class:`Backend`, the per-op reference: one shared
+  kernel call per primitive;
+* ``"fused"`` — :class:`FusedNumpyBackend`, the same float sequence run
+  inside preallocated per-session scratch buffers
+  (:func:`scratch_buffer`), bit-identical to the reference.
 
 Selection precedence
 --------------------
@@ -38,22 +28,6 @@ Selection precedence
    global ``--backend`` flag calls :func:`set_backend`);
 2. the ``REPRO_BACKEND`` environment variable, read once at import;
 3. the ``"numpy"`` default.
-
-Registering a backend
----------------------
-Subclass :class:`Backend` (override only the ops you accelerate — the
-base class is the numpy reference) and call :func:`register_backend`::
-
-    class MyBackend(NumpyBackend):
-        name = "mine"
-        def gelu(self, x): ...
-
-    register_backend(MyBackend())
-
-``OPS`` lists the full table; :func:`repro.nn.gradcheck` sweeps and the
-backend parity suite (``tests/test_backend.py``) run against every
-registered backend, so a new backend is held to the same bit-identity
-bar as the built-ins.
 """
 
 from __future__ import annotations
@@ -62,31 +36,90 @@ import os
 
 import numpy as np
 
-__all__ = ["Backend", "NumpyBackend", "FusedNumpyBackend", "OPS",
-           "register_backend", "available_backends", "get_backend",
-           "set_backend", "use_backend", "active", "scratch_buffer"]
+__all__ = ["Backend", "FusedNumpyBackend", "BACKENDS", "set_backend",
+           "use_backend", "active", "scratch_buffer",
+           "relu", "relu_grad", "sigmoid", "sigmoid_grad", "tanh_grad",
+           "gelu", "gelu_grad", "softmax", "log_softmax", "layer_norm",
+           "linear"]
 
-#: the ops table every backend provides (the ~40 primitives the engine
-#: dispatches; compound ops at the end exist so backends can fuse them)
-OPS = (
-    # creation / conversion
-    "asarray", "zeros_like", "ones_like",
-    # arithmetic
-    "add", "subtract", "multiply", "divide", "negative", "power", "matmul",
-    # shape / indexing
-    "reshape", "transpose", "swapaxes", "take", "index_add",
-    "concatenate", "stack", "broadcast_to", "expand_dims",
-    # reductions / scans
-    "sum", "mean", "amax", "cumsum",
-    # elementwise
-    "exp", "log", "sqrt", "absolute", "sign", "tanh", "clip",
-    "where", "greater", "maximum",
-    # compound primitives (fusable)
-    "relu", "relu_grad", "sigmoid", "sigmoid_grad", "tanh_grad",
-    "gelu", "gelu_grad", "softmax", "log_softmax", "layer_norm", "linear",
-    # whole-step compound (the transformer decode hot path)
-    "decode_step",
-)
+
+# ----------------------------------------------------------------------
+# Compound kernels (shared by Tensor and decode_step)
+# ----------------------------------------------------------------------
+def relu(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``x * (x > 0)`` given the precomputed mask (reused backward)."""
+    return x * mask
+
+
+def relu_grad(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return grad * mask
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
+def sigmoid_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return grad * out * (1.0 - out)
+
+
+def tanh_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return grad * (1.0 - out ** 2)
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """Tanh-approximated GELU (the order of Vaswani-era impls).
+
+    The cube is ``(x * x) * x``, not ``x ** 3``: libm ``pow`` costs
+    ~40x two multiplies and this runs on the FFN activation of every
+    decode step.  (Fixture note: the two differ in the last ulp, so
+    the seeded train-parity pins were regenerated with this order.)
+    """
+    c = np.sqrt(2.0 / np.pi)
+    inner = c * (x + 0.044715 * (x * x * x))
+    t = np.tanh(inner)
+    return 0.5 * x * (1.0 + t)
+
+
+def gelu_grad(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
+    c = np.sqrt(2.0 / np.pi)
+    inner = c * (x + 0.044715 * (x * x * x))
+    t = np.tanh(inner)
+    dinner = c * (1.0 + 3 * 0.044715 * x ** 2)
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
+    return grad * local
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted - log_z
+
+
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               eps: float) -> np.ndarray:
+    """Layer norm over the last axis, in :class:`~repro.nn.LayerNorm`
+    order."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / np.sqrt(var + eps) * gamma + beta
+
+
+def linear(x: np.ndarray, weight: np.ndarray,
+           bias: np.ndarray | None = None) -> np.ndarray:
+    """Affine map ``x @ weight + bias``, in :class:`~repro.nn.Linear`
+    order."""
+    out = x @ weight
+    if bias is not None:
+        out = out + bias
+    return out
 
 
 def scratch_buffer(scratch: dict | None, name: str,
@@ -110,185 +143,25 @@ def scratch_buffer(scratch: dict | None, name: str,
     return buf
 
 
+# ----------------------------------------------------------------------
+# Decode kernels
+# ----------------------------------------------------------------------
 class Backend:
-    """Numpy reference implementation of the ops table.
+    """The ``numpy`` decode kernel: the per-op reference."""
 
-    Every method reproduces the exact expression (and therefore the
-    exact float rounding sequence) the engine inlined before the
-    backend seam existed.  Subclasses override whichever ops they
-    accelerate; anything untouched falls back to this reference, so a
-    partial backend is always complete.
-    """
+    name = "numpy"
 
-    name = "base"
-
-    # -- creation / conversion -----------------------------------------
-    @staticmethod
-    def asarray(value, dtype=np.float64) -> np.ndarray:
-        if isinstance(value, np.ndarray):
-            return value.astype(dtype, copy=False)
-        return np.asarray(value, dtype=dtype)
-
-    zeros_like = staticmethod(np.zeros_like)
-    ones_like = staticmethod(np.ones_like)
-
-    # -- arithmetic -----------------------------------------------------
-    add = staticmethod(np.add)
-    subtract = staticmethod(np.subtract)
-    multiply = staticmethod(np.multiply)
-    divide = staticmethod(np.divide)
-    negative = staticmethod(np.negative)
-    power = staticmethod(np.power)
-    matmul = staticmethod(np.matmul)
-
-    # -- shape / indexing -----------------------------------------------
-    @staticmethod
-    def reshape(x: np.ndarray, shape) -> np.ndarray:
-        return x.reshape(shape)
-
-    @staticmethod
-    def transpose(x: np.ndarray, axes) -> np.ndarray:
-        return x.transpose(axes)
-
-    swapaxes = staticmethod(np.swapaxes)
-
-    @staticmethod
-    def take(x: np.ndarray, index) -> np.ndarray:
-        return x[index]
-
-    @staticmethod
-    def index_add(target: np.ndarray, index, value: np.ndarray) -> None:
-        """In-place scatter-add (the getitem backward)."""
-        np.add.at(target, index, value)
-
-    concatenate = staticmethod(np.concatenate)
-    stack = staticmethod(np.stack)
-    broadcast_to = staticmethod(np.broadcast_to)
-    expand_dims = staticmethod(np.expand_dims)
-
-    # -- reductions / scans ---------------------------------------------
-    @staticmethod
-    def sum(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return x.sum(axis=axis, keepdims=keepdims)
-
-    @staticmethod
-    def mean(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return x.mean(axis=axis, keepdims=keepdims)
-
-    @staticmethod
-    def amax(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return x.max(axis=axis, keepdims=keepdims)
-
-    @staticmethod
-    def cumsum(x: np.ndarray, axis=None) -> np.ndarray:
-        return x.cumsum(axis=axis)
-
-    # -- elementwise ----------------------------------------------------
-    exp = staticmethod(np.exp)
-    log = staticmethod(np.log)
-    sqrt = staticmethod(np.sqrt)
-    absolute = staticmethod(np.abs)
-    sign = staticmethod(np.sign)
-    tanh = staticmethod(np.tanh)
-    where = staticmethod(np.where)
-    greater = staticmethod(np.greater)
-    maximum = staticmethod(np.maximum)
-
-    @staticmethod
-    def clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        return np.clip(x, lo, hi)
-
-    # -- compound primitives (fusable) ----------------------------------
-    @staticmethod
-    def relu(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """``x * (x > 0)`` given the precomputed mask (reused backward)."""
-        return x * mask
-
-    @staticmethod
-    def relu_grad(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return grad * mask
-
-    @staticmethod
-    def sigmoid(x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-    @staticmethod
-    def sigmoid_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return grad * out * (1.0 - out)
-
-    @staticmethod
-    def tanh_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return grad * (1.0 - out ** 2)
-
-    @staticmethod
-    def gelu(x: np.ndarray) -> np.ndarray:
-        """Tanh-approximated GELU (the order of Vaswani-era impls).
-
-        The cube is ``(x * x) * x``, not ``x ** 3``: libm ``pow`` costs
-        ~40x two multiplies and this runs on the FFN activation of every
-        decode step.  (Fixture note: the two differ in the last ulp, so
-        the seeded train-parity pins were regenerated with this order.)
-        """
-        c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        return 0.5 * x * (1.0 + t)
-
-    @staticmethod
-    def gelu_grad(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-        c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        dinner = c * (1.0 + 3 * 0.044715 * x ** 2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-        return grad * local
-
-    @staticmethod
-    def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-        shifted = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=axis, keepdims=True)
-
-    @staticmethod
-    def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-        shifted = x - x.max(axis=axis, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        return shifted - log_z
-
-    @staticmethod
-    def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                   eps: float) -> np.ndarray:
-        """Inference-path layer norm over the last axis."""
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / np.sqrt(var + eps) * gamma + beta
-
-    @staticmethod
-    def linear(x: np.ndarray, weight: np.ndarray,
-               bias: np.ndarray | None = None) -> np.ndarray:
-        """Affine map ``x @ weight + bias`` (inference path)."""
-        out = x @ weight
-        if bias is not None:
-            out = out + bias
-        return out
-
-    # -- whole-step compound (the transformer decode hot path) ----------
     def decode_step(self, weights, caches, tokens: np.ndarray,
                     position, *, mask: np.ndarray | None = None,
                     groups: list | None = None,
                     scratch: dict | None = None) -> np.ndarray:
         """Advance one whole transformer decode step in a single call.
 
-        The compound primitive behind :class:`WalkDecoder` and the
-        serving batcher: embed + position add, then per transformer
-        block layer-norm / QKV projections / KV-cached attention /
-        output projection / feed-forward, then the final norm and the
-        vocabulary head — everything the per-op path dissolved into
-        ~10 backend calls per layer.  The base implementation is the
-        bit-identical per-op reference (it calls this backend's own
-        compound ops in the exact order the per-op path used);
-        subclasses may fuse the whole step.
+        Embed + position add, then per transformer block layer-norm /
+        QKV projections / KV-cached attention / output projection /
+        feed-forward, then the final norm and the vocabulary head —
+        one shared kernel call per primitive, in the order of the
+        training forward.
 
         Parameters
         ----------
@@ -303,15 +176,16 @@ class Backend:
             One :class:`~repro.nn.attention.LayerKVCache` per block;
             mutated — the step's keys/values are appended.
         tokens:
-            ``(B, L)`` int64 input ids (``L == 1`` on the steady-state
-            decode path, ``L > 1`` for prefill/catch-up forwards).
+            ``(B, L)`` int64 input ids (``L == 1`` on decode steps,
+            ``L > 1`` for a uniform prefill; ragged mode takes
+            ``L == 1`` only).
         position:
             An ``int`` in uniform mode — every row has this many
             previously decoded positions — or a ``(B,)`` int64 array of
             per-row positions in ragged (serving) mode.
         mask:
             Optional additive attention mask over the new positions
-            (the causal mask of a multi-token forward); ``None`` on
+            (the causal mask of a uniform prefill); ``None`` on
             single-token steps.
         groups:
             ``None`` selects uniform mode (:meth:`LayerKVCache.append`,
@@ -320,13 +194,11 @@ class Backend:
             land via :meth:`LayerKVCache.append_ragged` and attention +
             the head GEMM run per request group over exact cache
             slices, so served walks stay byte-identical to standalone
-            decode.  With ``L > 1`` every group must start from an
-            empty row range (``new_len == L``, the admission catch-up
-            forward) so one causal ``mask`` fits all groups.
+            decode.
         scratch:
             Optional dict of session-owned work buffers (see
-            :func:`scratch_buffer`); fused backends decode whole steps
-            without allocating, the reference ignores it.
+            :func:`scratch_buffer`); the fused kernel decodes whole
+            steps without allocating, the reference ignores it.
 
         Returns the ``(B, vocab)`` logits of the last new position —
         always a freshly allocated array, never a view of ``scratch``,
@@ -338,14 +210,10 @@ class Backend:
                 + weights.positions[position: position + length]
         else:
             pos = np.asarray(position, dtype=np.int64)
-            if length == 1:
-                h = weights.embed[tokens] + weights.positions[pos][:, None, :]
-            else:
-                h = weights.embed[tokens] \
-                    + weights.positions[pos[:, None] + np.arange(length)]
+            h = weights.embed[tokens] + weights.positions[pos][:, None, :]
         scale = None
         for blk, cache in zip(weights.blocks, caches):
-            x = self.layer_norm(h, *blk.norm1)
+            x = layer_norm(h, *blk.norm1)
             if scale is None:
                 scale = 1.0 / np.sqrt(blk.head_dim)
 
@@ -353,160 +221,44 @@ class Backend:
                 return t.reshape(batch, length, blk.num_heads,
                                  blk.head_dim).transpose(0, 2, 1, 3)
 
-            q = split(self.linear(x, *blk.q))
-            k = split(self.linear(x, *blk.k))
-            v = split(self.linear(x, *blk.v))
+            q = split(linear(x, *blk.q))
+            k = split(linear(x, *blk.k))
+            v = split(linear(x, *blk.v))
             if groups is None:
                 k_all, v_all = cache.append(k, v)
                 scores = (q @ k_all.transpose(0, 1, 3, 2)) * scale
                 if mask is not None:
                     scores = scores + mask
-                context = self.softmax(scores) @ v_all
+                context = softmax(scores) @ v_all
             else:
                 cache.append_ragged(k, v)
                 context = np.empty_like(q)
                 for row0, row1, new_len in groups:
                     k_g, v_g = cache.rows_view(row0, row1, new_len)
                     s = (q[row0:row1] @ k_g.transpose(0, 1, 3, 2)) * scale
-                    if mask is not None:
-                        s = s + mask
-                    context[row0:row1] = self.softmax(s) @ v_g
+                    context[row0:row1] = softmax(s) @ v_g
             merged = context.transpose(0, 2, 1, 3).reshape(batch, length,
                                                            blk.dim)
-            h = h + self.linear(merged, *blk.out)
-            x2 = self.layer_norm(h, *blk.norm2)
-            hidden = self.gelu(self.linear(x2, *blk.ff_in))
-            h = h + self.linear(hidden, *blk.ff_out)
-        out = self.layer_norm(h[:, -1, :], *weights.final_norm)
+            h = h + linear(merged, *blk.out)
+            x2 = layer_norm(h, *blk.norm2)
+            hidden = gelu(linear(x2, *blk.ff_in))
+            h = h + linear(hidden, *blk.ff_out)
+        out = layer_norm(h[:, -1, :], *weights.final_norm)
         if groups is None:
-            return self.linear(out, *weights.head)
+            return linear(out, *weights.head)
         # The head GEMM's shape must match standalone decode exactly
         # (BLAS accumulation order is only guaranteed per identical
         # call), so it runs per request group, never over the batch.
         logits = np.empty((batch, weights.head[0].shape[1]))
         for row0, row1, _ in groups:
-            logits[row0:row1] = self.linear(out[row0:row1], *weights.head)
+            logits[row0:row1] = linear(out[row0:row1], *weights.head)
         return logits
 
 
-class NumpyBackend(Backend):
-    """The default backend: one numpy op per engine op, bit-identical."""
-
-    name = "numpy"
-
-
 class FusedNumpyBackend(Backend):
-    """Numpy with fused/in-place compound kernels.
-
-    Each override performs the *same arithmetic in the same order* as
-    the reference (so results are bit-identical — multiplications are
-    only reordered where float multiplication is exactly commutative),
-    but reuses buffers via ``out=`` instead of allocating a temporary
-    per step.  On graph-scale activations the compound ops drop from
-    five-plus allocations to one or two.
-    """
+    """The ``fused`` decode kernel: the reference in scratch buffers."""
 
     name = "fused"
-
-    @staticmethod
-    def sigmoid(x: np.ndarray) -> np.ndarray:
-        # 1 / (1 + exp(-clip(x))): one buffer end to end.
-        t = np.clip(x, -60.0, 60.0)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        t += 1.0
-        np.divide(1.0, t, out=t)
-        return t
-
-    @staticmethod
-    def sigmoid_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # grad * out * (1 - out), left-to-right like the reference.
-        g = grad * out
-        t = 1.0 - out
-        g *= t
-        return g
-
-    @staticmethod
-    def tanh_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
-        t = out ** 2
-        np.subtract(1.0, t, out=t)
-        t *= grad
-        return t
-
-    @staticmethod
-    def gelu(x: np.ndarray) -> np.ndarray:
-        c = np.sqrt(2.0 / np.pi)
-        inner = x * x
-        inner *= x                 # (x * x) * x, the reference cube
-        inner *= 0.044715          # 0.044715 * x^3 (commutative)
-        inner += x                 # x + 0.044715 * x^3
-        inner *= c                 # c * (...)
-        np.tanh(inner, out=inner)
-        inner += 1.0               # 1 + t
-        half = 0.5 * x
-        half *= inner              # (0.5 * x) * (1 + t): reference order
-        return half
-
-    @staticmethod
-    def gelu_grad(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-        c = np.sqrt(2.0 / np.pi)
-        inner = x * x
-        inner *= x
-        inner *= 0.044715
-        inner += x
-        inner *= c
-        t = np.tanh(inner)
-        dinner = x ** 2
-        dinner *= 3 * 0.044715
-        dinner += 1.0
-        dinner *= c                # c * (1 + 3*0.044715*x^2) (commutative)
-        # local = 0.5*(1+t) + 0.5*x*(1-t^2)*dinner, reference order kept
-        one_minus_t2 = t ** 2
-        np.subtract(1.0, one_minus_t2, out=one_minus_t2)
-        half_x = 0.5 * x
-        half_x *= one_minus_t2     # (0.5*x) * (1-t^2)
-        half_x *= dinner           # ... * dinner
-        t += 1.0
-        t *= 0.5                   # 0.5 * (1+t) (commutative)
-        t += half_x
-        t *= grad                  # grad * local (commutative)
-        return t
-
-    @staticmethod
-    def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-        out = x - x.max(axis=axis, keepdims=True)
-        np.exp(out, out=out)
-        out /= out.sum(axis=axis, keepdims=True)
-        return out
-
-    @staticmethod
-    def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-        shifted = x - x.max(axis=axis, keepdims=True)
-        z = np.exp(shifted).sum(axis=axis, keepdims=True)
-        np.log(z, out=z)
-        shifted -= z
-        return shifted
-
-    @staticmethod
-    def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                   eps: float) -> np.ndarray:
-        centered = x - x.mean(axis=-1, keepdims=True)
-        sq = centered * centered
-        var = sq.mean(axis=-1, keepdims=True)
-        var += eps
-        np.sqrt(var, out=var)
-        out = centered / var
-        out *= gamma               # (centered/sqrt) * gamma: same order
-        out += beta
-        return out
-
-    @staticmethod
-    def linear(x: np.ndarray, weight: np.ndarray,
-               bias: np.ndarray | None = None) -> np.ndarray:
-        out = x @ weight
-        if bias is not None:
-            out += bias
-        return out
 
     def decode_step(self, weights, caches, tokens: np.ndarray,
                     position, *, mask: np.ndarray | None = None,
@@ -538,12 +290,9 @@ class FusedNumpyBackend(Backend):
             h += positions_tab[position: position + length]
         else:
             pos = np.asarray(position, dtype=np.int64)
-            if length == 1:
-                pbuf = scratch_buffer(scratch, "pos", (batch, dim))
-                np.take(positions_tab, pos, axis=0, out=pbuf)
-                h += pbuf[:, None, :]
-            else:
-                h += positions_tab[pos[:, None] + np.arange(length)]
+            pbuf = scratch_buffer(scratch, "pos", (batch, dim))
+            np.take(positions_tab, pos, axis=0, out=pbuf)
+            h += pbuf[:, None, :]
         x = scratch_buffer(scratch, "x", (batch, length, dim))
         sq = scratch_buffer(scratch, "sq", (batch, length, dim))
         mu = scratch_buffer(scratch, "mu", (batch, length, 1))
@@ -620,8 +369,6 @@ class FusedNumpyBackend(Backend):
                     np.matmul(q[row0:row1], k_g.transpose(0, 1, 3, 2),
                               out=s)
                     s *= scale
-                    if mask is not None:
-                        s += mask
                     _softmax_inplace(s)
                     np.matmul(s, v_g, out=ctx[row0:row1])
             merged = ctx.transpose(0, 2, 1, 3).reshape(batch, length, dim)
@@ -631,7 +378,7 @@ class FusedNumpyBackend(Backend):
             norm(h, x, *blk.norm2)
             np.matmul(x, blk.ff_in[0], out=ff)
             ff += blk.ff_in[1]
-            # gelu in scratch: the exact op sequence of self.gelu above
+            # gelu in scratch: the exact op sequence of gelu() above
             np.multiply(ff, ff, out=g1)
             g1 *= ff                   # (x * x) * x
             g1 *= 0.044715
@@ -703,93 +450,27 @@ def _softmax_inplace(s: np.ndarray) -> None:
     s /= np.add.reduce(s, axis=-1, keepdims=True)
 
 
-def _make_numba_backend() -> Backend | None:
-    """Build the optional numba-JIT backend; ``None`` when unavailable.
-
-    A soft import: environments without :mod:`numba` (the common case —
-    it is not a dependency) simply never see the backend registered.
-    """
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.vectorize(["float64(float64)"], cache=True)
-    def _sigmoid(x):
-        if x > 60.0:
-            x = 60.0
-        elif x < -60.0:
-            x = -60.0
-        return 1.0 / (1.0 + np.exp(-x))
-
-    @numba.vectorize(["float64(float64)"], cache=True)
-    def _gelu(x):
-        c = np.sqrt(2.0 / np.pi)
-        t = np.tanh(c * (x + 0.044715 * (x * x * x)))
-        return 0.5 * x * (1.0 + t)
-
-    class NumbaBackend(FusedNumpyBackend):
-        """JIT-compiled elementwise kernels; numpy for everything else.
-
-        Values may differ from the numpy reference at the ULP level
-        (libm vs compiled transcendentals), so this backend is *not*
-        held to the bit-identity bar — it exists for throughput on
-        large elementwise-bound models.
-        """
-
-        name = "numba"
-
-        sigmoid = staticmethod(_sigmoid)
-        gelu = staticmethod(_gelu)
-
-    return NumbaBackend()
-
-
 # ----------------------------------------------------------------------
-# Registry + active-backend state
+# Active-kernel state
 # ----------------------------------------------------------------------
-_REGISTRY: dict[str, Backend] = {}
+#: the selectable decode kernels, by name
+BACKENDS: dict[str, Backend] = {"numpy": Backend(),
+                                "fused": FusedNumpyBackend()}
 _ACTIVE: Backend
 
 
-def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
-    """Register ``backend`` under ``backend.name``.
-
-    The full ops table is validated eagerly — a backend missing an op
-    cannot exist, because :class:`Backend` provides the reference
-    fallback for anything not overridden.
-    """
-    missing = [op for op in OPS if not callable(getattr(backend, op, None))]
-    if missing:  # only reachable if someone shadows an op with a non-call
-        raise TypeError(f"backend {backend.name!r} is missing ops {missing}")
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"backend {backend.name!r} already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def available_backends() -> list[str]:
-    """Names of every registered backend, registration order."""
-    return list(_REGISTRY)
-
-
-def get_backend(name: str) -> Backend:
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown backend {name!r}; registered: "
-                       f"{available_backends()} (is an optional dependency "
-                       "missing?)")
-    return _REGISTRY[name]
-
-
 def set_backend(name: str) -> Backend:
-    """Make ``name`` the process-wide active backend; returns it."""
+    """Make ``name`` the process-wide decode kernel; returns it."""
     global _ACTIVE
-    _ACTIVE = get_backend(name)
+    if name not in BACKENDS:
+        raise KeyError(f"unknown backend {name!r}; choose one of "
+                       f"{list(BACKENDS)}")
+    _ACTIVE = BACKENDS[name]
     return _ACTIVE
 
 
 def active() -> Backend:
-    """The currently active backend (the engine's per-op accessor)."""
+    """The currently active backend (looked up at every decode call)."""
     return _ACTIVE
 
 
@@ -797,7 +478,7 @@ class use_backend:
     """Context manager scoping a backend choice::
 
         with use_backend("fused"):
-            model.fit(graph, rng)
+            model.sample(64, 16, rng)
     """
 
     def __init__(self, name: str):
@@ -813,10 +494,4 @@ class use_backend:
         _ACTIVE = self._prev
 
 
-register_backend(NumpyBackend())
-register_backend(FusedNumpyBackend())
-_numba = _make_numba_backend()
-if _numba is not None:
-    register_backend(_numba)
-
-_ACTIVE = get_backend(os.environ.get("REPRO_BACKEND", "numpy"))
+set_backend(os.environ.get("REPRO_BACKEND", "numpy"))

@@ -17,20 +17,17 @@ This module is the fast inference path that removes both costs:
   O(T^2), and no causal mask is needed in decode.
 
 Each prefill/step is ONE call into the active backend's
-:meth:`~repro.nn.backend.Backend.decode_step` compound primitive — the
-whole embed/blocks/norm/head pipeline per backend dispatch instead of
-~10 small ops per layer — and decode steps run against per-session
-scratch buffers allocated once at the first step (the ``fused`` backend
-reuses them in place; see :func:`repro.nn.backend.scratch_buffer`).
-``WalkDecoder(model, per_op=True)`` keeps the original one-op-at-a-time
-loop as the bit-identity reference the parity suite pins the compound
-kernel against.
+:meth:`~repro.nn.backend.Backend.decode_step` — the whole
+embed/blocks/norm/head pipeline per call — and decode steps run against
+per-session scratch buffers allocated once at the first step (the
+``fused`` backend reuses them in place; see
+:func:`repro.nn.backend.scratch_buffer`).
 
-Every primitive mirrors the corresponding :class:`~repro.nn.Tensor` op
-exactly (same operation order, same stabilisations), so the logits the
-decoder emits are numerically interchangeable with the training-path
-``forward`` and seeded sampling stays reproducible against the slow
-full-recompute reference.
+The decode kernels call the same layer-norm/linear/softmax/GELU
+functions as the :class:`~repro.nn.Tensor` ops, in the same order, so
+the logits the decoder emits are numerically interchangeable with the
+training-path ``forward`` and seeded sampling stays reproducible against
+the slow full-recompute reference.
 
 Dropout is skipped: the decoder is an inference structure, and the
 training path applies dropout only when gradients are enabled anyway.
@@ -44,22 +41,6 @@ from .attention import LayerKVCache, causal_mask
 from .backend import active as _backend
 
 __all__ = ["WalkDecoder"]
-
-
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float) -> np.ndarray:
-    """Mirror of :meth:`repro.nn.layers.LayerNorm.forward`."""
-    return _backend().layer_norm(x, gamma, beta, eps)
-
-
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Mirror of :meth:`repro.nn.Tensor.softmax`."""
-    return _backend().softmax(x, axis=axis)
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """Mirror of :meth:`repro.nn.Tensor.gelu` (tanh approximation)."""
-    return _backend().gelu(x)
 
 
 class _BlockWeights:
@@ -120,16 +101,10 @@ class WalkDecoder:
     The decoder views (never copies) the model's parameter arrays, so it
     is cheap to construct per :meth:`sample` call; it must not outlive a
     training step that updates the parameters in place.
-
-    ``per_op=True`` routes every forward through the original
-    one-backend-call-per-op loop instead of the whole-step
-    :meth:`~repro.nn.backend.Backend.decode_step` compound primitive —
-    the bit-identity reference the kernel parity tests compare against.
     """
 
-    def __init__(self, model, *, per_op: bool = False) -> None:
+    def __init__(self, model) -> None:
         self._weights = _WalkWeights(model)
-        self._per_op = per_op
         # Per-session decode scratch: allocated on the first step() call
         # (prefill runs at a different sequence length and only once),
         # then reused in place by every subsequent step.
@@ -170,57 +145,13 @@ class WalkDecoder:
         length = tokens.shape[1]
         if self._length + length > self._positions.shape[0]:
             raise ValueError("decoding past the configured maximum length")
-        if self._per_op:
-            logits = self._forward_per_op(tokens, mask)
-        else:
-            if self._scratch is None and self._length:
-                self._scratch = {}
-            logits = _backend().decode_step(
-                self._weights, self._caches, tokens, self._length,
-                mask=mask, scratch=self._scratch)
+        if self._scratch is None and self._length:
+            self._scratch = {}
+        logits = _backend().decode_step(
+            self._weights, self._caches, tokens, self._length,
+            mask=mask, scratch=self._scratch)
         self._length += length
         return logits
-
-    def _forward_per_op(self, tokens: np.ndarray,
-                        mask: np.ndarray | None) -> np.ndarray:
-        """The original per-op loop: one backend call per primitive.
-
-        Kept as the bit-identity reference for
-        :meth:`~repro.nn.backend.Backend.decode_step` (the parity suite
-        runs both under every bit-identity backend) and as the
-        benchmark baseline of the whole-step fusion win.
-        """
-        batch, length = tokens.shape
-        B = _backend()
-        w = self._weights
-        h = w.embed[tokens] \
-            + w.positions[self._length: self._length + length]
-        scale = None
-        for blk, cache in zip(w.blocks, self._caches):
-            x = B.layer_norm(h, *blk.norm1)
-            if scale is None:
-                scale = 1.0 / np.sqrt(blk.head_dim)
-
-            def split(t: np.ndarray) -> np.ndarray:
-                return t.reshape(batch, length, blk.num_heads,
-                                 blk.head_dim).transpose(0, 2, 1, 3)
-
-            q = split(B.linear(x, *blk.q))
-            k = split(B.linear(x, *blk.k))
-            v = split(B.linear(x, *blk.v))
-            k_all, v_all = cache.append(k, v)
-            scores = (q @ k_all.transpose(0, 1, 3, 2)) * scale
-            if mask is not None:
-                scores = scores + mask
-            context = B.softmax(scores) @ v_all
-            merged = context.transpose(0, 2, 1, 3).reshape(
-                batch, length, blk.dim)
-            h = h + B.linear(merged, *blk.out)
-            x2 = B.layer_norm(h, *blk.norm2)
-            hidden = B.gelu(B.linear(x2, *blk.ff_in))
-            h = h + B.linear(hidden, *blk.ff_out)
-        out = B.layer_norm(h[:, -1, :], *w.final_norm)
-        return B.linear(out, *w.head)
 
     # ------------------------------------------------------------------
     def prefill(self, tokens: np.ndarray) -> np.ndarray:

@@ -105,8 +105,6 @@ class Module:
 
     def _set_mode(self, training: bool) -> None:
         self.training = training
-        for value in vars(self).items():
-            pass
         for value in vars(self).values():
             if isinstance(value, Module):
                 value._set_mode(training)

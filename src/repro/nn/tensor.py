@@ -15,12 +15,10 @@ Design notes
   topological sort and calls the closures in reverse order.
 * Broadcasting follows NumPy semantics; :func:`_unbroadcast` reduces an
   upstream gradient back to the shape of the operand that was broadcast.
-* Every numeric kernel — forward data and the compound backward kernels —
-  dispatches through the active :class:`~repro.nn.backend.Backend`, so the
-  whole engine retargets when :func:`~repro.nn.backend.set_backend` swaps
-  the ops table.  Each op captures the backend once at record time; its
-  backward closure therefore runs on the same backend the forward pass
-  used even if the active backend changes before ``backward()``.
+* Pass-through ops call numpy directly; the compound kernels
+  (activations, the softmax family and their gradients) are the shared
+  functions of :mod:`repro.nn.backend`, which the grad-free decode path
+  calls too — one implementation of each computation.
 * Grad-enabled state is **per-thread** (``threading.local``): a
   ``no_grad()`` scoring pass on one thread must not disable graph
   construction for a concurrent fit on another.
@@ -33,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .backend import active as _backend
+from . import backend as kernels
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
@@ -66,20 +64,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing NumPy broadcasting."""
     if grad.shape == shape:
         return grad
-    B = _backend()
     # Remove leading broadcast dimensions.
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = B.sum(grad, axis=tuple(range(extra)))
+        grad = grad.sum(axis=tuple(range(extra)))
     # Sum over axes that were size-1 in the original shape.
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = B.sum(grad, axis=axes, keepdims=True)
-    return B.reshape(grad, shape)
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
 def _as_array(value) -> np.ndarray:
-    return _backend().asarray(value, np.float64)
+    if isinstance(value, np.ndarray):
+        return value.astype(np.float64, copy=False)
+    return np.asarray(value, dtype=np.float64)
 
 
 class Tensor:
@@ -188,7 +187,7 @@ class Tensor:
             self._accumulate(_unbroadcast(out.grad, self.shape))
             other._accumulate(_unbroadcast(out.grad, other.shape))
 
-        return self._make(_backend().add(self.data, other.data),
+        return self._make(np.add(self.data, other.data),
                           (self, other), backward)
 
     __radd__ = __add__
@@ -197,7 +196,7 @@ class Tensor:
         def backward(out: Tensor) -> None:
             self._accumulate(-out.grad)
 
-        return self._make(_backend().negative(self.data), (self,), backward)
+        return self._make(np.negative(self.data), (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
         other = self._lift(other)
@@ -206,7 +205,7 @@ class Tensor:
             self._accumulate(_unbroadcast(out.grad, self.shape))
             other._accumulate(_unbroadcast(-out.grad, other.shape))
 
-        return self._make(_backend().subtract(self.data, other.data),
+        return self._make(np.subtract(self.data, other.data),
                           (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
@@ -219,7 +218,7 @@ class Tensor:
             self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
             other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
 
-        return self._make(_backend().multiply(self.data, other.data),
+        return self._make(np.multiply(self.data, other.data),
                           (self, other), backward)
 
     __rmul__ = __mul__
@@ -232,25 +231,24 @@ class Tensor:
             other._accumulate(
                 _unbroadcast(-out.grad * self.data / (other.data ** 2), other.shape))
 
-        return self._make(_backend().divide(self.data, other.data),
+        return self._make(np.divide(self.data, other.data),
                           (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return self._lift(other) / self
 
     def __pow__(self, exponent) -> "Tensor":
-        B = _backend()
         if isinstance(exponent, Tensor):
             other = exponent
-            data = B.power(self.data, other.data)
+            data = np.power(self.data, other.data)
 
             def backward(out: Tensor) -> None:
                 self._accumulate(_unbroadcast(
-                    out.grad * other.data * B.power(self.data, other.data - 1.0),
+                    out.grad * other.data * np.power(self.data, other.data - 1.0),
                     self.shape))
                 # d(a**b)/db = a**b * log(a); NaN for a <= 0, as in torch.
                 other._accumulate(_unbroadcast(
-                    out.grad * data * B.log(self.data), other.shape))
+                    out.grad * data * np.log(self.data), other.shape))
 
             return self._make(data, (self, other), backward)
 
@@ -265,16 +263,15 @@ class Tensor:
 
         def backward(out: Tensor) -> None:
             self._accumulate(
-                out.grad * exponent * B.power(self.data, exponent - 1))
+                out.grad * exponent * np.power(self.data, exponent - 1))
 
-        return self._make(B.power(self.data, exponent), (self,), backward)
+        return self._make(np.power(self.data, exponent), (self,), backward)
 
     def __rpow__(self, base) -> "Tensor":
         return self._lift(base) ** self
 
     def __matmul__(self, other) -> "Tensor":
         other = self._lift(other)
-        B = _backend()
 
         def backward(out: Tensor) -> None:
             g = out.grad
@@ -292,12 +289,12 @@ class Tensor:
                 self._accumulate(_unbroadcast(g[..., :, None] * b, a.shape))
                 other._accumulate(_unbroadcast((a * g[..., :, None]).sum(axis=tuple(range(a.ndim - 1))), b.shape))
                 return
-            ga = B.matmul(g, B.swapaxes(b, -1, -2))
-            gb = B.matmul(B.swapaxes(a, -1, -2), g)
+            ga = np.matmul(g, np.swapaxes(b, -1, -2))
+            gb = np.matmul(np.swapaxes(a, -1, -2), g)
             self._accumulate(_unbroadcast(ga, a.shape))
             other._accumulate(_unbroadcast(gb, b.shape))
 
-        return self._make(B.matmul(self.data, other.data),
+        return self._make(np.matmul(self.data, other.data),
                           (self, other), backward)
 
     # ------------------------------------------------------------------
@@ -306,12 +303,11 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        B = _backend()
 
         def backward(out: Tensor) -> None:
-            self._accumulate(B.reshape(out.grad, self.shape))
+            self._accumulate(out.grad.reshape(self.shape))
 
-        return self._make(B.reshape(self.data, shape), (self,), backward)
+        return self._make(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes) -> "Tensor":
         if not axes:
@@ -319,35 +315,32 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inverse = np.argsort(axes)
-        B = _backend()
 
         def backward(out: Tensor) -> None:
-            self._accumulate(B.transpose(out.grad, inverse))
+            self._accumulate(out.grad.transpose(inverse))
 
-        return self._make(B.transpose(self.data, axes), (self,), backward)
+        return self._make(self.data.transpose(axes), (self,), backward)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
-        B = _backend()
 
         def backward(out: Tensor) -> None:
-            self._accumulate(B.swapaxes(out.grad, a, b))
+            self._accumulate(np.swapaxes(out.grad, a, b))
 
-        return self._make(B.swapaxes(self.data, a, b), (self,), backward)
+        return self._make(np.swapaxes(self.data, a, b), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
-        B = _backend()
 
         def backward(out: Tensor) -> None:
-            grad = B.zeros_like(self.data)
-            B.index_add(grad, index, out.grad)
+            grad = np.zeros_like(self.data)
+            np.add.at(grad, index, out.grad)
             self._accumulate(grad)
 
-        return self._make(B.take(self.data, index), (self,), backward)
+        return self._make(self.data[index], (self,), backward)
 
     @staticmethod
     def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor._lift(t) for t in tensors]
-        data = _backend().concatenate([t.data for t in tensors], axis=axis)
+        data = np.concatenate([t.data for t in tensors], axis=axis)
         sizes = [t.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
@@ -363,7 +356,7 @@ class Tensor:
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor._lift(t) for t in tensors]
-        data = _backend().stack([t.data for t in tensors], axis=axis)
+        data = np.stack([t.data for t in tensors], axis=axis)
 
         def backward(out: Tensor) -> None:
             for i, t in enumerate(tensors):
@@ -376,15 +369,14 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        B = _backend()
 
         def backward(out: Tensor) -> None:
             grad = out.grad
             if axis is not None and not keepdims:
-                grad = B.expand_dims(grad, axis)
-            self._accumulate(B.broadcast_to(grad, self.shape).copy())
+                grad = np.expand_dims(grad, axis)
+            self._accumulate(np.broadcast_to(grad, self.shape).copy())
 
-        return self._make(B.sum(self.data, axis=axis, keepdims=keepdims),
+        return self._make(self.data.sum(axis=axis, keepdims=keepdims),
                           (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -394,27 +386,25 @@ class Tensor:
             count = int(np.prod([self.shape[a] for a in axis]))
         else:
             count = self.shape[axis]
-        B = _backend()
 
         def backward(out: Tensor) -> None:
             grad = out.grad
             if axis is not None and not keepdims:
-                grad = B.expand_dims(grad, axis)
-            self._accumulate(B.broadcast_to(grad, self.shape).copy() / count)
+                grad = np.expand_dims(grad, axis)
+            self._accumulate(np.broadcast_to(grad, self.shape).copy() / count)
 
-        return self._make(B.mean(self.data, axis=axis, keepdims=keepdims),
+        return self._make(self.data.mean(axis=axis, keepdims=keepdims),
                           (self,), backward)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        B = _backend()
-        data = B.amax(self.data, axis=axis, keepdims=keepdims)
+        data = self.data.max(axis=axis, keepdims=keepdims)
 
         def backward(out: Tensor) -> None:
             grad = out.grad
             value = data
             if axis is not None and not keepdims:
-                grad = B.expand_dims(grad, axis)
-                value = B.expand_dims(value, axis)
+                grad = np.expand_dims(grad, axis)
+                value = np.expand_dims(value, axis)
             mask = (self.data == value).astype(np.float64)
             mask /= mask.sum(axis=axis, keepdims=True)
             self._accumulate(mask * grad)
@@ -425,7 +415,7 @@ class Tensor:
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        data = _backend().exp(self.data)
+        data = np.exp(self.data)
 
         def backward(out: Tensor) -> None:
             self._accumulate(out.grad * data)
@@ -436,10 +426,10 @@ class Tensor:
         def backward(out: Tensor) -> None:
             self._accumulate(out.grad / self.data)
 
-        return self._make(_backend().log(self.data), (self,), backward)
+        return self._make(np.log(self.data), (self,), backward)
 
     def sqrt(self) -> "Tensor":
-        data = _backend().sqrt(self.data)
+        data = np.sqrt(self.data)
 
         def backward(out: Tensor) -> None:
             self._accumulate(out.grad * 0.5 / data)
@@ -447,65 +437,58 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def abs(self) -> "Tensor":
-        B = _backend()
 
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * B.sign(self.data))
+            self._accumulate(out.grad * np.sign(self.data))
 
-        return self._make(B.absolute(self.data), (self,), backward)
+        return self._make(np.abs(self.data), (self,), backward)
 
     def relu(self) -> "Tensor":
-        B = _backend()
         mask = self.data > 0
 
         def backward(out: Tensor) -> None:
-            self._accumulate(B.relu_grad(out.grad, mask))
+            self._accumulate(kernels.relu_grad(out.grad, mask))
 
-        return self._make(B.relu(self.data, mask), (self,), backward)
+        return self._make(kernels.relu(self.data, mask), (self,), backward)
 
     def tanh(self) -> "Tensor":
-        B = _backend()
-        data = B.tanh(self.data)
+        data = np.tanh(self.data)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(B.tanh_grad(out.grad, data))
+            self._accumulate(kernels.tanh_grad(out.grad, data))
 
         return self._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        B = _backend()
-        data = B.sigmoid(self.data)
+        data = kernels.sigmoid(self.data)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(B.sigmoid_grad(out.grad, data))
+            self._accumulate(kernels.sigmoid_grad(out.grad, data))
 
         return self._make(data, (self,), backward)
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
-        B = _backend()
         x = self.data
 
         def backward(out: Tensor) -> None:
-            self._accumulate(B.gelu_grad(out.grad, x))
+            self._accumulate(kernels.gelu_grad(out.grad, x))
 
-        return self._make(B.gelu(x), (self,), backward)
+        return self._make(kernels.gelu(x), (self,), backward)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        B = _backend()
         mask = (self.data >= lo) & (self.data <= hi)
 
         def backward(out: Tensor) -> None:
             self._accumulate(out.grad * mask)
 
-        return self._make(B.clip(self.data, lo, hi), (self,), backward)
+        return self._make(np.clip(self.data, lo, hi), (self,), backward)
 
     # ------------------------------------------------------------------
     # Softmax family (implemented as primitives for stability)
     # ------------------------------------------------------------------
     def softmax(self, axis: int = -1) -> "Tensor":
-        B = _backend()
-        data = B.softmax(self.data, axis=axis)
+        data = kernels.softmax(self.data, axis=axis)
 
         def backward(out: Tensor) -> None:
             g = out.grad
@@ -515,9 +498,8 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        B = _backend()
-        data = B.log_softmax(self.data, axis=axis)
-        soft = B.exp(data)
+        data = kernels.log_softmax(self.data, axis=axis)
+        soft = np.exp(data)
 
         def backward(out: Tensor) -> None:
             g = out.grad

@@ -84,7 +84,6 @@ class _Resident:
                  "starts_fn", "engine")
 
     def __init__(self, key: str, model, *, max_walks: int,
-                 lookahead: int = 1,
                  registry: MetricsRegistry | None = None) -> None:
         self.key = key
         self.model = model
@@ -92,7 +91,6 @@ class _Resident:
             _walk_interface(model)
         self.engine = ContinuousBatcher(self.walk_model,
                                         max_walks=max_walks,
-                                        lookahead=lookahead,
                                         registry=registry, name=key)
 
 
@@ -111,14 +109,12 @@ class ModelHouse:
 
     def __init__(self, cache_dir: str | Path | None, *,
                  max_models: int = 4, max_walks: int = 256,
-                 lookahead: int = 1,
                  registry: MetricsRegistry | None = None) -> None:
         if max_models < 1:
             raise ValueError("max_models must be >= 1")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_models = max_models
         self.max_walks = max_walks
-        self.lookahead = lookahead
         self._residents: OrderedDict[str, _Resident] = OrderedDict()
         self._lock = threading.Lock()
         self.registry = registry if registry is not None \
@@ -147,7 +143,6 @@ class ModelHouse:
     def adopt(self, key: str, model) -> None:
         """Install an in-process model under ``key`` (tests, benches)."""
         resident = _Resident(key, model, max_walks=self.max_walks,
-                             lookahead=self.lookahead,
                              registry=self.registry)
         with self._lock:
             self._residents[key] = resident
@@ -166,7 +161,6 @@ class ModelHouse:
         with trace.span("serve.model_load", model=key):
             resident = _Resident(key, self._load(key),
                                  max_walks=self.max_walks,
-                                 lookahead=self.lookahead,
                                  registry=self.registry)
         with self._lock:
             self._residents[key] = resident
@@ -430,7 +424,6 @@ class ServeDaemon:
     def __init__(self, cache_dir: str | Path | None, *,
                  host: str = "127.0.0.1", port: int = 0,
                  max_models: int = 4, max_walks: int = 256,
-                 lookahead: int = 1,
                  max_inflight: int = 8, queue_depth: int = 16,
                  request_timeout: float = 120.0,
                  verbose: bool = False,
@@ -441,7 +434,6 @@ class ServeDaemon:
         self.registry = registry if registry is not None else get_registry()
         self.house = ModelHouse(cache_dir, max_models=max_models,
                                 max_walks=max_walks,
-                                lookahead=lookahead,
                                 registry=self.registry)
         self.admission = AdmissionControl(max_inflight=max_inflight,
                                           queue_depth=queue_depth,

@@ -3,7 +3,7 @@
 Standalone generation (:meth:`TransformerWalkModel.sample`) decodes one
 request at a time: a prefill pass, then one KV-cached step per token for
 that request's walks only.  Under concurrent serving traffic that leaves
-the per-step fixed costs (python dispatch, one backend call per op per
+the per-step fixed costs (python dispatch, one kernel call per op per
 layer) unamortised — every request pays them alone.
 
 :class:`ContinuousBatcher` coalesces concurrent requests of *different*
@@ -20,9 +20,6 @@ use:
   and feed-forward run over the whole coalesced batch while attention and
   the vocabulary head run per request group over exact (unpadded) cache
   slices;
-* with ``lookahead=k`` each engine tick advances resident walks up to
-  ``k`` tokens (``k`` fused forwards back to back) before returning to
-  admission, amortising the per-tick admission/bookkeeping overhead;
 * walks that reach their requested length are swapped out
   (:meth:`~repro.nn.attention.LayerKVCache.gather_rows`) and queued
   requests are admitted in their place, so the batch stays full while
@@ -36,8 +33,7 @@ standalone.  Two properties make that hold by construction:
 * every request keeps its own RNG, consumed exactly as
   ``sample`` consumes it (one ``rng.random((n, 1))`` draw per decoded
   token, in walk order), and a request's walks always advance in
-  lockstep — how the engine partitions those tokens into ticks
-  (``lookahead``) cannot reorder a single request's draws;
+  lockstep;
 * every array op either is row-wise (embedding, layer norm, GELU,
   residual adds), a stacked per-row matmul (the 3-D ``(B, 1, D) @ (D,
   D')`` projections, which NumPy evaluates as independent per-row
@@ -193,10 +189,6 @@ class EngineStats:
         self._batch_rows = registry.histogram(
             "serve_engine_batch_rows",
             "Decode-batch row occupancy per step", buckets=_BATCH_BUCKETS)
-        self._decode_rows = registry.histogram(
-            "serve_engine_decode_rows_per_call",
-            "Walk rows advanced per fused decode_step call",
-            buckets=_BATCH_BUCKETS)
 
     def note(self, field: str, amount: int = 1) -> None:
         self._counters[field].inc(amount, engine=self.engine)
@@ -206,9 +198,6 @@ class EngineStats:
         self._counters["rows_decoded"].inc(batch, engine=self.engine)
         self._peak.set_max(batch, engine=self.engine)
         self._batch_rows.observe(batch, engine=self.engine)
-
-    def note_decode_call(self, rows: int) -> None:
-        self._decode_rows.observe(rows, engine=self.engine)
 
     def _value(self, field: str) -> int:
         return int(self._counters[field].value(engine=self.engine))
@@ -261,15 +250,6 @@ class ContinuousBatcher:
         fit wait in the admission deque and are swapped in as running
         walks finish; a single request larger than ``max_walks`` is
         rejected at :meth:`submit`.
-    lookahead:
-        Tokens decoded per engine tick (default 1, today's behaviour).
-        Each :meth:`step` admits once, then runs up to ``lookahead``
-        fused decode forwards back to back before the next admission
-        pass — queued requests wait at most ``lookahead`` tokens longer
-        for a slot, in exchange for fewer admission/bookkeeping passes
-        per decoded token.  Served walks are byte-identical for every
-        setting: each request's draws and attention slices depend only
-        on its own state, never on tick partitioning.
 
     Thread model: any number of threads may :meth:`submit`; exactly one
     thread drives :meth:`step` (directly, via :meth:`drain`, or via the
@@ -277,17 +257,13 @@ class ContinuousBatcher:
     """
 
     def __init__(self, model, *, max_walks: int = 256,
-                 lookahead: int = 1,
                  registry: MetricsRegistry | None = None,
                  name: str = "engine") -> None:
         if max_walks < 1:
             raise ValueError("max_walks must be >= 1")
-        if lookahead < 1:
-            raise ValueError("lookahead must be >= 1")
         self._model = model
         self._weights = _WalkWeights(model)
         self.max_walks = max_walks
-        self.lookahead = lookahead
         # Engine-owned decode_step scratch; scratch_buffer() re-sizes
         # entries in place whenever the resident batch changes shape.
         self._scratch: dict = {}
@@ -420,59 +396,50 @@ class ContinuousBatcher:
     # Decode
     # ------------------------------------------------------------------
     def step(self) -> int:
-        """Admit what fits, then advance resident walks ``lookahead`` tokens.
+        """Admit what fits, then advance every resident walk one token.
 
-        Returns the number of walk rows decoded this tick (0 when the
-        engine is idle).  Completed requests are fulfilled and evicted
-        after every inner decode forward — not just at tick end — so
-        a request never decodes past its length under lookahead; their
-        batch slots free up for the next tick's admission pass.
+        Returns the number of walk rows decoded (0 when the engine is
+        idle).  Completed requests are fulfilled and evicted, freeing
+        their batch slots for the next admission pass.
         """
         self._admit()
         if not self._active:
             return 0
         model = self._model
-        total = 0
-        with trace.span("serve.step", batch=self.active_walks,
-                        requests=len(self._active),
-                        lookahead=self.lookahead):
-            for _ in range(self.lookahead):
-                if not self._active:
-                    break
-                batch = self.active_walks
-                self.stats.note_step(batch)
-                total += batch
-                groups: list[tuple[int, int, int]] = []  # (row0,row1,new_len)
-                offset = 0
-                for req in self._active:
-                    groups.append((offset, offset + req.n,
-                                   req.tokens.shape[1]))
-                    offset += req.n
-                tokens = np.concatenate(
-                    [req.pending_ids for req in self._active])[:, None]
-                logits = self._forward_step(tokens, groups)
+        batch = self.active_walks
+        with trace.span("serve.step", batch=batch,
+                        requests=len(self._active)):
+            self.stats.note_step(batch)
+            groups: list[tuple[int, int, int]] = []  # (row0, row1, new_len)
+            offset = 0
+            for req in self._active:
+                groups.append((offset, offset + req.n, req.tokens.shape[1]))
+                offset += req.n
+            tokens = np.concatenate(
+                [req.pending_ids for req in self._active])[:, None]
+            logits = self._forward_step(tokens, groups)
 
-                finished: list[int] = []
-                for i, (req, (row0, row1, _)) in enumerate(
-                        zip(self._active, groups)):
-                    next_ids = model._sample_step(logits[row0:row1],
-                                                  req.temperature,
-                                                  model.num_nodes, req.rng)
-                    req.tokens = np.concatenate(
-                        [req.tokens, next_ids[:, None]], axis=1)
-                    if req.tokens.shape[1] >= req.length + 1:
-                        req.ticket._finish(req.tokens[:, 1:])
-                        self.stats.note("completed")
-                        finished.append(i)
-                    else:
-                        req.pending_ids = next_ids
-                if finished:
-                    self._evict(finished)
-        return total
+            finished: list[int] = []
+            for i, (req, (row0, row1, _)) in enumerate(
+                    zip(self._active, groups)):
+                next_ids = model._sample_step(logits[row0:row1],
+                                              req.temperature,
+                                              model.num_nodes, req.rng)
+                req.tokens = np.concatenate(
+                    [req.tokens, next_ids[:, None]], axis=1)
+                if req.tokens.shape[1] >= req.length + 1:
+                    req.ticket._finish(req.tokens[:, 1:])
+                    self.stats.note("completed")
+                    finished.append(i)
+                else:
+                    req.pending_ids = next_ids
+            if finished:
+                self._evict(finished)
+        return batch
 
     def _forward_step(self, tokens: np.ndarray,
                       groups: list[tuple[int, int, int]]) -> np.ndarray:
-        """One whole-step fused decode over the coalesced ragged batch.
+        """One whole-step decode over the coalesced ragged batch.
 
         ``tokens`` is ``(B, 1)``; ``groups`` lists each request's
         contiguous ``(row0, row1, new_length)`` — its rows and the cache
@@ -482,9 +449,7 @@ class ContinuousBatcher:
         position index and the per-group attention/head slices keep
         every request value-exact (see the module docstring).
         """
-        rows = tokens.shape[0]
-        self.stats.note_decode_call(rows)
-        with trace.span("serve.decode_step", rows=rows,
+        with trace.span("serve.decode_step", rows=tokens.shape[0],
                         groups=len(groups)):
             return _backend().decode_step(
                 self._weights, self._caches, tokens,

@@ -1,11 +1,9 @@
-"""Tests for the pluggable tensor backend seam (``repro.nn.backend``).
+"""Tests for the decode-kernel selection (``repro.nn.backend``).
 
-Covers the registry/selection API, the thread-local grad flag, a
-finite-difference gradcheck sweep over the ops table under every
-registered backend, bit-identity of the fused compound kernels, and a
-rerun of the seeded training parity pins
-(``tests/fixtures/train_parity.json``) under every backend held to the
-bit-identity bar.
+Covers the selection API, a finite-difference gradcheck sweep of the
+Tensor ops under each backend, byte-identity of the Tensor ops with the
+shared compound kernels, and a rerun of the seeded training parity pins
+(``tests/fixtures/train_parity.json``) under each backend.
 """
 
 from __future__ import annotations
@@ -15,15 +13,15 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.nn import (Backend, FusedNumpyBackend, NumpyBackend, OPS, Tensor,
-                      active_backend, available_backends, get_backend,
-                      no_grad, register_backend, set_backend, use_backend)
+from repro.nn import (Backend, FusedNumpyBackend, Tensor, active_backend,
+                      set_backend, use_backend)
+from repro.nn import backend as kernels
+from repro.nn.backend import BACKENDS
 from repro.nn.gradcheck import check_gradients
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -41,12 +39,6 @@ def _load_parity():
 parity = _load_parity()
 PINNED = json.loads((FIXTURES / "train_parity.json").read_text())
 
-#: backends held to the bit-identity bar.  numba — registered only when
-#: the optional package is importable — is exempt by design: compiled
-#: transcendentals may differ from libm at the ULP level.
-BIT_IDENTICAL = [name for name in available_backends()
-                 if name in ("numpy", "fused")]
-
 
 @pytest.fixture(autouse=True)
 def _restore_backend():
@@ -56,59 +48,20 @@ def _restore_backend():
 
 
 # ----------------------------------------------------------------------
-# Registry + selection API
+# Selection API
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends()[:2] == ["numpy", "fused"]
+        assert list(BACKENDS) == ["numpy", "fused"]
+        assert type(BACKENDS["numpy"]) is Backend
+        assert type(BACKENDS["fused"]) is FusedNumpyBackend
 
-    def test_numba_registration_matches_importability(self):
-        has_numba = importlib.util.find_spec("numba") is not None
-        assert ("numba" in available_backends()) == has_numba
-
-    def test_base_class_implements_full_ops_table(self):
-        base = Backend()
-        for op in OPS:
-            assert callable(getattr(base, op)), op
-
-    def test_get_backend_unknown_name(self):
+    def test_set_backend_unknown_name(self):
         with pytest.raises(KeyError, match="unknown backend 'warp'"):
-            get_backend("warp")
-        # The error names what IS registered, to aid typo recovery.
+            set_backend("warp")
+        # The error names the choices, to aid typo recovery.
         with pytest.raises(KeyError, match="numpy"):
-            get_backend("warp")
-
-    def test_register_rejects_duplicate_name(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(NumpyBackend())
-
-    def test_register_validates_ops_table(self):
-        class Broken(NumpyBackend):
-            name = "broken-test"
-            gelu = None  # shadow an op with a non-callable
-
-        with pytest.raises(TypeError, match="missing ops.*gelu"):
-            register_backend(Broken())
-        assert "broken-test" not in available_backends()
-
-    def test_register_and_select_custom_backend(self):
-        from repro.nn import backend as backend_module
-
-        class Custom(NumpyBackend):
-            name = "custom-test"
-
-        custom = Custom()
-        register_backend(custom)
-        try:
-            with use_backend("custom-test"):
-                assert active_backend() is custom
-                x = Tensor([1.0, 2.0], requires_grad=True)
-                loss = (x * 3.0).sum()
-                loss.backward()
-                np.testing.assert_array_equal(x.grad, [3.0, 3.0])
-            assert active_backend() is not custom
-        finally:
-            backend_module._REGISTRY.pop("custom-test", None)
+            set_backend("warp")
 
     def test_set_backend_switches_and_returns(self):
         backend = set_backend("fused")
@@ -163,65 +116,7 @@ class TestEnvSelection:
 
 
 # ----------------------------------------------------------------------
-# Thread-local autograd flag (satellite regression)
-# ----------------------------------------------------------------------
-class TestThreadLocalGrad:
-    def test_no_grad_in_one_thread_does_not_leak_into_another(self):
-        """A thread inside ``no_grad()`` must not disable recording in
-        concurrently running threads (the old process-global flag did)."""
-        entered, release = threading.Event(), threading.Event()
-        failures: list[BaseException] = []
-
-        def holder():
-            try:
-                with no_grad():
-                    entered.set()
-                    release.wait(10.0)
-            except BaseException as exc:  # pragma: no cover - diagnostics
-                failures.append(exc)
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        try:
-            assert entered.wait(10.0)
-            # While the other thread holds no_grad, this thread records.
-            x = Tensor(np.ones(3), requires_grad=True)
-            y = (x * 2.0).sum()
-            assert y.requires_grad
-            y.backward()
-            np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
-        finally:
-            release.set()
-            thread.join(10.0)
-        assert not failures
-
-    def test_worker_thread_has_independent_flag(self):
-        results: dict[str, bool] = {}
-
-        def worker():
-            with no_grad():
-                t = Tensor(np.ones(2), requires_grad=True)
-                results["inside"] = (t * 3.0).requires_grad
-            t = Tensor(np.ones(2), requires_grad=True)
-            results["after"] = (t * 3.0).requires_grad
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(10.0)
-        assert results == {"inside": False, "after": True}
-
-    def test_nested_no_grad_restores_outer_state(self):
-        with no_grad():
-            with no_grad():
-                pass
-            t = Tensor(np.ones(2), requires_grad=True)
-            assert not (t + 1.0).requires_grad
-        t = Tensor(np.ones(2), requires_grad=True)
-        assert (t + 1.0).requires_grad
-
-
-# ----------------------------------------------------------------------
-# Gradcheck sweep over the ops table, per backend
+# Gradcheck sweep over the Tensor ops, per backend
 # ----------------------------------------------------------------------
 def _inputs():
     rng = np.random.default_rng(42)
@@ -231,7 +126,7 @@ def _inputs():
 
 
 # Each program is a scalar-valued function of (x, y) exercising a band
-# of the ops table; together they cover every differentiable primitive.
+# of the Tensor ops; together they cover every differentiable primitive.
 GRADCHECK_PROGRAMS = {
     "arithmetic": lambda x, y: (x * 2.0 + 1.0 - x / 3.0 + (-x)).sum(),
     "power": lambda x, y: ((x * x + 1.5) ** 2.5).mean(),
@@ -255,7 +150,7 @@ GRADCHECK_PROGRAMS = {
 
 
 class TestGradcheckSweep:
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("program", sorted(GRADCHECK_PROGRAMS))
     def test_ops_table_gradients(self, backend, program):
         fn = GRADCHECK_PROGRAMS[program]
@@ -265,10 +160,11 @@ class TestGradcheckSweep:
 
 
 # ----------------------------------------------------------------------
-# Fused-kernel bit-identity against the numpy reference
+# Tensor ops evaluate the shared kernels under either backend
 # ----------------------------------------------------------------------
 class TestFusedBitIdentity:
-    """Every fused compound kernel reproduces the reference bytes."""
+    """Selecting ``fused`` swaps only the decode kernel: every Tensor op
+    still evaluates the shared compound kernels byte for byte."""
 
     @staticmethod
     def _payload():
@@ -278,84 +174,71 @@ class TestFusedBitIdentity:
     @pytest.mark.parametrize("op", ["sigmoid", "gelu"])
     def test_unary_compounds(self, op):
         x = self._payload()
-        ref, fused = get_backend("numpy"), get_backend("fused")
-        assert np.array_equal(getattr(fused, op)(x.copy()),
-                              getattr(ref, op)(x.copy()))
+        with use_backend("fused"):
+            got = getattr(Tensor(x), op)().data
+        assert np.array_equal(got, getattr(kernels, op)(x))
 
     @pytest.mark.parametrize("op", ["softmax", "log_softmax"])
     def test_axis_compounds(self, op):
         x = self._payload()
-        ref, fused = get_backend("numpy"), get_backend("fused")
         for axis in (-1, 0):
-            assert np.array_equal(getattr(fused, op)(x.copy(), axis=axis),
-                                  getattr(ref, op)(x.copy(), axis=axis))
+            with use_backend("fused"):
+                got = getattr(Tensor(x), op)(axis=axis).data
+            assert np.array_equal(got, getattr(kernels, op)(x, axis=axis))
 
     def test_grad_kernels(self):
         rng = np.random.default_rng(12)
         grad = rng.standard_normal((7, 5))
         x = self._payload()
-        ref, fused = get_backend("numpy"), get_backend("fused")
-        out = ref.sigmoid(x)
-        assert np.array_equal(fused.sigmoid_grad(grad.copy(), out),
-                              ref.sigmoid_grad(grad.copy(), out))
-        t = np.tanh(x)
-        assert np.array_equal(fused.tanh_grad(grad.copy(), t),
-                              ref.tanh_grad(grad.copy(), t))
-        assert np.array_equal(fused.gelu_grad(grad.copy(), x.copy()),
-                              ref.gelu_grad(grad.copy(), x.copy()))
+        cases = [("sigmoid", kernels.sigmoid_grad, kernels.sigmoid(x)),
+                 ("tanh", kernels.tanh_grad, np.tanh(x)),
+                 ("gelu", kernels.gelu_grad, x)]
+        for op, grad_kernel, saved in cases:
+            t = Tensor(x, requires_grad=True)
+            with use_backend("fused"):
+                getattr(t, op)().backward(grad)
+            assert np.array_equal(t.grad, grad_kernel(grad, saved)), op
 
     def test_layer_norm_and_linear(self):
+        """The decode kernels' layer norm and affine map reproduce the
+        training modules' bytes."""
+        from repro.nn import LayerNorm, Linear
+
         rng = np.random.default_rng(13)
         x = rng.standard_normal((6, 8))
-        gamma, beta = rng.standard_normal(8), rng.standard_normal(8)
-        weight, bias = rng.standard_normal((8, 4)), rng.standard_normal(4)
-        ref, fused = get_backend("numpy"), get_backend("fused")
-        assert np.array_equal(fused.layer_norm(x.copy(), gamma, beta, 1e-5),
-                              ref.layer_norm(x.copy(), gamma, beta, 1e-5))
-        assert np.array_equal(fused.linear(x.copy(), weight, bias),
-                              ref.linear(x.copy(), weight, bias))
-        assert np.array_equal(fused.linear(x.copy(), weight),
-                              ref.linear(x.copy(), weight))
+        norm = LayerNorm(8)
+        norm.gamma.data = rng.standard_normal(8)
+        norm.beta.data = rng.standard_normal(8)
+        lin = Linear(8, 4, rng)
+        lin.bias.data = rng.standard_normal(4)
+        assert np.array_equal(
+            kernels.layer_norm(x, norm.gamma.data, norm.beta.data, norm.eps),
+            norm(Tensor(x)).data)
+        assert np.array_equal(
+            kernels.linear(x, lin.weight.data, lin.bias.data),
+            lin(Tensor(x)).data)
+        assert np.array_equal(kernels.linear(x, lin.weight.data),
+                              x @ lin.weight.data)
 
     def test_compound_kernels_do_not_mutate_inputs(self):
         x = self._payload()
         snapshot = x.copy()
-        fused = get_backend("fused")
-        fused.sigmoid(x)
-        fused.gelu(x)
-        fused.softmax(x)
-        fused.log_softmax(x)
+        kernels.sigmoid(x)
+        kernels.gelu(x)
+        kernels.softmax(x)
+        kernels.log_softmax(x)
+        kernels.layer_norm(x, np.ones(5), np.zeros(5), 1e-5)
         np.testing.assert_array_equal(x, snapshot)
 
 
 # ----------------------------------------------------------------------
-# Grad-free inference path routes through the active backend
-# ----------------------------------------------------------------------
-class TestInferenceRouting:
-    def test_gradfree_helpers_match_reference_under_fused(self):
-        from repro.nn import inference
-
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((5, 8))
-        gamma, beta = rng.standard_normal(8), rng.standard_normal(8)
-        with use_backend("numpy"):
-            ref = (inference._layer_norm(x, gamma, beta, 1e-5),
-                   inference._softmax(x), inference._gelu(x))
-        with use_backend("fused"):
-            got = (inference._layer_norm(x, gamma, beta, 1e-5),
-                   inference._softmax(x), inference._gelu(x))
-        for r, g in zip(ref, got):
-            assert np.array_equal(r, g)
-
-
-# ----------------------------------------------------------------------
-# Seeded parity pins under every bit-identity backend (satellite)
+# Seeded parity pins under each backend
 # ----------------------------------------------------------------------
 class TestBackendParity:
-    """The pinned training digests hold under every backend held to the
-    bit-identity bar — the fused kernels change allocation, not floats."""
+    """The pinned training digests hold under each backend — selecting
+    one changes no training float."""
 
-    @pytest.mark.parametrize("backend", BIT_IDENTICAL)
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_fit_matches_pins(self, backend, name):
         with use_backend(backend):

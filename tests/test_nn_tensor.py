@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -323,3 +325,58 @@ class TestGraphMechanics:
             y = y + 0.001
         y.sum().backward()  # iterative topo sort: must not blow the stack
         np.testing.assert_allclose(x.grad, np.ones(2))
+
+
+class TestThreadLocalGrad:
+    def test_no_grad_in_one_thread_does_not_leak_into_another(self):
+        """A thread inside ``no_grad()`` must not disable recording in
+        concurrently running threads (the old process-global flag did)."""
+        entered, release = threading.Event(), threading.Event()
+        failures: list[BaseException] = []
+
+        def holder():
+            try:
+                with no_grad():
+                    entered.set()
+                    release.wait(10.0)
+            except BaseException as exc:  # pragma: no cover - diagnostics
+                failures.append(exc)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert entered.wait(10.0)
+            # While the other thread holds no_grad, this thread records.
+            x = Tensor(np.ones(3), requires_grad=True)
+            y = (x * 2.0).sum()
+            assert y.requires_grad
+            y.backward()
+            np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert not failures
+
+    def test_worker_thread_has_independent_flag(self):
+        results: dict[str, bool] = {}
+
+        def worker():
+            with no_grad():
+                t = Tensor(np.ones(2), requires_grad=True)
+                results["inside"] = (t * 3.0).requires_grad
+            t = Tensor(np.ones(2), requires_grad=True)
+            results["after"] = (t * 3.0).requires_grad
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(10.0)
+        assert results == {"inside": False, "after": True}
+
+    def test_nested_no_grad_restores_outer_state(self):
+        with no_grad():
+            with no_grad():
+                pass
+            t = Tensor(np.ones(2), requires_grad=True)
+            assert not (t + 1.0).requires_grad
+        t = Tensor(np.ones(2), requires_grad=True)
+        assert (t + 1.0).requires_grad
