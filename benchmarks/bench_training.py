@@ -77,14 +77,14 @@ def _record(name: str, payload: dict) -> None:
 def test_training_smoke_grad_free_scoring_beats_grad_path():
     """Seconds-scale CI gate on the per-cycle scoring hot path.
 
-    The graph-building path pays closure + parent-tuple bookkeeping on
-    every tensor op of the full-batch forward — and, because each
-    backward closure references its output tensor, it creates reference
-    cycles the garbage collector must chase; the ``no_grad`` path skips
-    all of it.  The real margin is ~1.3-1.5x at this shape; the gate
-    asserts a conservative 1.05x so CI noise cannot flip it.  Both
-    paths must agree bit-for-bit — the speedup is free, not
-    approximate.
+    The graph-building path pays parent-tuple and backward-function
+    bookkeeping on every tensor op of the full-batch forward, and keeps
+    each op's intermediates alive until the output is dropped; the
+    ``no_grad`` path skips all of it.  The real margin is ~1.15-1.3x at
+    this shape (it was ~1.3-1.6x while the tape held reference cycles
+    for the garbage collector to chase); the gate asserts a
+    conservative 1.05x so CI noise cannot flip it.  Both paths must
+    agree bit-for-bit — the speedup is free, not approximate.
     """
     disc = _smoke_discriminator()
 
@@ -98,8 +98,13 @@ def test_training_smoke_grad_free_scoring_beats_grad_path():
 
     grad_free_path()  # warm BLAS and allocators outside the timings
     grad_path()
-    with_graph = _best_of(grad_path)
-    grad_free = _best_of(grad_free_path)
+    # Interleaved trials: the host's speed can change between two
+    # back-to-back blocks of trials, and at a ~1.2x margin that alone
+    # could flip the comparison; alternating exposes both paths alike.
+    with_graph = grad_free = float("inf")
+    for _ in range(5):
+        with_graph = min(with_graph, _best_of(grad_path, trials=1))
+        grad_free = min(grad_free, _best_of(grad_free_path, trials=1))
 
     np.testing.assert_array_equal(disc.predict_log_proba(),
                                   disc.log_probs().numpy())

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn.backend import scatter_rows
+
 __all__ = ["SkipGramModel", "walks_to_pairs", "unigram_table"]
 
 
@@ -118,9 +120,8 @@ class SkipGramModel:
 
     def _apply_row_averaged(self, matrix: np.ndarray, rows: np.ndarray,
                             grads: np.ndarray, lr: float) -> None:
-        accum = np.zeros_like(matrix)
-        counts = np.zeros(matrix.shape[0])
-        np.add.at(accum, rows, grads)
-        np.add.at(counts, rows, 1.0)
+        num_rows = matrix.shape[0]
+        accum = scatter_rows(rows, grads, num_rows)
+        counts = np.bincount(rows, minlength=num_rows)
         touched = counts > 0
         matrix[touched] -= lr * accum[touched] / np.sqrt(counts[touched])[:, None]

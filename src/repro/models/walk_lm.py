@@ -15,7 +15,7 @@ import numpy as np
 from ..nn import (Embedding, LayerNorm, Linear, Module, Tensor, WalkDecoder,
                   causal_mask, no_grad, sinusoidal_positions)
 from ..nn.attention import TransformerBlock
-from ..nn import functional as F
+from ..nn.tensor import sequence_log_likelihood
 
 __all__ = ["TransformerWalkModel"]
 
@@ -46,6 +46,10 @@ class TransformerWalkModel(Module):
     # ------------------------------------------------------------------
     def forward(self, tokens: np.ndarray) -> Tensor:
         """Logits of shape ``(B, T, num_nodes)`` for input token ids."""
+        return self.head(self._hidden(tokens))
+
+    def _hidden(self, tokens: np.ndarray) -> Tensor:
+        """The final-normed ``(B, T, dim)`` states the head reads."""
         batch, length = tokens.shape
         if length > self.max_length + 1:
             raise ValueError("sequence longer than the configured maximum")
@@ -53,7 +57,7 @@ class TransformerWalkModel(Module):
         mask = causal_mask(length)
         for block in self.blocks:
             h = block(h, mask)
-        return self.head(self.final_norm(h))
+        return self.final_norm(h)
 
     def _shift(self, walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Prepend the start token: inputs predict each walk position."""
@@ -70,16 +74,20 @@ class TransformerWalkModel(Module):
         a walk's length are excluded from its sum (the causal mask
         already keeps them from influencing earlier positions).  Padded
         slots must hold a valid node id — their value never matters.
+
+        The head — affine map, log-softmax over the vocabulary and the
+        gather of each target — is one
+        :func:`~repro.nn.tensor.sequence_log_likelihood` node, so no
+        ``(B, T, V)`` one-hot mask is built.
         """
         walks = np.asarray(walks, dtype=np.int64)
         inputs, targets = self._shift(walks)
-        log_probs = self.forward(inputs).log_softmax(axis=-1)
-        mask = F.one_hot(targets, self.num_nodes)
+        valid = None
         if lengths is not None:
             valid = (np.arange(walks.shape[1])[None, :]
                      < np.asarray(lengths, dtype=np.int64)[:, None])
-            mask = mask * valid[:, :, None]
-        return (log_probs * Tensor(mask)).sum(axis=-1).sum(axis=-1)
+        return sequence_log_likelihood(self._hidden(inputs), self.head.weight,
+                                       self.head.bias, targets, valid)
 
     def log_likelihood_pair(self, first: np.ndarray,
                             second: np.ndarray) -> tuple[Tensor, Tensor]:

@@ -11,8 +11,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, attention, is_grad_enabled
 from .layers import Dropout, LayerNorm, Linear, Module, Parameter
+from . import functional as F
 
 __all__ = [
     "causal_mask",
@@ -278,12 +279,10 @@ class MultiHeadSelfAttention(Module):
             k_all, v_all = cache.append(k.numpy(), v.numpy())
             k, v = Tensor(k_all), Tensor(v_all)
 
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = scores + Tensor(mask)
-        attn = scores.softmax(axis=-1)
-        attn = self.attn_dropout(attn)
-        context = attn @ v  # (B, H, T, d)
+        drop = self.attn_dropout
+        keep = F.dropout_mask(q.shape[:-1] + (k.shape[-2],), drop.p,
+                              drop.rng, drop.training)
+        context = attention(q, k, v, mask, keep)  # (B, H, T, d)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
         return self.out_proj(merged)
 

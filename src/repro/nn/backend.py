@@ -1,13 +1,14 @@
 """Compound tensor kernels, and the one op a backend swaps: decode.
 
 The compound kernels of the engine live here as plain functions,
-written once.  :class:`~repro.nn.Tensor` calls the activations
-(``relu``, ``sigmoid``, ``gelu``), the softmax family and their
-gradients on the training path; :meth:`Backend.decode_step` calls the
-same functions, plus ``layer_norm`` and ``linear`` (the op order of
-:class:`~repro.nn.LayerNorm` and :class:`~repro.nn.Linear`), on the
-grad-free decode path.  The pass-through ops (``add``, ``matmul``,
-``sum`` ...) are plain numpy calls inside :class:`~repro.nn.Tensor`.
+written once, and both paths call them: the training forward — the
+:class:`~repro.nn.Tensor` activations and softmax family, and the
+compound ops of :mod:`repro.nn.tensor` (``linear``, ``layer_norm``,
+the attention core's softmax, the walk-LM head's ``log_softmax``) —
+and the grad-free :meth:`Backend.decode_step`.  So training and decode
+run one forward per op.  The backward halves live with the ops in
+:mod:`repro.nn.tensor`; the pass-through ops (``add``, ``matmul``,
+``sum`` ...) are plain numpy calls there.
 
 A backend replaces exactly one op: :meth:`Backend.decode_step`, which
 advances a whole transformer decode step (embed + positions, every
@@ -39,8 +40,8 @@ import numpy as np
 __all__ = ["Backend", "FusedNumpyBackend", "BACKENDS", "set_backend",
            "use_backend", "active", "scratch_buffer",
            "relu", "relu_grad", "sigmoid", "sigmoid_grad", "tanh_grad",
-           "gelu", "gelu_grad", "softmax", "log_softmax", "layer_norm",
-           "linear"]
+           "gelu", "gelu_tanh", "gelu_grad", "softmax", "log_softmax",
+           "layer_norm", "linear", "scatter_rows"]
 
 
 # ----------------------------------------------------------------------
@@ -67,25 +68,33 @@ def tanh_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
     return grad * (1.0 - out ** 2)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The ``tanh`` term of :func:`gelu`; the training op computes it
+    once and hands it to both halves."""
+    return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+
+
+def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """Tanh-approximated GELU (the order of Vaswani-era impls).
 
     The cube is ``(x * x) * x``, not ``x ** 3``: libm ``pow`` costs
     ~40x two multiplies and this runs on the FFN activation of every
     decode step.  (Fixture note: the two differ in the last ulp, so
     the seeded train-parity pins were regenerated with this order.)
+    ``t`` is a precomputed :func:`gelu_tanh` of ``x``.
     """
-    c = np.sqrt(2.0 / np.pi)
-    inner = c * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
+    if t is None:
+        t = gelu_tanh(x)
     return 0.5 * x * (1.0 + t)
 
 
-def gelu_grad(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    c = np.sqrt(2.0 / np.pi)
-    inner = c * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    dinner = c * (1.0 + 3 * 0.044715 * x ** 2)
+def gelu_grad(grad: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Backward of :func:`gelu`, given its input ``x`` and
+    ``t = gelu_tanh(x)``."""
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
     local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
     return grad * local
 
@@ -96,30 +105,53 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
+def log_softmax(x: np.ndarray, axis: int = -1,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """``out=x`` computes in place: the same floats, one buffer fewer."""
+    shifted = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return shifted - log_z
+    return np.subtract(shifted, log_z, out=out)
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float) -> np.ndarray:
-    """Layer norm over the last axis, in :class:`~repro.nn.LayerNorm`
-    order."""
+               eps: float, *, with_stats: bool = False):
+    """Layer norm over the last axis.
+
+    ``with_stats=True`` also returns the normalised input and the
+    standard deviation, ``(out, normed, std)`` — what the training op's
+    backward needs.
+    """
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(var + eps) * gamma + beta
+    std = np.sqrt(var + eps)
+    normed = centered / std
+    out = normed * gamma + beta
+    return (out, normed, std) if with_stats else out
 
 
 def linear(x: np.ndarray, weight: np.ndarray,
            bias: np.ndarray | None = None) -> np.ndarray:
-    """Affine map ``x @ weight + bias``, in :class:`~repro.nn.Linear`
-    order."""
+    """Affine map ``x @ weight + bias`` (the bias lands in place on the
+    fresh GEMM output)."""
     out = x @ weight
     if bias is not None:
-        out = out + bias
+        out += bias
     return out
+
+
+def scatter_rows(rows: np.ndarray, values: np.ndarray,
+                 num_rows: int) -> np.ndarray:
+    """``out[r] = sum(values[i] for i where rows[i] == r)``, ``(num_rows, d)``.
+
+    One ``np.bincount`` over (row, column) bins.  Each bin sums its
+    contributions in index order, exactly as ``np.add.at`` does, so the
+    result is bit-identical to it at about a quarter of the cost.
+    """
+    dim = values.shape[-1]
+    bins = (rows.reshape(-1, 1) * dim + np.arange(dim)).ravel()
+    return np.bincount(bins, weights=values.ravel(),
+                       minlength=num_rows * dim).reshape(num_rows, dim)
 
 
 def scratch_buffer(scratch: dict | None, name: str,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, is_grad_enabled, pick
 
 __all__ = [
     "cross_entropy",
@@ -12,6 +12,7 @@ __all__ = [
     "binary_cross_entropy_with_logits",
     "mse_loss",
     "dropout",
+    "dropout_mask",
     "one_hot",
 ]
 
@@ -40,11 +41,12 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray,
         used by FairGen's cost-sensitive prediction loss (Eq. 9).
     reduction:
         ``"mean"``, ``"sum"`` or ``"none"``.
+
+    The target entries are gathered (:func:`~repro.nn.tensor.pick`), not
+    masked with a ``(..., C)`` one-hot array; values and gradients are
+    the same.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    mask = one_hot(targets, log_probs.shape[-1])
-    picked = (log_probs * Tensor(mask)).sum(axis=-1)
-    loss = -picked
+    loss = -pick(log_probs, targets)
     if weights is not None:
         loss = loss * Tensor(np.asarray(weights, dtype=np.float64))
     if reduction == "mean":
@@ -89,12 +91,20 @@ def mse_loss(pred: Tensor, target: np.ndarray | Tensor,
     return sq
 
 
+def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator,
+                 training: bool = True) -> np.ndarray | None:
+    """The inverted-dropout multiplier :func:`dropout` applies, or
+    ``None`` where dropout is the identity (eval mode, ``p == 0`` or
+    under ``no_grad``).  Draws one ``rng.random(shape)``."""
+    if not training or p <= 0.0 or not is_grad_enabled():
+        return None
+    if not 0.0 <= p < 1.0:
+        raise ValueError("dropout probability must be in [0, 1)")
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
             training: bool = True) -> Tensor:
     """Inverted dropout; identity outside training or when ``p == 0``."""
-    if not training or p <= 0.0 or not is_grad_enabled():
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout probability must be in [0, 1)")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    keep = dropout_mask(x.shape, p, rng, training)
+    return x if keep is None else x * Tensor(keep)

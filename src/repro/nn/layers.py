@@ -6,7 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, embedding, layer_norm, linear
 from . import functional as F
 
 __all__ = [
@@ -148,10 +148,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -168,7 +165,7 @@ class Embedding(Module):
         ids = np.asarray(ids, dtype=np.int64)
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.num_embeddings:
             raise IndexError("embedding index out of range")
-        return self.weight[ids]
+        return embedding(self.weight, ids)
 
 
 class LayerNorm(Module):
@@ -181,11 +178,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class Dropout(Module):

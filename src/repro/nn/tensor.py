@@ -10,15 +10,29 @@ Design notes
 ------------
 * A :class:`Tensor` wraps a ``numpy.ndarray`` (always ``float64`` for
   numerical robustness of gradient checks) plus an optional gradient buffer.
-* Each operation returns a new tensor whose ``_backward`` closure knows how
-  to push the output gradient into the inputs.  ``backward()`` runs a
-  topological sort and calls the closures in reverse order.
+* Each operation returns a new tensor that records its parents and a
+  ``backward(out)`` function pushing ``out.grad`` into them.
+  ``backward()`` runs a topological sort and calls ``node._backward(node)``
+  in reverse order.  The function takes its output as an argument rather
+  than closing over it, so the tape holds no reference cycles:
+  reference counting frees each step's graph the moment its loss goes
+  out of scope, without waiting for the cyclic garbage collector.
 * Broadcasting follows NumPy semantics; :func:`_unbroadcast` reduces an
   upstream gradient back to the shape of the operand that was broadcast.
 * Pass-through ops call numpy directly; the compound kernels
-  (activations, the softmax family and their gradients) are the shared
-  functions of :mod:`repro.nn.backend`, which the grad-free decode path
-  calls too — one implementation of each computation.
+  (activations, the softmax family, layer norm, the affine map and their
+  gradients) are the shared functions of :mod:`repro.nn.backend`, which
+  the grad-free decode path calls too — one forward per op.
+* The training hot path runs through compound ops with closed-form
+  vector-Jacobian products, one tape node each, in the style of
+  autograd's primitives with hand-written VJPs: :func:`linear`,
+  :func:`layer_norm`, :func:`embedding` (a ``bincount`` scatter),
+  :func:`attention` (scores, mask, softmax, dropout and context),
+  :func:`pick` (the gather behind the NLL losses) and
+  :func:`sequence_log_likelihood` (the walk-LM head: affine map,
+  log-softmax and gather-NLL, computed in one buffer).
+  Their forwards produce the same floats as the op-by-op graphs they
+  replace; the backwards reorder some sums.
 * Grad-enabled state is **per-thread** (``threading.local``): a
   ``no_grad()`` scoring pass on one thread must not disable graph
   construction for a concurrent fit on another.
@@ -33,7 +47,8 @@ import numpy as np
 
 from . import backend as kernels
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "linear", "layer_norm",
+           "embedding", "attention", "pick", "sequence_log_likelihood"]
 
 
 _GRAD_STATE = threading.local()
@@ -93,13 +108,14 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -152,11 +168,14 @@ class Tensor:
 
     def _make(self, data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[["Tensor"], None] | None) -> "Tensor":
-        """Create an op output; record the closure if autograd is active.
+        """Create an op output; record ``backward`` if autograd is active.
+
+        ``backward(out)`` receives the output tensor at backward time,
+        so storing it creates no ``out -> closure -> out`` cycle.
 
         Under ``no_grad()`` this is the inference fast path: the output
         tensor is constructed bare — no parent tuple, no backward
-        closure, no graph — so bulk sampling does not pay autograd
+        function, no graph — so bulk sampling does not pay autograd
         bookkeeping.  (The heavy decode loop goes further and bypasses
         ``Tensor`` entirely via :mod:`repro.nn.inference`.)
         """
@@ -166,7 +185,7 @@ class Tensor:
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._prev = tuple(parents)
-            out._backward = lambda: backward(out)
+            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -470,11 +489,12 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
         x = self.data
+        t = kernels.gelu_tanh(x)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(kernels.gelu_grad(out.grad, x))
+            self._accumulate(kernels.gelu_grad(out.grad, x, t))
 
-        return self._make(kernels.gelu(x), (self,), backward)
+        return self._make(kernels.gelu(x, t), (self,), backward)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         mask = (self.data >= lo) & (self.data <= hi)
@@ -499,11 +519,10 @@ class Tensor:
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         data = kernels.log_softmax(self.data, axis=axis)
-        soft = np.exp(data)
 
         def backward(out: Tensor) -> None:
             g = out.grad
-            self._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+            self._accumulate(g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
         return self._make(data, (self,), backward)
 
@@ -538,10 +557,195 @@ class Tensor:
 
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
-            # Free the closure so intermediate buffers can be collected.
+                node._backward(node)
+            # Drop the function so intermediate buffers can be freed.
             if node is not self:
                 node._backward = None
+
+
+# ----------------------------------------------------------------------
+# Compound ops: one tape node each, closed-form VJPs
+# ----------------------------------------------------------------------
+def _parents(*tensors: Tensor | None) -> tuple[Tensor, ...]:
+    return tuple(t for t in tensors if t is not None)
+
+
+def _affine_grads(g: np.ndarray, x: Tensor, weight: Tensor,
+                  bias: Tensor | None) -> None:
+    """Accumulate the VJP of ``x @ weight + bias`` for upstream ``g``.
+
+    A 2-D weight takes its gradient as one GEMM over the flattened
+    leading axes.  Seed-stacked ``(K, in, out)`` weights (and their
+    ``(K, 1, out)`` biases, see :mod:`repro.nn.vmap`) keep one batched
+    GEMM per seed, so each slice matches its unstacked fit exactly.
+    """
+    a, w = x.data, weight.data
+    if w.ndim == 2:
+        g2 = g.reshape(-1, g.shape[-1])
+        if weight.requires_grad:
+            weight._accumulate(a.reshape(-1, a.shape[-1]).T @ g2)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g2.sum(axis=0).reshape(bias.shape))
+        if x.requires_grad:
+            x._accumulate((g2 @ w.T).reshape(a.shape))
+        return
+    if weight.requires_grad:
+        weight._accumulate(_unbroadcast(
+            np.matmul(np.swapaxes(a, -1, -2), g), w.shape))
+    if bias is not None and bias.requires_grad:
+        bias._accumulate(_unbroadcast(g, bias.shape))
+    if x.requires_grad:
+        x._accumulate(_unbroadcast(
+            np.matmul(g, np.swapaxes(w, -1, -2)), a.shape))
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight + bias`` as one node (the :class:`~repro.nn.Linear`
+    forward)."""
+    data = kernels.linear(x.data, weight.data,
+                          None if bias is None else bias.data)
+
+    def backward(out: Tensor) -> None:
+        _affine_grads(out.grad, x, weight, bias)
+
+    return x._make(data, _parents(x, weight, bias), backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Layer norm over the last axis as one node (seven in op-by-op form).
+
+    ``gamma``/``beta`` may carry a seed axis, ``(K, 1, d)``.
+    """
+    data, normed, std = kernels.layer_norm(x.data, gamma.data, beta.data,
+                                           eps, with_stats=True)
+
+    def backward(out: Tensor) -> None:
+        g = out.grad
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * normed, gamma.shape))
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.shape))
+        if x.requires_grad:
+            gn = g * gamma.data
+            dx = gn - gn.mean(axis=-1, keepdims=True)
+            dx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+            dx /= std
+            x._accumulate(_unbroadcast(dx, x.shape))
+
+    return x._make(data, (x, gamma, beta), backward)
+
+
+def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
+    """Rows ``weight[ids]``; the backward scatters with
+    :func:`~repro.nn.backend.scatter_rows`, bit-identical to the
+    ``np.add.at`` of the generic ``__getitem__`` path and cheaper."""
+    flat = ids.ravel()
+
+    def backward(out: Tensor) -> None:
+        weight._accumulate(kernels.scatter_rows(
+            flat, out.grad.reshape(flat.size, -1), weight.shape[0]))
+
+    return weight._make(weight.data[ids], (weight,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              mask: np.ndarray | None = None,
+              keep: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention core as one node.
+
+    ``q``: ``(..., Tq, d)``, ``k``/``v``: ``(..., Tk, d)``.  Computes
+    ``softmax(q k^T / sqrt(d) + mask) * keep @ v``; ``keep`` is an
+    inverted-dropout multiplier over the attention weights (see
+    :func:`repro.nn.functional.dropout_mask`) or ``None``.
+    """
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
+    if mask is not None:
+        scores += mask
+    attn = kernels.softmax(scores)
+    weights = attn if keep is None else attn * keep
+    data = weights @ v.data
+
+    def backward(out: Tensor) -> None:
+        g = out.grad
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(np.swapaxes(weights, -1, -2) @ g,
+                                       v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        # d/d(q k^T), built in place: through @ v, dropout, softmax, scale
+        gs = g @ np.swapaxes(v.data, -1, -2)
+        if keep is not None:
+            gs *= keep
+        gs -= (gs * attn).sum(axis=-1, keepdims=True)
+        gs *= attn
+        gs *= scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(gs @ k.data, q.shape))
+        if k.requires_grad:
+            k._accumulate(_unbroadcast(np.swapaxes(gs, -1, -2) @ q.data,
+                                       k.shape))
+
+    return q._make(data, (q, k, v), backward)
+
+
+def pick(x: Tensor, index: np.ndarray) -> Tensor:
+    """``out[i] = x[i, index[i]]`` along the last axis (the NLL gather).
+
+    Equal, value and gradient, to ``(x * one_hot(index)).sum(-1)``
+    without the ``(..., C)`` mask.
+    """
+    idx = np.asarray(index, dtype=np.int64)[..., None]
+    data = np.take_along_axis(x.data, idx, axis=-1)[..., 0]
+
+    def backward(out: Tensor) -> None:
+        grad = np.zeros_like(x.data)
+        np.put_along_axis(grad, idx, out.grad[..., None], axis=-1)
+        x._accumulate(grad)
+
+    return x._make(data, (x,), backward)
+
+
+def sequence_log_likelihood(x: Tensor, weight: Tensor, bias: Tensor | None,
+                            targets: np.ndarray,
+                            valid: np.ndarray | None = None) -> Tensor:
+    """Per-row ``sum_t log_softmax(x @ weight + bias)[b, t, targets[b, t]]``.
+
+    The walk-LM head — affine map, log-softmax over the vocabulary and
+    gather-NLL — as one node.  ``x`` is ``(B, T, d)``, ``targets``
+    ``(B, T)``; ``valid`` (``(B, T)``, optional) zeroes padded
+    positions.  The forward computes the log-probabilities in place in
+    the logits buffer and the backward turns that same buffer into the
+    logit gradient, so one ``(B, T, V)`` array lives per step.  Values
+    equal ``(log_softmax(x @ W + b) * mask).sum(-1).sum(-1)`` with a
+    one-hot ``mask``.
+    """
+    logp = kernels.linear(x.data, weight.data,
+                          None if bias is None else bias.data)
+    kernels.log_softmax(logp, out=logp)
+    idx = np.asarray(targets, dtype=np.int64)[..., None]
+    picked = np.take_along_axis(logp, idx, axis=-1)[..., 0]
+    if valid is not None:
+        picked = picked * valid
+    buffer = [logp]
+
+    def backward(out: Tensor) -> None:
+        if not buffer:
+            raise RuntimeError("sequence_log_likelihood: backward ran twice "
+                               "on one graph (its buffer is reused in place)")
+        grad = buffer.pop()
+        coef = np.broadcast_to(out.grad[:, None], idx.shape[:-1])
+        if valid is not None:
+            coef = coef * valid
+        # d/dlogits of coef * log_softmax[target]: coef * (onehot - softmax)
+        np.exp(grad, out=grad)
+        grad *= -coef[..., None]
+        np.put_along_axis(grad, idx,
+                          np.take_along_axis(grad, idx, axis=-1)
+                          + coef[..., None], axis=-1)
+        _affine_grads(grad, x, weight, bias)
+
+    return x._make(picked.sum(axis=-1), _parents(x, weight, bias), backward)
 
 
 def _tensor_iter(values: Iterable) -> list[Tensor]:

@@ -1,18 +1,23 @@
-"""Tests for the decode-kernel selection (``repro.nn.backend``).
+"""Tests for the decode-kernel selection (``repro.nn.backend``) and the
+compound training ops that share its kernels.
 
 Covers the selection API, a finite-difference gradcheck sweep of the
-Tensor ops under each backend, byte-identity of the Tensor ops with the
-shared compound kernels, and a rerun of the seeded training parity pins
-(``tests/fixtures/train_parity.json``) under each backend.
+Tensor ops under each backend and of the compound ops of
+``repro.nn.tensor``, byte-identity of the Tensor ops with the shared
+compound kernels and of the compound forwards with their op-by-op
+graphs, the acyclic tape, and a rerun of the seeded training parity
+pins (``tests/fixtures/train_parity.json``) under each backend.
 """
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +25,15 @@ import pytest
 
 from repro.nn import (Backend, FusedNumpyBackend, Tensor, active_backend,
                       set_backend, use_backend)
+from repro.nn import Adam, causal_mask
 from repro.nn import backend as kernels
+from repro.nn import functional as F
 from repro.nn.backend import BACKENDS
 from repro.nn.gradcheck import check_gradients
+from repro.nn.tensor import (attention, embedding, layer_norm, linear, pick,
+                             sequence_log_likelihood)
+from repro.models.walk_lm import TransformerWalkModel
+from repro.train import train_step
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).parents[1]
@@ -149,6 +160,41 @@ GRADCHECK_PROGRAMS = {
 }
 
 
+def _layer_norm(x, gamma, beta):
+    return layer_norm(x, gamma, beta, 1e-5)
+
+
+_MASK = causal_mask(3)
+_KEEP = F.dropout_mask((2, 2, 3, 3), 0.3, np.random.default_rng(9))
+_TARGETS = np.array([[1, 5, 0], [2, 2, 4]])
+_VALID = np.array([[True, True, True], [True, True, False]])
+
+# Each compound op of repro.nn.tensor as (function of the leaf tensors,
+# the leaves' shapes); the sweep checks the gradient of every leaf.
+COMPOUND_PROGRAMS = {
+    "linear_2d": (linear, [(3, 4), (4, 5), (5,)]),
+    "linear_3d": (linear, [(2, 3, 4), (4, 5), (5,)]),
+    "linear_stacked": (linear, [(2, 3, 4), (2, 4, 5), (2, 1, 5)]),
+    "linear_stacked_shared_input": (linear, [(3, 4), (2, 4, 5), (2, 1, 5)]),
+    "layer_norm": (_layer_norm, [(2, 3, 5), (5,), (5,)]),
+    "layer_norm_stacked": (_layer_norm, [(2, 3, 5), (2, 1, 5), (2, 1, 5)]),
+    "layer_norm_stacked_shared_input": (_layer_norm,
+                                        [(3, 5), (2, 1, 5), (2, 1, 5)]),
+    "attention": (attention, [(2, 2, 3, 4)] * 3),
+    "attention_mask": (lambda q, k, v: attention(q, k, v, _MASK),
+                       [(2, 2, 3, 4)] * 3),
+    "attention_mask_dropout": (lambda q, k, v: attention(q, k, v, _MASK,
+                                                         _KEEP),
+                               [(2, 2, 3, 4)] * 3),
+    "head": (lambda x, w, b: sequence_log_likelihood(x, w, b, _TARGETS),
+             [(2, 3, 4), (4, 6), (6,)]),
+    "head_lengths": (lambda x, w, b: sequence_log_likelihood(
+        x, w, b, _TARGETS, _VALID), [(2, 3, 4), (4, 6), (6,)]),
+    "embedding": (lambda w: embedding(w, _TARGETS % 5), [(5, 3)]),
+    "pick": (lambda x: pick(x, _TARGETS % 4), [(2, 3, 4)]),
+}
+
+
 class TestGradcheckSweep:
     @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("program", sorted(GRADCHECK_PROGRAMS))
@@ -157,6 +203,153 @@ class TestGradcheckSweep:
         with use_backend(backend):
             x, y = _inputs()
             check_gradients(lambda: fn(x, y), [x, y])
+
+    @pytest.mark.parametrize("program", sorted(COMPOUND_PROGRAMS))
+    def test_compound_op_gradients(self, program):
+        op, shapes = COMPOUND_PROGRAMS[program]
+        rng = np.random.default_rng(7)
+        leaves = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in shapes]
+        # A random weighting keeps symmetric gradients from cancelling.
+        weights = Tensor(rng.standard_normal(op(*leaves).shape))
+        check_gradients(lambda: (op(*leaves) * weights).sum(), leaves)
+
+
+# ----------------------------------------------------------------------
+# Compound ops against the op-by-op graphs they replace
+# ----------------------------------------------------------------------
+def _walk_model(rng, dropout=0.0):
+    return TransformerWalkModel(num_nodes=9, dim=8, num_heads=2,
+                                num_layers=2, max_length=7, rng=rng,
+                                dropout=dropout)
+
+
+def _rng_state(model):
+    """The stream every dropout of the walk model draws from."""
+    return model.blocks[0].attn.attn_dropout.rng.bit_generator
+
+
+def _reference_log_likelihood(model, walks, lengths=None):
+    """Eq. 1 composed op by op from primitive Tensor ops, with the
+    one-hot NLL mask the walk LM used before its fused head.  Dropout
+    goes through the model's own ``Dropout`` modules."""
+    inputs, targets = model._shift(walks)
+    batch, length = inputs.shape
+
+    def lin(m, x):
+        return x @ m.weight + m.bias
+
+    def norm(m, x):
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        return centered / (var + m.eps).sqrt() * m.gamma + m.beta
+
+    h = model.embed.weight[inputs] + Tensor(model._positions[:length])
+    for blk in model.blocks:
+        attn = blk.attn
+
+        def split(t):
+            return t.reshape(batch, length, attn.num_heads,
+                             attn.head_dim).transpose(0, 2, 1, 3)
+
+        x = norm(blk.norm1, h)
+        q, k, v = (split(lin(p, x))
+                   for p in (attn.q_proj, attn.k_proj, attn.v_proj))
+        scores = ((q @ k.transpose(0, 1, 3, 2))
+                  * (1.0 / np.sqrt(attn.head_dim)) + Tensor(causal_mask(length)))
+        context = attn.attn_dropout(scores.softmax(axis=-1)) @ v
+        merged = context.transpose(0, 2, 1, 3).reshape(batch, length, attn.dim)
+        h = h + lin(attn.out_proj, merged)
+        hidden = lin(blk.ff_in, norm(blk.norm2, h)).gelu()
+        h = h + blk.dropout(lin(blk.ff_out, hidden))
+    log_probs = lin(model.head, norm(model.final_norm, h)).log_softmax(axis=-1)
+    mask = F.one_hot(targets, model.num_nodes)
+    if lengths is not None:
+        mask = mask * (np.arange(length)[None, :] < lengths[:, None])[..., None]
+    return (log_probs * Tensor(mask)).sum(axis=-1).sum(axis=-1)
+
+
+class TestCompoundOps:
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("with_lengths", [False, True])
+    def test_log_likelihood_matches_op_by_op_reference(self, with_lengths,
+                                                       dropout):
+        rng = np.random.default_rng(3)
+        model = _walk_model(rng, dropout)
+        walks = rng.integers(0, 9, (5, 6))
+        lengths = np.array([6, 4, 6, 1, 5]) if with_lengths else None
+        start = _rng_state(model).state
+        fused = model.log_likelihood(walks, lengths=lengths)
+        fused.sum().backward()
+        grads = {name: p.grad.copy() for name, p in model.named_parameters()}
+        after = _rng_state(model).state
+        model.zero_grad()
+        _rng_state(model).state = start
+        reference = _reference_log_likelihood(model, walks, lengths)
+        reference.sum().backward()
+        # The same dropout draws, and the forwards run the same floats;
+        # the closed-form backwards reorder sums, so the gradients agree
+        # to rounding only.
+        assert _rng_state(model).state == after
+        assert (after != start) == (dropout > 0)
+        assert np.array_equal(fused.data, reference.data)
+        for name, p in model.named_parameters():
+            np.testing.assert_allclose(grads[name], p.grad, rtol=1e-9,
+                                       atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum", "none"])
+    def test_nll_loss_matches_one_hot_path(self, reduction):
+        rng = np.random.default_rng(4)
+        logits = rng.standard_normal((6, 4))
+        targets = rng.integers(0, 4, 6)
+        weights = rng.random(6)
+        results = []
+        for gather in (True, False):
+            x = Tensor(logits, requires_grad=True)
+            log_probs = x.log_softmax(axis=-1)
+            if gather:
+                loss = F.nll_loss(log_probs, targets, weights, reduction)
+            else:
+                picked = (log_probs * Tensor(F.one_hot(targets, 4))).sum(-1)
+                loss = -picked * Tensor(weights)
+                loss = {"mean": loss.mean, "sum": loss.sum,
+                        "none": lambda: loss}[reduction]()
+            loss.backward(np.ones_like(loss.data))
+            results.append((loss.data, x.grad))
+        (value, grad), (ref_value, ref_grad) = results
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad, ref_grad)
+
+    def test_head_backward_runs_once(self):
+        rng = np.random.default_rng(6)
+        x, w, b = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                   for shape in [(2, 3, 4), (4, 5), (5,)])
+        out = sequence_log_likelihood(x, w, b, rng.integers(0, 5, (2, 3)))
+        out.backward(np.ones(2))
+        with pytest.raises(RuntimeError, match="backward ran twice"):
+            out.backward(np.ones(2))
+
+    def test_train_step_graph_is_freed_without_the_cyclic_gc(self):
+        """The tape is acyclic: once a step returns, reference counting
+        alone has freed its graph."""
+        rng = np.random.default_rng(8)
+        model = _walk_model(rng)
+        params = list(model.parameters())
+        optimizer = Adam(params, lr=0.01)
+        walks = rng.integers(0, 9, (4, 6))
+        refs = []
+
+        def loss_fn():
+            ll = model.log_likelihood(walks)
+            refs.append(weakref.ref(ll))
+            return -ll.mean()
+
+        gc.disable()
+        try:
+            train_step(optimizer, params, loss_fn, clip_norm=5.0)
+            assert refs[0]() is None
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +385,8 @@ class TestFusedBitIdentity:
         x = self._payload()
         cases = [("sigmoid", kernels.sigmoid_grad, kernels.sigmoid(x)),
                  ("tanh", kernels.tanh_grad, np.tanh(x)),
-                 ("gelu", kernels.gelu_grad, x)]
+                 ("gelu", lambda g, x: kernels.gelu_grad(
+                     g, x, kernels.gelu_tanh(x)), x)]
         for op, grad_kernel, saved in cases:
             t = Tensor(x, requires_grad=True)
             with use_backend("fused"):

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -15,8 +16,8 @@ import pytest
 from repro.cli import main
 from repro.experiments import (ExperimentSpec, JobQueue, LocalWorkerPool,
                                QueueError, Runner, Worker)
-from repro.experiments.scheduler import _pool_worker_main
 from repro.graph import Graph
+from repro.train import TrainState
 
 SMALLEST = "EMAIL"  # smallest bundled dataset (106 nodes)
 
@@ -32,6 +33,29 @@ def _spec(model="er", seed=0, **overrides) -> ExperimentSpec:
 
 def _adjacency_equal(a: Graph, b: Graph) -> bool:
     return (a.adjacency != b.adjacency).nnz == 0
+
+
+def _victim_worker_main(queue_dir: str, cache_dir: str) -> None:
+    """A pool worker that stops at a known point: right after the first
+    checkpoint of its fit, which lands at the first epoch boundary.
+
+    It then blocks until the parent SIGKILLs it, so the kill always
+    falls mid-fit with exactly one checkpoint on disk, however fast the
+    fit runs.  Meant for a forked child: the patch stays in its copy of
+    the process.
+    """
+    save = TrainState.save
+
+    def save_then_block(self, *args, **kwargs):
+        save(self, *args, **kwargs)
+        threading.Event().wait()
+
+    TrainState.save = save_then_block
+    worker = Worker(queue_dir, cache_dir, worker_id="victim",
+                    allow_surrogate=True, few_shot_per_class=3,
+                    heartbeat_interval=0.2)
+    worker.runner.checkpoint_interval = 0.0  # checkpoint every epoch
+    worker.run()
 
 
 def _mp_context():
@@ -452,9 +476,10 @@ class TestCrashRecovery:
         recovery, completes it exactly once, and the final artifacts are
         identical to a sequential ``run_many`` over the same spec.
 
-        The kill waits for the victim's first mid-fit checkpoint
-        (written on its heartbeat cadence), so the rescue exercises the
-        resume path: the second worker continues the fit from the
+        The victim checkpoints at its first epoch boundary and then
+        blocks (:func:`_victim_worker_main`), so the kill lands at a
+        known point rather than racing the fit.  The rescue exercises
+        the resume path: the second worker continues the fit from the
         ``.ckpt.npz`` in the shared cache rather than refitting from
         epoch zero — and must still reproduce the sequential run's
         bytes, because the checkpoint carries the exact RNG state.
@@ -466,20 +491,21 @@ class TestCrashRecovery:
         queue.submit([spec], with_metrics=True)
 
         victim = _mp_context().Process(
-            target=_pool_worker_main,
-            args=(os.fspath(queue_dir), os.fspath(cache_dir), "victim",
-                  True, 3, 0.2),
+            target=_victim_worker_main,
+            args=(os.fspath(queue_dir), os.fspath(cache_dir)),
             daemon=True)
         victim.start()
-        ckpt_path = cache_dir / f"{spec.cache_key()}.ckpt.npz"
-        deadline = time.monotonic() + 30
-        while not ckpt_path.exists():
-            assert time.monotonic() < deadline, \
-                "worker never wrote a mid-fit checkpoint"
-            assert victim.is_alive(), "worker died before checkpointing"
-            time.sleep(0.005)
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join()
+        try:
+            ckpt_path = cache_dir / f"{spec.cache_key()}.ckpt.npz"
+            deadline = time.monotonic() + 30
+            while not ckpt_path.exists():
+                assert time.monotonic() < deadline, \
+                    "worker never wrote a mid-fit checkpoint"
+                assert victim.is_alive(), "worker died before checkpointing"
+                time.sleep(0.005)
+        finally:
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
 
         # The job is stranded mid-execution: claimed, not done.
         assert queue.payload(spec.cache_key())["state"] == "claimed"
