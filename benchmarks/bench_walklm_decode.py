@@ -1,15 +1,9 @@
-"""NN-generation decode benchmarks: KV-cached decode and fused kernels.
+"""NN-generation decode benchmarks: KV-cached decode.
 
-Two seconds-scale smoke gates cover the hot NN-generation path:
-
-* ``test_decode_smoke_incremental_beats_full_recompute`` — the KV-cached
-  incremental decoder (one O(T) step per token) against the old
-  full-prefix recompute (O(T^2) per token);
-* ``test_decode_smoke_fused_whole_step_vs_per_op`` — the fused
-  ``FusedNumpyBackend.decode_step`` kernel (preallocated scratch, one
-  GEMM over ``[Wq|Wk|Wv]``) against the per-op reference
-  ``Backend.decode_step`` (one shared-kernel call per primitive), with
-  byte-identical logits and walks as a hard invariant.
+A seconds-scale smoke gate covers the hot NN-generation path:
+``test_decode_smoke_incremental_beats_full_recompute`` times the
+KV-cached incremental decoder (one O(T) step per token) against the old
+full-prefix recompute (O(T^2) per token).
 
 Results merge-update per-benchmark entries in ``BENCH_decode.json`` at
 the repo root (same map format as ``BENCH_train.json`` /
@@ -29,17 +23,11 @@ import numpy as np
 import pytest
 
 from repro.models.walk_lm import TransformerWalkModel
-from repro.nn import WalkDecoder, use_backend
 
-#: the smoke gates require the win to show at this length (>= 32)
+#: the smoke gate requires the win to show at this length (>= 32)
 LENGTH = 48
 NUM_WALKS = 64
 NUM_NODES = 300
-#: batch for the fused whole-step gate — small decode batches are the
-#: dispatch-bound regime the compound kernel targets
-FUSED_WALKS = 8
-#: interleaved timing rounds for the fused gate (min-of-N per side)
-FUSED_ROUNDS = 10
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_decode.json"
 
@@ -111,86 +99,6 @@ def test_decode_smoke_incremental_beats_full_recompute():
     assert incremental * 2 < full, (
         f"incremental decode ({incremental:.3f}s) must beat full-prefix "
         f"recompute ({full:.3f}s) at length >= 32")
-
-
-def _decode_fixed_stream(model: TransformerWalkModel, backend: str,
-                         ids: np.ndarray) -> np.ndarray:
-    """Decode a predetermined token stream, returning all step logits.
-
-    Fixing the stream (rather than sampling) keeps both kernels on the
-    exact same inputs, so the stacked logits are directly comparable
-    bit for bit — and the timing measures decode alone, not the
-    cumsum/RNG sampling overhead both kernels share.
-    """
-    n = ids.shape[1]
-    with use_backend(backend):
-        decoder = WalkDecoder(model)
-        outs = [decoder.prefill(np.full((n, 1), model.start_token))]
-        for step_ids in ids:
-            outs.append(decoder.step(step_ids))
-    return np.stack(outs)
-
-
-@pytest.mark.smoke
-def test_decode_smoke_fused_whole_step_vs_per_op():
-    """Fused ``decode_step`` vs the per-op reference kernel, length 48.
-
-    Byte-identity is the hard invariant: the fused kernel must emit the
-    exact logits of the per-op reference at every step, and sampled
-    walks must match token for token.
-
-    On the timing side the gate is deliberately conservative.  Trials
-    interleave the two kernels so host noise lands on both alike, and
-    the recorded speedup is min-over-min.  Measured margin at this shape
-    is ~1.15-1.2x: a straight-line dispatch-floor experiment (every
-    buffer preallocated, zero Python overhead) tops out at ~1.19x over
-    the per-op kernel, because what remains is C-level work both
-    kernels share.  The hard assert sits at 1.05x so the gate stays
-    green under CI load while still catching a regression that loses
-    the fusion win.
-    """
-    model = _smoke_model()
-    rng = np.random.default_rng(5)
-    ids = rng.integers(0, NUM_NODES, size=(LENGTH - 1, FUSED_WALKS))
-
-    per_op_logits = _decode_fixed_stream(model, "numpy", ids)
-    fused_logits = _decode_fixed_stream(model, "fused", ids)
-    np.testing.assert_array_equal(fused_logits, per_op_logits)
-
-    # Walk-level parity: fused sampling vs per-op reference sampling.
-    with use_backend("fused"):
-        fused_walks = model.sample(FUSED_WALKS, LENGTH,
-                                   np.random.default_rng(6))
-    with use_backend("numpy"):
-        per_op_walks = model.sample(FUSED_WALKS, LENGTH,
-                                    np.random.default_rng(6))
-    assert np.array_equal(fused_walks, per_op_walks)
-
-    per_op_s = fused_s = float("inf")
-    for _ in range(FUSED_ROUNDS):
-        per_op_s = min(per_op_s, _time(
-            lambda: _decode_fixed_stream(model, "numpy", ids)))
-        fused_s = min(fused_s, _time(
-            lambda: _decode_fixed_stream(model, "fused", ids)))
-
-    speedup = per_op_s / max(fused_s, 1e-9)
-    print(f"\n\nFused decode smoke — {FUSED_WALKS} walks x length {LENGTH}: "
-          f"per-op {per_op_s*1e3:.1f}ms vs fused {fused_s*1e3:.1f}ms "
-          f"({speedup:.2f}x), logits and walks byte-identical")
-
-    _record("walklm_fused_decode_step_smoke", {
-        "num_walks": FUSED_WALKS,
-        "length": LENGTH,
-        "num_nodes": NUM_NODES,
-        "per_op_seconds": round(per_op_s, 4),
-        "whole_step_seconds": round(fused_s, 4),
-        "speedup": round(speedup, 2),
-        "byte_identical": True,
-    })
-
-    assert speedup >= 1.05, (
-        f"fused decode_step ({fused_s*1e3:.1f}ms) must beat the per-op "
-        f"reference kernel ({per_op_s*1e3:.1f}ms) at length {LENGTH}")
 
 
 def test_decode_scaling_with_length(benchmark):

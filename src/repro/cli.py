@@ -91,10 +91,6 @@ def _add_run_arguments(cmd: argparse.ArgumentParser,
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="FairGen reproduction command line")
-    parser.add_argument("--backend", choices=None, default=None,
-                        metavar="NAME",
-                        help="decode kernel, 'numpy' or 'fused' "
-                             "(default: $REPRO_BACKEND or 'numpy')")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write a Chrome trace_event file of this "
                              "invocation (open in Perfetto or "
@@ -769,13 +765,6 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.backend is not None:
-        from .nn import set_backend
-
-        try:
-            set_backend(args.backend)
-        except KeyError as exc:
-            raise SystemExit(str(exc)) from exc
     if args.trace is not None:
         from .obs import trace as _trace
 

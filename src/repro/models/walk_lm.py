@@ -127,15 +127,28 @@ class TransformerWalkModel(Module):
     def _sampling_prompt(self, num_walks: int, length: int,
                          temperature: float,
                          starts: np.ndarray | None) -> np.ndarray:
-        """Validate sampling arguments and build the prompt tokens."""
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
+        """Validate sampling arguments and build the prompt tokens.
+
+        The one home of these checks: :meth:`sample`,
+        :meth:`sample_reference` and the serving engine's ``submit``
+        all call it, so they reject the same arguments alike.
+        """
+        if length < 1:
+            raise ValueError("length must be >= 1")
         if length > self.max_length:
             raise ValueError("length exceeds the configured maximum")
+        if temperature <= 0:
+            raise ValueError("temperature must be positive")
         tokens = np.full((num_walks, 1), self.start_token, dtype=np.int64)
         if starts is not None:
-            starts = np.asarray(starts, dtype=np.int64).reshape(num_walks, 1)
-            tokens = np.concatenate([tokens, starts], axis=1)
+            starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+            if starts.shape[0] != num_walks:
+                raise ValueError(f"starts has {starts.shape[0]} entries "
+                                 f"for {num_walks} walks")
+            if starts.size and (starts.min() < 0
+                                or starts.max() >= self.num_nodes):
+                raise ValueError("starts contains out-of-range node ids")
+            tokens = np.concatenate([tokens, starts[:, None]], axis=1)
         return tokens
 
     @staticmethod
@@ -169,11 +182,10 @@ class TransformerWalkModel(Module):
         per sampled position against the per-layer KV caches — O(T)
         attention per step instead of the O(T^2) full-prefix recompute of
         :meth:`sample_reference`, and no autograd bookkeeping at all.
-        Each prefill/step is a single whole-step
-        :meth:`~repro.nn.backend.Backend.decode_step` call into the
-        active backend, running against per-session scratch buffers on
-        fused backends.  RNG consumption is identical to the reference,
-        so seeded outputs match it.
+        Each prefill/step is a single whole-step call of the one decode
+        kernel, :meth:`~repro.nn.backend.Backend.decode_step`.  RNG
+        consumption is identical to the reference, so seeded outputs
+        match it.
         """
         tokens = self._sampling_prompt(num_walks, length, temperature, starts)
         if tokens.shape[1] >= length + 1:
@@ -216,8 +228,8 @@ class TransformerWalkModel(Module):
         bounds the live KV-cache footprint at ``chunk * layers * T * dim``
         floats, and ``starts_fn(take, rng)`` (when given) pins the start
         node of each chunk's walks — FairGen's protected-coverage hook.
-        Each chunk decodes through :meth:`sample`, i.e. one fused
-        whole-step backend call per token.
+        Each chunk decodes through :meth:`sample`, i.e. one whole-step
+        :meth:`~repro.nn.backend.Backend.decode_step` call per token.
         """
         chunks = []
         remaining = num_walks

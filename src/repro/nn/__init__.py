@@ -1,7 +1,6 @@
 """NumPy neural-network substrate (autograd, layers, attention, LSTM)."""
 
-from .backend import Backend, FusedNumpyBackend, set_backend, use_backend
-from .backend import active as active_backend
+from .backend import Backend
 from .tensor import Tensor, no_grad, is_grad_enabled
 from .layers import (Dropout, Embedding, LayerNorm, Linear, MLP, Module,
                      Parameter, Sequential)
@@ -17,8 +16,7 @@ from . import functional
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled",
-    "Backend", "FusedNumpyBackend", "set_backend", "use_backend",
-    "active_backend",
+    "Backend",
     "Module", "Parameter", "Linear", "Embedding", "LayerNorm", "Dropout",
     "Sequential", "MLP",
     "MultiHeadSelfAttention", "TransformerBlock", "causal_mask",

@@ -58,12 +58,10 @@ class LayerKVCache:
     ndarrays — gradients never flow into cached positions — making it an
     inference-only structure (use under ``no_grad()``).
 
-    With ``capacity`` the buffers are preallocated at ``(B, H, capacity,
-    d)`` on first append and every later step writes into a slice, so
-    the decode hot path never reallocates (the convention of
-    :class:`repro.nn.inference.WalkDecoder`, which knows the maximum
-    session length up front).  Without it, buffers grow by
-    concatenation.
+    The buffers are preallocated at ``(B, H, capacity, d)`` on first
+    append and every later step writes into a slice, so the decode hot
+    path never reallocates (every decoder knows its maximum session
+    length up front).
 
     **Row-level serving mode.**  The continuous-batching engine
     (:mod:`repro.serve.engine`) coalesces walk requests of different
@@ -80,7 +78,7 @@ class LayerKVCache:
 
     __slots__ = ("_k", "_v", "_length", "capacity", "_row_lengths")
 
-    def __init__(self, capacity: int | None = None) -> None:
+    def __init__(self, capacity: int) -> None:
         self._k: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._length = 0
@@ -125,21 +123,13 @@ class LayerKVCache:
         """Append new positions and return the full (k, v) arrays."""
         batch, heads, steps, dim = k_new.shape
         if self._k is None:
-            if self.capacity is None:
-                self._k, self._v = k_new, v_new
-                self._length = steps
-                return self.k, self.v
             self._k = np.empty((batch, heads, self.capacity, dim),
                                dtype=k_new.dtype)
             self._v = np.empty_like(self._k)
-        if self.capacity is not None:
-            if self._length + steps > self.capacity:
-                raise ValueError("KV cache capacity exceeded")
-            self._k[:, :, self._length: self._length + steps] = k_new
-            self._v[:, :, self._length: self._length + steps] = v_new
-        else:
-            self._k = np.concatenate([self._k, k_new], axis=2)
-            self._v = np.concatenate([self._v, v_new], axis=2)
+        if self._length + steps > self.capacity:
+            raise ValueError("KV cache capacity exceeded")
+        self._k[:, :, self._length: self._length + steps] = k_new
+        self._v[:, :, self._length: self._length + steps] = v_new
         self._length += steps
         return self.k, self.v
 
@@ -150,16 +140,13 @@ class LayerKVCache:
         """Transplant ``donor``'s rows onto the end of this cache.
 
         ``donor`` is a freshly prefilled per-request cache (uniform
-        length, preallocated at the same ``capacity``); its rows join
+        length, at the same ``capacity``); its rows join
         this cache's batch with their own per-row length.  This is the
         admission path of the continuous batcher: prefill a request in
         isolation, then splice its K/V rows into the shared batch.
         """
-        if donor._k is None or donor.capacity is None:
-            raise ValueError("donor cache must be preallocated (capacity "
-                             "mode) and non-empty")
-        if self.capacity is None:
-            raise ValueError("row-level cache ops need capacity mode")
+        if donor._k is None:
+            raise ValueError("donor cache must be non-empty")
         if donor.capacity != self.capacity:
             raise ValueError(f"donor capacity {donor.capacity} != "
                              f"{self.capacity}")

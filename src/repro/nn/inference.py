@@ -16,14 +16,11 @@ This module is the fast inference path that removes both costs:
   one token attending to the cached history — O(T) per step instead of
   O(T^2), and no causal mask is needed in decode.
 
-Each prefill/step is ONE call into the active backend's
+Each prefill/step is ONE call of the one decode kernel,
 :meth:`~repro.nn.backend.Backend.decode_step` — the whole
-embed/blocks/norm/head pipeline per call — and decode steps run against
-per-session scratch buffers allocated once at the first step (the
-``fused`` backend reuses them in place; see
-:func:`repro.nn.backend.scratch_buffer`).
+embed/blocks/norm/head pipeline per call.
 
-The decode kernels call the same layer-norm/linear/softmax/GELU
+The decode kernel calls the same layer-norm/linear/softmax/GELU
 functions as the :class:`~repro.nn.Tensor` ops, in the same order, so
 the logits the decoder emits are numerically interchangeable with the
 training-path ``forward`` and seeded sampling stays reproducible against
@@ -38,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import LayerKVCache, causal_mask
-from .backend import active as _backend
+from .backend import DECODE_KERNEL
 
 __all__ = ["WalkDecoder"]
 
@@ -105,10 +102,6 @@ class WalkDecoder:
 
     def __init__(self, model) -> None:
         self._weights = _WalkWeights(model)
-        # Per-session decode scratch: allocated on the first step() call
-        # (prefill runs at a different sequence length and only once),
-        # then reused in place by every subsequent step.
-        self._scratch: dict | None = None
         # Preallocated at the session maximum: decode steps write into
         # the cache buffers instead of reallocating them every token.
         self._caches = [LayerKVCache(capacity=self._positions.shape[0])
@@ -145,11 +138,8 @@ class WalkDecoder:
         length = tokens.shape[1]
         if self._length + length > self._positions.shape[0]:
             raise ValueError("decoding past the configured maximum length")
-        if self._scratch is None and self._length:
-            self._scratch = {}
-        logits = _backend().decode_step(
-            self._weights, self._caches, tokens, self._length,
-            mask=mask, scratch=self._scratch)
+        logits = DECODE_KERNEL.decode_step(
+            self._weights, self._caches, tokens, self._length, mask=mask)
         self._length += length
         return logits
 

@@ -15,11 +15,11 @@ use:
   are transplanted into the shared batch caches
   (:meth:`~repro.nn.attention.LayerKVCache.append_cache`);
 * every engine step advances **all** resident walks by one token in a
-  single fused forward — ONE :meth:`~repro.nn.backend.Backend.decode_step`
-  call against engine-owned scratch buffers, where the dense projections
-  and feed-forward run over the whole coalesced batch while attention and
-  the vocabulary head run per request group over exact (unpadded) cache
-  slices;
+  single forward — ONE :meth:`~repro.nn.backend.Backend.decode_step`
+  call, the same kernel standalone sampling runs, where the dense
+  projections and feed-forward run over the whole coalesced batch while
+  attention and the vocabulary head run per request group over exact
+  (unpadded) cache slices;
 * walks that reach their requested length are swapped out
   (:meth:`~repro.nn.attention.LayerKVCache.gather_rows`) and queued
   requests are admitted in their place, so the batch stays full while
@@ -52,7 +52,7 @@ from collections import deque
 import numpy as np
 
 from ..nn.attention import LayerKVCache
-from ..nn.backend import active as _backend
+from ..nn.backend import DECODE_KERNEL
 from ..nn.inference import WalkDecoder, _WalkWeights
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry
@@ -264,9 +264,6 @@ class ContinuousBatcher:
         self._model = model
         self._weights = _WalkWeights(model)
         self.max_walks = max_walks
-        # Engine-owned decode_step scratch; scratch_buffer() re-sizes
-        # entries in place whenever the resident batch changes shape.
-        self._scratch: dict = {}
         self._pending: deque[tuple] = deque()
         self._active: list[_ActiveRequest] = []
         self._caches: list[LayerKVCache] = [
@@ -283,34 +280,22 @@ class ContinuousBatcher:
                starts: np.ndarray | None = None) -> WalkTicket:
         """Queue a walk request; returns a :class:`WalkTicket`.
 
-        Arguments mirror :meth:`TransformerWalkModel.sample` and are
-        validated here (synchronously) so API-level errors surface to
-        the caller, not inside the decode loop.
+        Arguments mirror :meth:`TransformerWalkModel.sample`; the prompt
+        is built here, by the model's own validating prompt builder, so
+        API-level errors surface to the caller (synchronously, exactly as
+        ``sample`` raises them), not inside the decode loop.
         """
-        model = self._model
         if n_walks < 1:
             raise ValueError("n_walks must be >= 1")
         if n_walks > self.max_walks:
             raise ValueError(f"n_walks {n_walks} exceeds the engine's "
                              f"max_walks {self.max_walks}; chunk the "
                              "request (see serve_walks)")
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        if length > model.max_length:
-            raise ValueError("length exceeds the configured maximum")
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if starts is not None:
-            starts = np.asarray(starts, dtype=np.int64).reshape(-1)
-            if starts.shape[0] != n_walks:
-                raise ValueError(f"starts has {starts.shape[0]} entries "
-                                 f"for {n_walks} walks")
-            if starts.size and (starts.min() < 0
-                                or starts.max() >= model.num_nodes):
-                raise ValueError("starts contains out-of-range node ids")
+        tokens = self._model._sampling_prompt(n_walks, length, temperature,
+                                              starts)
         ticket = WalkTicket(n_walks, length)
         self._pending.append((ticket, n_walks, length, temperature, rng,
-                              starts))
+                              tokens))
         # Registry-locked: submit() runs on arbitrary caller threads.
         self.stats.note("submitted")
         self._work.set()
@@ -348,13 +333,12 @@ class ContinuousBatcher:
             if self._active and \
                     self.active_walks + self._pending[0][1] > self.max_walks:
                 break
-            ticket, n, length, temperature, rng, starts = \
+            ticket, n, length, temperature, rng, tokens = \
                 self._pending.popleft()
             self.stats.note("admitted")
-            # Replay the standalone ``sample`` flow exactly: build the
-            # prompt, prefill it in isolation, draw the first token from
-            # the request's own RNG — then join the shared batch.
-            tokens = model._sampling_prompt(n, length, temperature, starts)
+            # Replay the standalone ``sample`` flow exactly: prefill the
+            # prompt built at submit in isolation, draw the first token
+            # from the request's own RNG — then join the shared batch.
             if tokens.shape[1] >= length + 1:
                 # starts pinned and length == 1: nothing to decode.
                 ticket._finish(tokens[:, 1:])
@@ -445,16 +429,15 @@ class ContinuousBatcher:
         contiguous ``(row0, row1, new_length)`` — its rows and the cache
         length *after* this step's append.  The entire forward is a
         single :meth:`~repro.nn.backend.Backend.decode_step` call in
-        ragged mode against the engine's scratch buffers; the per-row
-        position index and the per-group attention/head slices keep
-        every request value-exact (see the module docstring).
+        ragged mode; the per-row position index and the per-group
+        attention/head slices keep every request value-exact (see the
+        module docstring).
         """
         with trace.span("serve.decode_step", rows=tokens.shape[0],
                         groups=len(groups)):
-            return _backend().decode_step(
+            return DECODE_KERNEL.decode_step(
                 self._weights, self._caches, tokens,
-                self._caches[0].row_lengths, groups=groups,
-                scratch=self._scratch)
+                self._caches[0].row_lengths, groups=groups)
 
     # ------------------------------------------------------------------
     # Driving loops

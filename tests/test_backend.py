@@ -1,12 +1,11 @@
-"""Tests for the decode-kernel selection (``repro.nn.backend``) and the
-compound training ops that share its kernels.
+"""Tests for the shared compound kernels (``repro.nn.backend``) and the
+compound training ops that call them.
 
-Covers the selection API, a finite-difference gradcheck sweep of the
-Tensor ops under each backend and of the compound ops of
-``repro.nn.tensor``, byte-identity of the Tensor ops with the shared
-compound kernels and of the compound forwards with their op-by-op
-graphs, the acyclic tape, and a rerun of the seeded training parity
-pins (``tests/fixtures/train_parity.json``) under each backend.
+Covers a finite-difference gradcheck sweep of the Tensor ops and of the
+compound ops of ``repro.nn.tensor``, byte-identity of the Tensor ops
+with the shared compound kernels and of the compound forwards with
+their op-by-op graphs, the acyclic tape, and a rerun of the seeded
+training parity pins (``tests/fixtures/train_parity.json``).
 """
 
 from __future__ import annotations
@@ -14,21 +13,15 @@ from __future__ import annotations
 import gc
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.nn import (Backend, FusedNumpyBackend, Tensor, active_backend,
-                      set_backend, use_backend)
-from repro.nn import Adam, causal_mask
+from repro.nn import Adam, Tensor, causal_mask
 from repro.nn import backend as kernels
 from repro.nn import functional as F
-from repro.nn.backend import BACKENDS
 from repro.nn.gradcheck import check_gradients
 from repro.nn.tensor import (attention, embedding, layer_norm, linear, pick,
                              sequence_log_likelihood)
@@ -36,7 +29,6 @@ from repro.models.walk_lm import TransformerWalkModel
 from repro.train import train_step
 
 FIXTURES = Path(__file__).parent / "fixtures"
-REPO_ROOT = Path(__file__).parents[1]
 
 
 def _load_parity():
@@ -51,83 +43,8 @@ parity = _load_parity()
 PINNED = json.loads((FIXTURES / "train_parity.json").read_text())
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    previous = active_backend().name
-    yield
-    set_backend(previous)
-
-
 # ----------------------------------------------------------------------
-# Selection API
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert list(BACKENDS) == ["numpy", "fused"]
-        assert type(BACKENDS["numpy"]) is Backend
-        assert type(BACKENDS["fused"]) is FusedNumpyBackend
-
-    def test_set_backend_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown backend 'warp'"):
-            set_backend("warp")
-        # The error names the choices, to aid typo recovery.
-        with pytest.raises(KeyError, match="numpy"):
-            set_backend("warp")
-
-    def test_set_backend_switches_and_returns(self):
-        backend = set_backend("fused")
-        assert isinstance(backend, FusedNumpyBackend)
-        assert active_backend() is backend
-
-    def test_use_backend_restores_on_exception(self):
-        before = active_backend()
-        with pytest.raises(RuntimeError, match="boom"):
-            with use_backend("fused"):
-                assert active_backend().name == "fused"
-                raise RuntimeError("boom")
-        assert active_backend() is before
-
-    def test_use_backend_nests(self):
-        with use_backend("fused"):
-            with use_backend("numpy"):
-                assert active_backend().name == "numpy"
-            assert active_backend().name == "fused"
-
-
-class TestEnvSelection:
-    """``REPRO_BACKEND`` picks the import-time default (subprocess)."""
-
-    def _spawn(self, env_value: str | None):
-        env = dict(os.environ)
-        env.pop("REPRO_BACKEND", None)
-        if env_value is not None:
-            env["REPRO_BACKEND"] = env_value
-        extra = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src")] + ([extra] if extra else []))
-        return subprocess.run(
-            [sys.executable, "-c",
-             "import repro.nn as nn; print(nn.active_backend().name)"],
-            env=env, capture_output=True, text=True, timeout=120)
-
-    def test_default_is_numpy(self):
-        proc = self._spawn(None)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "numpy"
-
-    def test_env_var_selects_backend(self):
-        proc = self._spawn("fused")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "fused"
-
-    def test_unknown_env_value_fails_at_import(self):
-        proc = self._spawn("warp")
-        assert proc.returncode != 0
-        assert "unknown backend" in proc.stderr
-
-
-# ----------------------------------------------------------------------
-# Gradcheck sweep over the Tensor ops, per backend
+# Gradcheck sweep over the Tensor ops
 # ----------------------------------------------------------------------
 def _inputs():
     rng = np.random.default_rng(42)
@@ -196,13 +113,11 @@ COMPOUND_PROGRAMS = {
 
 
 class TestGradcheckSweep:
-    @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("program", sorted(GRADCHECK_PROGRAMS))
-    def test_ops_table_gradients(self, backend, program):
+    def test_ops_table_gradients(self, program):
         fn = GRADCHECK_PROGRAMS[program]
-        with use_backend(backend):
-            x, y = _inputs()
-            check_gradients(lambda: fn(x, y), [x, y])
+        x, y = _inputs()
+        check_gradients(lambda: fn(x, y), [x, y])
 
     @pytest.mark.parametrize("program", sorted(COMPOUND_PROGRAMS))
     def test_compound_op_gradients(self, program):
@@ -353,11 +268,11 @@ class TestCompoundOps:
 
 
 # ----------------------------------------------------------------------
-# Tensor ops evaluate the shared kernels under either backend
+# Tensor ops evaluate the shared kernels
 # ----------------------------------------------------------------------
-class TestFusedBitIdentity:
-    """Selecting ``fused`` swaps only the decode kernel: every Tensor op
-    still evaluates the shared compound kernels byte for byte."""
+class TestSharedKernelIdentity:
+    """Every Tensor op evaluates the shared compound kernels byte for
+    byte."""
 
     @staticmethod
     def _payload():
@@ -367,16 +282,14 @@ class TestFusedBitIdentity:
     @pytest.mark.parametrize("op", ["sigmoid", "gelu"])
     def test_unary_compounds(self, op):
         x = self._payload()
-        with use_backend("fused"):
-            got = getattr(Tensor(x), op)().data
+        got = getattr(Tensor(x), op)().data
         assert np.array_equal(got, getattr(kernels, op)(x))
 
     @pytest.mark.parametrize("op", ["softmax", "log_softmax"])
     def test_axis_compounds(self, op):
         x = self._payload()
         for axis in (-1, 0):
-            with use_backend("fused"):
-                got = getattr(Tensor(x), op)(axis=axis).data
+            got = getattr(Tensor(x), op)(axis=axis).data
             assert np.array_equal(got, getattr(kernels, op)(x, axis=axis))
 
     def test_grad_kernels(self):
@@ -389,8 +302,7 @@ class TestFusedBitIdentity:
                      g, x, kernels.gelu_tanh(x)), x)]
         for op, grad_kernel, saved in cases:
             t = Tensor(x, requires_grad=True)
-            with use_backend("fused"):
-                getattr(t, op)().backward(grad)
+            getattr(t, op)().backward(grad)
             assert np.array_equal(t.grad, grad_kernel(grad, saved)), op
 
     def test_layer_norm_and_linear(self):
@@ -426,18 +338,15 @@ class TestFusedBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Seeded parity pins under each backend
+# Seeded parity pins
 # ----------------------------------------------------------------------
 class TestBackendParity:
-    """The pinned training digests hold under each backend — selecting
-    one changes no training float."""
+    """The pinned training digests hold: no training float moved."""
 
-    @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_fit_matches_pins(self, backend, name):
-        with use_backend(backend):
-            model, history = parity.fit_model(name)
+    def test_fit_matches_pins(self, name):
+        model, history = parity.fit_model(name)
         assert parity.state_digest(model.state_dict()) \
-            == PINNED[name]["state"], f"{name}@{backend}: state drifted"
+            == PINNED[name]["state"], f"{name}: state drifted"
         assert parity.history_digest(history) \
-            == PINNED[name]["history"], f"{name}@{backend}: history drifted"
+            == PINNED[name]["history"], f"{name}: history drifted"

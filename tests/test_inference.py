@@ -39,24 +39,13 @@ class TestCausalMaskCache:
 
 class TestLayerKVCache:
     def test_append_grows_time_axis(self, rng):
-        cache = LayerKVCache()
+        cache = LayerKVCache(capacity=5)
         assert cache.length == 0
         k1 = rng.normal(size=(2, 4, 3, 8))
         cache.append(k1, k1.copy())
         assert cache.length == 3
         cache.append(k1[:, :, :1], k1[:, :, :1].copy())
         assert cache.length == 4
-
-    def test_preallocated_matches_concatenating_mode(self, rng):
-        grow = LayerKVCache()
-        fixed = LayerKVCache(capacity=5)
-        chunks = [rng.normal(size=(2, 4, t, 8)) for t in (3, 1, 1)]
-        for chunk in chunks:
-            k_grow, v_grow = grow.append(chunk, chunk + 1.0)
-            k_fix, v_fix = fixed.append(chunk, chunk + 1.0)
-            np.testing.assert_array_equal(k_grow, k_fix)
-            np.testing.assert_array_equal(v_grow, v_fix)
-        assert fixed.length == 5
 
     def test_capacity_overflow_rejected(self, rng):
         cache = LayerKVCache(capacity=2)
@@ -70,7 +59,7 @@ class TestLayerKVCache:
         x = Tensor(rng.normal(size=(3, 6, 16)))
         with no_grad():
             full = attn(x, causal_mask(6)).numpy()
-            cache = LayerKVCache()
+            cache = LayerKVCache(capacity=6)
             prefix = attn(Tensor(x.numpy()[:, :4]), causal_mask(4),
                           cache=cache).numpy()
             np.testing.assert_allclose(prefix, full[:, :4], atol=1e-12)
@@ -86,7 +75,7 @@ class TestLayerKVCache:
         x = Tensor(rng.normal(size=(2, 5, 16)))
         with no_grad():
             full = block(x, causal_mask(5)).numpy()
-            cache = LayerKVCache()
+            cache = LayerKVCache(capacity=5)
             out = block(Tensor(x.numpy()[:, :3]), causal_mask(3),
                         cache=cache).numpy()
             np.testing.assert_allclose(out, full[:, :3], atol=1e-12)
@@ -102,7 +91,7 @@ class TestLayerKVCache:
         attn = MultiHeadSelfAttention(16, 4, rng)
         x = Tensor(rng.normal(size=(1, 2, 16)))
         with pytest.raises(RuntimeError, match="inference-only"):
-            attn(x, causal_mask(2), cache=LayerKVCache())
+            attn(x, causal_mask(2), cache=LayerKVCache(capacity=2))
 
 
 class TestWalkDecoder:
@@ -250,13 +239,10 @@ class TestLayerKVCacheRowOps:
         with pytest.raises(ValueError, match="capacity"):
             a.append_cache(b)
 
-    def test_append_cache_rejects_growable_donor(self, rng):
+    def test_append_cache_rejects_empty_donor(self, rng):
         a, _ = self._filled(rng, 1, 2)
-        donor = LayerKVCache()  # concatenating mode, no capacity
-        k = rng.normal(size=(1, 2, 2, 4))
-        donor.append(k, k.copy())
-        with pytest.raises(ValueError, match="preallocated"):
-            a.append_cache(donor)
+        with pytest.raises(ValueError, match="non-empty"):
+            a.append_cache(LayerKVCache(capacity=6))
 
     def test_gather_rows_evicts_and_compacts(self, rng):
         a, k_a = self._filled(rng, 2, 3)

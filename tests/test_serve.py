@@ -119,10 +119,23 @@ class TestContinuousBatcher:
             engine.submit(2, walk_model.max_length + 1, rng)
         with pytest.raises(ValueError, match="temperature"):
             engine.submit(2, 5, rng, temperature=0.0)
-        with pytest.raises(ValueError, match="starts"):
-            engine.submit(2, 5, rng, starts=np.array([1, 2, 3]))
-        with pytest.raises(ValueError, match="out-of-range"):
-            engine.submit(2, 5, rng, starts=np.array([1, 99]))
+
+    @pytest.mark.parametrize("starts,message", [
+        ([-1, 23], "starts contains out-of-range node ids"),
+        ([1, 2, 3], "starts has 3 entries for 2 walks")])
+    def test_standalone_and_served_reject_starts_alike(self, walk_model,
+                                                       starts, message):
+        """``sample``, ``sample_reference`` and ``submit`` share one
+        prompt check: an out-of-range or wrong-length ``starts`` fails
+        all three with the same error."""
+        assert walk_model.num_nodes == 23
+        engine = ContinuousBatcher(walk_model, max_walks=8)
+        for call in (walk_model.sample, walk_model.sample_reference,
+                     engine.submit):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(2, 4, np.random.default_rng(0),
+                     starts=np.array(starts))
+        assert engine.pending_count == 0
 
     def test_cancel_while_queued(self, walk_model):
         engine = ContinuousBatcher(walk_model, max_walks=4)
