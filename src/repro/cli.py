@@ -553,7 +553,7 @@ def _cmd_sweep(args) -> int:
             lease_timeout=args.lease_timeout, max_retries=args.max_retries,
             timeout=args.timeout, allow_surrogate=args.surrogate_labels,
             progress=progress)
-    except QueueError as exc:
+    except (QueueError, ValueError) as exc:
         print()
         raise SystemExit(str(exc)) from exc
     print()

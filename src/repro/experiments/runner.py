@@ -280,22 +280,13 @@ class Runner:
         (overall, and protected when the dataset has — possibly
         surrogate — supervision).
         """
-        cached = self._memory.get(spec)
-        if cached is not None and (cached.model is not None
-                                   or not need_model):
-            self._m_hits.inc(layer="memory")
-            if with_metrics:
-                self._ensure_metrics(spec, cached)
-            return cached
-
-        disk = self._load_from_disk(spec, with_metrics,
-                                    need_model=need_model)
-        if disk is not None:
-            self._m_hits.inc(layer="disk")
-            self._memory[spec] = disk
-            return disk
+        warm = self._warm(spec, need_model=need_model,
+                          with_metrics=with_metrics)
+        if warm is not None:
+            return warm
 
         self._m_misses.inc()
+        cached = self._memory.get(spec)
         result = self._execute(spec)
         # Carry metrics already computed for this artifact (in memory or
         # in the cache sidecar) across a need_model refit.
@@ -307,91 +298,39 @@ class Runner:
         return result
 
     def run_many(self, specs: Iterable[ExperimentSpec], *,
-                 processes: int | None = None,
                  need_model: bool = False,
-                 with_metrics: bool = False,
-                 scheduler=None) -> list[RunResult]:
-        """Execute a batch of specs, optionally across processes.
+                 with_metrics: bool = False) -> list[RunResult]:
+        """Execute a batch of specs in order, one :meth:`run` each.
 
-        With ``processes > 1`` the independent specs are distributed over
-        a process pool and a shared ``cache_dir`` lets the parent — and
-        any later process — replay the artifacts.  Fitted models do not
-        cross process boundaries as live objects, but they do cross as
-        cache artifacts: with ``need_model=True`` each worker persists
-        its fitted model via :func:`repro.core.serialization.save_model`
-        and the parent restores it from the cache, so the returned
-        results still carry fitted models with zero fits in the parent.
-        The one remaining restriction: ``need_model=True`` without a
-        ``cache_dir`` has no channel to ship models home, so that
-        combination runs sequentially in the parent.
-
-        ``scheduler`` switches from the in-process pool to the
-        fault-tolerant distributed queue: pass a queue directory (or a
-        :class:`~repro.experiments.scheduler.JobQueue`) shared with any
-        number of worker processes — on this host or others.  The batch
-        is submitted as jobs, ``processes`` local workers are spawned to
-        help drain it (default 2; ``processes=0`` relies entirely on
-        external ``repro worker`` fleets), and the results are replayed
-        out of the shared ``cache_dir``, which is therefore required.
+        To spread a batch over worker processes or hosts, use
+        :func:`repro.experiments.sweep.run_sweep` with a shared
+        ``cache_dir``; afterwards ``run`` or ``run_many`` on that cache
+        replays every spec with zero fits, ``need_model=True`` included.
         """
-        specs = list(specs)
-        if scheduler is not None:
-            return self._run_scheduled(specs, scheduler,
-                                       processes=processes,
-                                       need_model=need_model,
-                                       with_metrics=with_metrics)
-        parallel_ok = (processes is not None and processes > 1
-                       and (not need_model or self.cache_dir is not None))
-        if parallel_ok:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Serve memory hits directly — including metrics-only gaps,
-            # which are far cheaper to fill locally than to refit the
-            # whole model in a worker.  Only true misses go to the pool.
-            pending = []
-            for spec in specs:
-                existing = self._memory.get(spec)
-                if existing is not None and need_model \
-                        and existing.model is None:
-                    existing = None  # must come from disk or a worker
-                if existing is None:  # disk-warm entries replay locally
-                    existing = self._load_from_disk(
-                        spec, with_metrics, need_model=need_model)
-                    if existing is not None:
-                        self._memory[spec] = existing
-                if existing is None and need_model \
-                        and not self._model_round_trips(spec):
-                    # A worker's fitted model could not come home through
-                    # the cache, so a pool fit would be thrown away and
-                    # refit here anyway; fit once in the parent instead.
-                    existing = self.run(spec, need_model=True,
-                                        with_metrics=with_metrics)
-                if existing is None:
-                    pending.append(spec)
-                elif with_metrics:
-                    self._ensure_metrics(spec, existing)
-            if pending:
-                cache = (os.fspath(self.cache_dir)
-                         if self.cache_dir else None)
-                with ProcessPoolExecutor(max_workers=processes) as pool:
-                    fresh = list(pool.map(
-                        _run_in_worker,
-                        [(cache, self.allow_surrogate,
-                          self.few_shot_per_class, self.checkpoint_interval,
-                          spec, with_metrics, need_model)
-                         for spec in pending]))
-                for spec, result in zip(pending, fresh):
-                    if need_model:
-                        # The worker persisted its fitted model in the
-                        # shared cache; restore it without refitting.
-                        result = (self._load_from_disk(
-                                      spec, with_metrics, need_model=True)
-                                  or self.run(spec, need_model=True,
-                                              with_metrics=with_metrics))
-                    self._memory[spec] = result
-            return [self._memory[spec] for spec in specs]
         return [self.run(spec, need_model=need_model,
                          with_metrics=with_metrics) for spec in specs]
+
+    def _warm(self, spec: ExperimentSpec, *, need_model: bool,
+              with_metrics: bool) -> RunResult | None:
+        """The memory-cache hit, else the disk replay, else ``None``.
+
+        A memory entry without a fitted model does not satisfy
+        ``need_model``; the disk replay then restores the model from the
+        ``.model.npz`` archive.
+        """
+        cached = self._memory.get(spec)
+        if cached is not None and (cached.model is not None
+                                   or not need_model):
+            self._m_hits.inc(layer="memory")
+            if with_metrics:
+                self._ensure_metrics(spec, cached)
+            return cached
+        disk = self._load_from_disk(spec, with_metrics,
+                                    need_model=need_model)
+        if disk is not None:
+            self._m_hits.inc(layer="disk")
+            self._memory[spec] = disk
+        return disk
 
     # ------------------------------------------------------------------
     # Seed-stacked execution
@@ -434,34 +373,16 @@ class Runner:
         that cannot stack (single seed, supervision, unsupported model)
         degrade to sequential :meth:`run` calls.
         """
-        specs = list(specs)
-        if not specs:
-            return []
-        if not self.stackable(specs):
-            return [self.run(spec, need_model=need_model,
-                             with_metrics=with_metrics) for spec in specs]
-        pending = []
-        for spec in specs:
-            existing = self._memory.get(spec)
-            if existing is not None and need_model \
-                    and existing.model is None:
-                existing = None
-            if existing is None:
-                existing = self._load_from_disk(spec, with_metrics,
-                                                need_model=need_model)
-                if existing is not None:
-                    self._memory[spec] = existing
-            if existing is None:
-                pending.append(spec)
-        if len(pending) == 1:
-            self.run(pending[0], need_model=need_model,
-                     with_metrics=with_metrics)
-        elif pending:
+        warm = [self._warm(spec, need_model=need_model,
+                           with_metrics=with_metrics) for spec in specs]
+        pending = [spec for spec, hit in zip(specs, warm) if hit is None]
+        if self.stackable(pending):
             self._execute_stacked(pending)
-        # Everything is now warm; serve in order (filling metrics/models
-        # through the ordinary replay path).
-        return [self.run(spec, need_model=need_model,
-                         with_metrics=with_metrics) for spec in specs]
+        # Stacked seeds now replay from memory; other misses fit per-seed.
+        return [hit if hit is not None
+                else self.run(spec, need_model=need_model,
+                              with_metrics=with_metrics)
+                for spec, hit in zip(specs, warm)]
 
     def _execute_stacked(self, specs: list[ExperimentSpec]) -> None:
         """Fit a cell's pending seeds as one stacked program and store
@@ -533,61 +454,6 @@ class Runner:
         return self.cache_dir / f"{key}.stacked.ckpt.npz"
 
     # ------------------------------------------------------------------
-    def _run_scheduled(self, specs: list[ExperimentSpec], scheduler, *,
-                       processes: int | None, need_model: bool,
-                       with_metrics: bool) -> list[RunResult]:
-        """Drain a spec batch through the distributed job queue.
-
-        Thin adapter over :func:`repro.experiments.sweep.run_sweep`:
-        submit, self-host ``processes`` local workers, wait with lease
-        recovery, then serve every result as a warm-cache replay (the
-        memory cache is pre-populated by the replay runner, so the
-        returned results carry models when ``need_model`` is set and
-        metrics when ``with_metrics`` is set, with zero fits here).
-        """
-        from .scheduler import JobQueue
-        from .sweep import run_sweep
-
-        if self.cache_dir is None:
-            raise ValueError(
-                "run_many(scheduler=...) needs a cache_dir: the shared "
-                "artifact cache is the only channel through which worker "
-                "results come home")
-        queue = (scheduler if isinstance(scheduler, JobQueue)
-                 else JobQueue(scheduler))
-        # Same guard as the process-pool path: a fitted model that can't
-        # round-trip through the cache would be fitted in a worker,
-        # thrown away, and silently refitted here — run those specs
-        # once, in the parent, and schedule only the rest.
-        remote = [spec for spec in specs
-                  if not need_model or self._model_round_trips(spec)]
-        if remote:
-            report = run_sweep(
-                remote, queue.queue_dir, self.cache_dir,
-                workers=2 if processes is None else processes,
-                need_model=need_model, with_metrics=with_metrics,
-                lease_timeout=queue.lease_timeout,
-                max_retries=queue.max_retries,
-                allow_surrogate=self.allow_surrogate,
-                few_shot_per_class=self.few_shot_per_class)
-            report.raise_on_failure()
-            # Adopt the replayed results so the order-restoring pass
-            # below (and later ``run`` calls) hit the memory cache.
-            for spec, result in zip(remote, report.results):
-                self._memory[spec] = result
-        return [self.run(spec, need_model=need_model,
-                         with_metrics=with_metrics) for spec in specs]
-
-    # ------------------------------------------------------------------
-    def _model_round_trips(self, spec: ExperimentSpec) -> bool:
-        """Whether the spec's fitted model survives the cache round trip.
-
-        Building an unfitted instance is cheap — constructors only
-        record hyperparameters — and its class decides serializability.
-        """
-        entry = get_entry(spec.model)
-        return can_serialize(entry.build(spec.profile, spec.override_dict))
-
     def _execute(self, spec: ExperimentSpec) -> RunResult:
         entry = get_entry(spec.model)
         data = self.dataset(spec.dataset)
@@ -809,19 +675,3 @@ class Runner:
             metadata["metrics"] = self._cached_metrics(spec)
         meta_path.write_text(json.dumps(metadata, indent=2, default=str))
 
-
-def _run_in_worker(payload) -> RunResult:
-    """Top-level ``run_many`` worker (must be picklable)."""
-    (cache_dir, allow_surrogate, few_shot, checkpoint_interval, spec,
-     with_metrics, need_model) = payload
-    runner = Runner(cache_dir=cache_dir, allow_surrogate=allow_surrogate,
-                    few_shot_per_class=few_shot,
-                    checkpoint_interval=checkpoint_interval)
-    result = runner.run(spec, with_metrics=with_metrics,
-                        need_model=need_model)
-    # Fitted models hold autograd state; keep the payload lean and
-    # picklable by shipping only the artifacts — with need_model the
-    # model travels through the shared cache as a save_model archive,
-    # from which the parent restores it.
-    result.model = None
-    return result

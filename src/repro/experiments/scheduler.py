@@ -92,7 +92,6 @@ class Job:
 
     id: str
     spec: ExperimentSpec
-    need_model: bool = False
     with_metrics: bool = False
     #: execution attempts started so far, including the current one
     attempts: int = 1
@@ -203,9 +202,12 @@ class JobQueue:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, specs: Iterable[ExperimentSpec], *,
-               need_model: bool = False,
                with_metrics: bool = False) -> list[str]:
         """Enqueue one job per distinct spec; returns the job ids.
+
+        ``with_metrics`` has workers record the discrepancy scoreboard
+        too.  Fitted models need no flag: workers store every
+        serialisable one in the cache.
 
         The job id is the spec's cache key, so submission is idempotent:
         duplicate specs in one batch collapse to one job, and a spec
@@ -234,7 +236,6 @@ class JobQueue:
             payload = {
                 "id": job_id,
                 "spec": _spec_payload(spec),
-                "need_model": bool(need_model),
                 "with_metrics": bool(with_metrics),
                 "attempts": 0,
                 "submitted_at": time.time(),
@@ -288,7 +289,6 @@ class JobQueue:
             self._m_claims.inc()
             return Job(id=job_id,
                        spec=_spec_from_payload(payload["spec"]),
-                       need_model=bool(payload.get("need_model")),
                        with_metrics=bool(payload.get("with_metrics")),
                        attempts=payload["attempts"])
         return None
@@ -681,7 +681,6 @@ class Worker:
             with trace.span("worker.job", job=job.id,
                             attempt=job.attempts):
                 result = self.runner.run(job.spec,
-                                         need_model=job.need_model,
                                          with_metrics=job.with_metrics)
         except Exception:
             stop.set()

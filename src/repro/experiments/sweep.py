@@ -236,7 +236,6 @@ def run_sweep(specs: Iterable[ExperimentSpec],
               queue_dir: str | os.PathLike,
               cache_dir: str | os.PathLike, *,
               workers: int = 2,
-              need_model: bool = False,
               with_metrics: bool = False,
               stack_seeds: bool = False,
               lease_timeout: float | None = None,
@@ -251,8 +250,11 @@ def run_sweep(specs: Iterable[ExperimentSpec],
 
     With ``workers == 0`` nothing is self-hosted: the call submits and
     then waits for external workers (``repro worker <queue_dir>`` on any
-    host sharing the directories) to drain the queue.  ``progress``
-    receives the queue state counts once per poll cycle.
+    host sharing the directories) to drain the queue; ``workers < 0``
+    raises ``ValueError``.  ``progress`` receives the queue state counts
+    once per poll cycle.  The results carry no fitted models: workers
+    store each serialisable one in the cache, where :meth:`Runner.run`
+    on the same ``cache_dir`` restores it with zero fits.
 
     ``stack_seeds`` collapses the seed axis of eligible grid cells
     before submission: each cell whose model supports stacked fits
@@ -267,6 +269,8 @@ def run_sweep(specs: Iterable[ExperimentSpec],
     there rather than raised (call :meth:`SweepReport.raise_on_failure`
     for raising behaviour).
     """
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     specs = list(specs)
     queue = JobQueue(queue_dir, lease_timeout=lease_timeout,
                      max_retries=max_retries)
@@ -277,9 +281,8 @@ def run_sweep(specs: Iterable[ExperimentSpec],
                          few_shot_per_class=few_shot_per_class)
         for cell in stack_cells(specs):
             if stacker.stackable(cell):
-                stacker.run_stacked(cell, need_model=need_model,
-                                    with_metrics=with_metrics)
-    queue.submit(specs, need_model=need_model, with_metrics=with_metrics)
+                stacker.run_stacked(cell, with_metrics=with_metrics)
+    queue.submit(specs, with_metrics=with_metrics)
     # Per-spec ids (submit deduplicates, so its return value can be
     # shorter than ``specs``; the report stays aligned regardless).
     job_ids = [spec.cache_key() for spec in specs]
@@ -328,8 +331,7 @@ def run_sweep(specs: Iterable[ExperimentSpec],
             failures[job_id] = str(payload.get("failure", "unknown failure"))
             results.append(None)
         else:
-            results.append(replay.run(spec, need_model=need_model,
-                                      with_metrics=with_metrics))
+            results.append(replay.run(spec, with_metrics=with_metrics))
     return SweepReport(specs=specs, job_ids=job_ids, results=results,
                        failures=failures, fits=queue.fit_log(),
                        seconds=time.monotonic() - started)

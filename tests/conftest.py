@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.graph import Graph, planted_protected_graph
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--order-seed", type=int, default=None, metavar="N",
+        help="run the collected tests in an order shuffled by "
+             "random.Random(N), to expose tests that depend on running "
+             "after (or before) another test")
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--order-seed")
+    if seed is not None:
+        random.Random(seed).shuffle(items)
 
 
 @pytest.fixture

@@ -81,6 +81,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mean R+" in out
 
+    def test_sweep_negative_workers_exits_cleanly(self, tmp_path):
+        with pytest.raises(SystemExit, match="workers must be >= 0"):
+            main(["sweep", "--queue-dir", str(tmp_path / "q"),
+                  "--cache-dir", str(tmp_path / "c"), "--model", "er",
+                  "--dataset", "EMAIL", "--profile", "smoke",
+                  "--workers", "-1"])
+
     def test_fairgen_on_unlabeled_without_surrogate_fails_cleanly(self):
         # Surrogate supervision is on by default; opting out restores the
         # old refusal for unlabeled datasets.

@@ -320,17 +320,6 @@ class TestRunner:
             with_metrics=True)
         assert labeled.metrics["protected_surrogate"] is False
 
-    def test_run_many_parallel_fills_metrics_locally(self, tmp_path):
-        runner = Runner(cache_dir=tmp_path)
-        first = runner.run(self.SPEC)  # fitted model lives in memory
-        results = runner.run_many([self.SPEC], processes=2,
-                                  with_metrics=True)
-        # Served from memory with locally computed metrics — the fitted
-        # model survives (a worker round-trip would have dropped it).
-        assert results[0] is first
-        assert results[0].model is not None
-        assert np.isfinite(results[0].metrics["overall_mean"])
-
     def test_unhashable_override_values_are_frozen(self):
         spec = ExperimentSpec(model="gae", dataset=SMALLEST,
                               overrides={"shape": [32, 16]})
@@ -350,40 +339,6 @@ class TestRunner:
         results = Runner(cache_dir=tmp_path).run_many(specs)
         assert [r.spec.model for r in results] == ["er", "ba"]
         assert all(not r.from_cache for r in results)
-
-    def test_run_many_process_parallel(self, tmp_path):
-        specs = [ExperimentSpec(model="er", dataset=SMALLEST, seed=s)
-                 for s in (0, 1)]
-        runner = Runner(cache_dir=tmp_path)
-        results = runner.run_many(specs, processes=2)
-        assert len(results) == 2
-        assert all(r.model is None for r in results)
-        # artifacts landed in the shared cache; the parent replays them
-        replay = runner.run(specs[0])
-        assert _adjacency_equal(replay.generated, results[0].generated)
-
-    def test_run_many_parallel_need_model_ships_models_via_cache(
-            self, tmp_path, monkeypatch):
-        # With a shared cache_dir, need_model no longer forces the
-        # sequential path: workers persist their fitted models and the
-        # parent restores them from the archives.
-        specs = [ExperimentSpec(model="er", dataset=SMALLEST, seed=s)
-                 for s in (3, 4)]
-        results = Runner(cache_dir=tmp_path).run_many(
-            specs, processes=2, need_model=True)
-        assert all(r.model is not None and r.model.is_fitted
-                   for r in results)
-        for spec in specs:
-            assert (tmp_path / f"{spec.cache_key()}.model.npz").exists()
-
-        # Second batch against the warm cache performs zero fits.
-        def no_fit(*args, **kwargs):
-            raise AssertionError("warm run_many must not fit")
-
-        monkeypatch.setattr(ERModel, "fit", no_fit)
-        warm = Runner(cache_dir=tmp_path).run_many(
-            specs, processes=2, need_model=True)
-        assert all(r.from_cache and r.model is not None for r in warm)
 
     def test_custom_model_degrades_to_graph_only_caching(self, tmp_path):
         # A third-party registry model without the serialization hooks
@@ -419,60 +374,6 @@ class TestRunner:
         assert warm.from_cache  # graph-only entry still replays
         modeled = Runner(cache_dir=tmp_path).run(spec, need_model=True)
         assert modeled.model is not None and modeled.model.is_fitted
-
-    def test_run_many_need_model_unserialisable_fits_once_in_parent(
-            self, tmp_path):
-        # A model that can't ship through the cache must not be fitted
-        # in a worker (the result would be discarded and refit); it runs
-        # exactly once, in the parent.
-        import os
-
-        from repro.experiments import register_model
-        from repro.models import GraphGenerativeModel
-
-        marker = tmp_path / "fits.log"
-
-        class MarkerModel(GraphGenerativeModel):
-            name = "Marker"
-            marker_path: str | None = None
-
-            def fit(self, graph, rng, supervision=None):
-                if MarkerModel.marker_path:
-                    with open(MarkerModel.marker_path, "a") as fh:
-                        fh.write(f"{os.getpid()}\n")
-                self._fitted_graph = graph
-                return self
-
-            def generate(self, rng):
-                return self._fitted_graph
-
-        try:
-            register_model(
-                "marker-test", benchmarked=False,
-                profiles={p: {} for p in profile_names()})(
-                    lambda **kw: MarkerModel())
-        except ValueError:
-            pass  # already registered earlier in this process
-
-        MarkerModel.marker_path = str(marker)
-        specs = [ExperimentSpec(model="marker-test", dataset=SMALLEST,
-                                seed=s) for s in (0, 1)]
-        results = Runner(cache_dir=tmp_path / "cache").run_many(
-            specs, processes=2, need_model=True)
-        assert all(r.model is not None and r.model.is_fitted
-                   for r in results)
-        fits = marker.read_text().splitlines()
-        assert len(fits) == len(specs)  # one fit per spec, none wasted
-        assert set(fits) == {str(os.getpid())}  # all in the parent
-
-    def test_run_many_need_model_without_cache_runs_sequentially(self):
-        # No cache_dir means no channel to ship fitted models across
-        # processes, so the batch falls back to the in-parent path.
-        specs = [ExperimentSpec(model="er", dataset=SMALLEST, seed=s)
-                 for s in (5, 6)]
-        results = Runner().run_many(specs, processes=2, need_model=True)
-        assert all(r.model is not None and r.model.is_fitted
-                   for r in results)
 
     def test_surrogate_disabled_raises_for_labelled_models(self):
         runner = Runner(allow_surrogate=False)

@@ -404,7 +404,9 @@ class TestQueueMetrics:
         assert depth.value(state="done") == 1
 
     def test_worker_metrics_file_auto_snapshot(self, tmp_path):
-        queue = JobQueue(tmp_path / "q")
+        # A private registry: the exact counts below must not see jobs
+        # other tests ran through the process-global one.
+        queue = JobQueue(tmp_path / "q", registry=MetricsRegistry())
         queue.submit([ExperimentSpec(model="er", dataset=SMALLEST,
                                      profile="smoke")])
         worker = Worker(queue, tmp_path / "cache", worker_id="w-obs",

@@ -1,5 +1,5 @@
 """Tests for the distributed sweep scheduler: queue protocol, workers,
-crash recovery, and the ``run_many(scheduler=...)`` / CLI fronts."""
+crash recovery, the local worker pool and the CLI front."""
 
 from __future__ import annotations
 
@@ -115,11 +115,11 @@ class TestJobQueue:
         queue = JobQueue(tmp_path)
         spec = _spec(model="fairgen", self_paced_cycles=2,
                      walk_length=6)
-        queue.submit([spec], need_model=True, with_metrics=True)
+        queue.submit([spec], with_metrics=True)
         job = queue.claim("w1")
         assert job.spec == spec
         assert job.spec.cache_key() == spec.cache_key()
-        assert job.need_model and job.with_metrics
+        assert job.with_metrics
         assert job.attempts == 1
 
     def test_claim_is_mutually_exclusive(self, tmp_path):
@@ -305,86 +305,9 @@ class TestWorker:
         assert stats["completed"] == 2
         assert queue.counts()["pending"] == 1
 
-
-# ----------------------------------------------------------------------
-# run_many(scheduler=...) and the local pool
-# ----------------------------------------------------------------------
-class TestRunManyScheduler:
-    def test_requires_cache_dir(self, tmp_path):
-        with pytest.raises(ValueError, match="cache_dir"):
-            Runner().run_many([_spec()], scheduler=tmp_path / "q")
-
-    def test_scheduled_batch_matches_sequential(self, tmp_path):
-        specs = [_spec(model=m, seed=s) for m in ("er", "ba")
-                 for s in (0, 1)]
-        scheduled = Runner(cache_dir=tmp_path / "cache").run_many(
-            specs, scheduler=tmp_path / "q", processes=2,
-            with_metrics=True)
-        sequential = Runner(cache_dir=tmp_path / "seq").run_many(
-            specs, with_metrics=True)
-        for sched, seq in zip(scheduled, sequential):
-            assert _adjacency_equal(sched.generated, seq.generated)
-            assert json.dumps(sched.metrics, sort_keys=True) == \
-                json.dumps(seq.metrics, sort_keys=True)
-        # The parent only replayed: all fits happened in the workers.
-        assert all(r.from_cache for r in scheduled)
-        fits = JobQueue(tmp_path / "q").fit_log()
-        assert sorted(job for job, _ in fits) == \
-            sorted(s.cache_key() for s in specs)
-
-    def test_scheduled_need_model_restores_models(self, tmp_path):
-        specs = [_spec(seed=s) for s in (0, 1)]
-        results = Runner(cache_dir=tmp_path / "cache").run_many(
-            specs, scheduler=tmp_path / "q", processes=2, need_model=True)
-        assert all(r.model is not None and r.model.is_fitted
-                   for r in results)
-
-    def test_scheduled_failure_raises_with_traceback(self, tmp_path):
-        bad = ExperimentSpec(model="er", dataset="NO-SUCH-DATASET")
-        queue = JobQueue(tmp_path / "q", max_retries=0)
-        with pytest.raises(QueueError, match="NO-SUCH-DATASET"):
-            Runner(cache_dir=tmp_path / "cache").run_many(
-                [bad], scheduler=queue, processes=1)
-
     def test_pool_requires_at_least_one_worker(self, tmp_path):
         with pytest.raises(ValueError):
             LocalWorkerPool(tmp_path / "q", tmp_path / "cache", 0)
-
-    def test_scheduled_need_model_unserialisable_runs_in_parent(
-            self, tmp_path):
-        # Mirrors the process-pool guard: a model that can't round-trip
-        # through the cache must not be fitted in a worker and thrown
-        # away — it runs once, in the parent, and never hits the queue.
-        from repro.experiments import register_model
-        from repro.models import GraphGenerativeModel
-        from repro.registry import profile_names
-
-        class OpaqueModel(GraphGenerativeModel):
-            name = "Opaque"
-
-            def fit(self, graph, rng, supervision=None):
-                self._fitted_graph = graph
-                return self
-
-            def generate(self, rng):
-                return self._fitted_graph
-
-        try:
-            register_model(
-                "opaque-test", benchmarked=False,
-                profiles={p: {} for p in profile_names()})(
-                    lambda **kw: OpaqueModel())
-        except ValueError:
-            pass  # already registered earlier in this process
-
-        specs = [ExperimentSpec(model="opaque-test", dataset=SMALLEST,
-                                seed=s) for s in (0, 1)]
-        results = Runner(cache_dir=tmp_path / "cache").run_many(
-            specs, scheduler=tmp_path / "q", processes=1, need_model=True)
-        assert all(r.model is not None and r.model.is_fitted
-                   for r in results)
-        # Nothing was enqueued: the whole batch stayed in the parent.
-        assert JobQueue(tmp_path / "q").counts()["done"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.models import GAEModel
 from repro.nn import (LayerNorm, Linear, Module, Parameter, Tensor,
                       stack_modules, unstack_state_dict)
 from repro.nn.vmap import register_stack_rule
+from repro.obs.metrics import MetricsRegistry
 from repro.train import (StackedRNG, TrainCallback, TrainControl, Trainer,
                          stacked_step_rng)
 from repro.train.stacked import STACKED_STATE_KEY
@@ -356,6 +357,32 @@ class TestRunnerStacked:
         solo = Runner(cache_dir=tmp_path / "ref").run(_cell([1])[0])
         assert (results[0].generated.adjacency
                 != solo.generated.adjacency).nnz == 0
+
+    def test_run_stacked_restores_memory_seed_model_from_disk(
+            self, tmp_path):
+        # Seed 2 sits in this runner's memory without a model (a plain
+        # disk replay); need_model must restore it from its .model.npz
+        # archive, not refit it, while seeds 1 and 3 stack.
+        solo = Runner(cache_dir=tmp_path / "ref")
+        solo_results = [solo.run(spec, need_model=True)
+                        for spec in _cell([1, 2, 3])]
+        Runner(cache_dir=tmp_path).run(_cell([2])[0])  # pre-warm seed 2
+        reg = MetricsRegistry()
+        runner = Runner(cache_dir=tmp_path, registry=reg)
+        replayed = runner.run(_cell([2])[0])
+        assert replayed.from_cache and replayed.model is None
+
+        results = runner.run_stacked(_cell([1, 2, 3]), need_model=True)
+        assert reg.counter("runner_stacked_fits_total").total() == 1
+        assert reg.counter("runner_fits_total").total() == 2
+        assert [r.stacked_size for r in results] == [2, None, 2]
+        restored = results[1]
+        assert restored.from_cache and restored.model.is_fitted
+        _assert_state_equal(restored.model.state_dict(),
+                            solo_results[1].model.state_dict())
+        for got, want in zip(results, solo_results):
+            assert (got.generated.adjacency
+                    != want.generated.adjacency).nnz == 0
 
     def test_run_stacked_falls_back_for_unstackable_batches(self, tmp_path):
         specs = [ExperimentSpec(model="er", dataset=SMALLEST,

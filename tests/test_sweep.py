@@ -156,6 +156,13 @@ class TestRunSweep:
                            workers=0, timeout=60)
         assert report.completed == len(specs)
 
+    def test_negative_workers_rejected_before_submission(self, tmp_path):
+        specs = grid("er", SMALLEST, profiles="smoke")
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            run_sweep(specs, tmp_path / "q", tmp_path / "cache",
+                      workers=-1, timeout=2)
+        assert not (tmp_path / "q").exists()  # nothing was enqueued
+
     def test_report_alignment_with_duplicate_specs(self, tmp_path):
         spec = ExperimentSpec(model="er", dataset=SMALLEST,
                               profile="smoke")
