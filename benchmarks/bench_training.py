@@ -245,6 +245,143 @@ def test_training_smoke_stacked_fit_beats_per_seed_fits():
         f"fits ({sequential_s:.3f}s) by > 1.5x")
 
 
+def _reference_sgns_train(model, walks: np.ndarray, window: int,
+                          epochs: int, negatives: int, lr: float,
+                          batch_size: int) -> list[float]:
+    """Expression-form SGNS: the oracle ``SkipGramModel.train`` matches.
+
+    One fresh temporary per operation, a ``Generator.choice(p=noise)``
+    draw per batch and two scatters, one per matrix; ``model``'s own
+    matrices and RNG are trained in place.
+    """
+    from repro.embedding import unigram_table, walks_to_pairs
+    from repro.nn.backend import scatter_rows
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+    def apply_row_averaged(matrix, rows, grads, lr):
+        num_rows = matrix.shape[0]
+        accum = scatter_rows(rows, grads, num_rows)
+        counts = np.bincount(rows, minlength=num_rows)
+        touched = counts > 0
+        matrix[touched] -= (lr * accum[touched]
+                            / np.sqrt(counts[touched])[:, None])
+
+    def step(batch, lr):
+        centers, contexts = batch[:, 0], batch[:, 1]
+        neg = model._rng.choice(model.num_nodes,
+                                size=(len(batch), negatives), p=noise)
+        v = model.in_vectors[centers]
+        u_pos = model.out_vectors[contexts]
+        u_neg = model.out_vectors[neg]
+        pos_score = sigmoid((v * u_pos).sum(axis=1))
+        neg_score = sigmoid(-(u_neg * v[:, None, :]).sum(axis=2))
+        loss = float(-(np.log(pos_score + 1e-12).mean()
+                       + np.log(neg_score + 1e-12).sum(axis=1).mean()))
+        g_pos = (pos_score - 1.0)[:, None]
+        g_neg = (1.0 - neg_score)[:, :, None]
+        grad_v = g_pos * u_pos + (g_neg * u_neg).sum(axis=1)
+        grad_u_pos = g_pos * v
+        grad_u_neg = g_neg * v[:, None, :]
+        apply_row_averaged(model.in_vectors, centers, grad_v, lr)
+        grad_out = np.concatenate(
+            [grad_u_pos, grad_u_neg.reshape(-1, model.dim)])
+        rows_out = np.concatenate([contexts, neg.ravel()])
+        apply_row_averaged(model.out_vectors, rows_out, grad_out, lr)
+        return loss
+
+    pairs = walks_to_pairs(walks, window)
+    noise = unigram_table(walks, model.num_nodes)
+    history = []
+    for epoch in range(epochs):
+        lr_epoch = lr * max(0.1, 1.0 - epoch / max(epochs, 1))
+        order = model._rng.permutation(len(pairs))
+        losses = [step(pairs[order[lo: lo + batch_size]], lr_epoch)
+                  for lo in range(0, len(order), batch_size)]
+        history.append(float(np.mean(losses)))
+    return history
+
+
+@pytest.mark.smoke
+def test_training_smoke_sgns_workspace():
+    """CI gate on SGNS's per-``train()`` workspace.
+
+    ``SkipGramModel.train`` writes every step into buffers allocated once
+    per call, where the expression form allocates ~10 fresh 0.5-3 MB
+    temporaries per 2048-pair step and the kernel zero-fills their pages
+    anew.  The gate compares counts, not clocks: minor page faults per
+    ``train()`` must be <= 1/10 of the oracle's, and the trained vectors,
+    output matrix, loss history and RNG state must match it byte for
+    byte.
+    """
+    import resource
+
+    from repro.embedding import SkipGramModel, walks_to_pairs
+    from repro.graph import planted_protected_graph, sample_walks
+
+    num_nodes, dim = 300, 32
+    kwargs = dict(window=4, epochs=2, negatives=5, lr=0.05,
+                  batch_size=2048)
+    graph, _, _ = planted_protected_graph(num_nodes - 60, 60,
+                                          np.random.default_rng(5),
+                                          p_in=0.05, p_out=0.01)
+    starts = np.repeat(np.arange(num_nodes), 6)
+    walks = sample_walks(graph, starts.size, 10, np.random.default_rng(6),
+                         starts=starts)
+
+    def run(train):
+        rng = np.random.default_rng(8)
+        model = SkipGramModel(num_nodes, dim, rng)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        history = train(model)
+        seconds = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return model, rng, history, seconds, faults
+
+    def workspace(model):
+        return model.train(walks, **kwargs)
+
+    def oracle(model):
+        return _reference_sgns_train(model, walks, **kwargs)
+
+    runs = {name: [run(fn) for _ in range(2)]
+            for name, fn in (("oracle", oracle), ("workspace", workspace))}
+    (ref, ref_rng, ref_history, _, _) = runs["oracle"][0]
+    for model, rng, history, _, _ in runs["workspace"]:
+        assert np.array_equal(model.in_vectors, ref.in_vectors)
+        assert np.array_equal(model.out_vectors, ref.out_vectors)
+        assert np.asarray(history).tobytes() == \
+            np.asarray(ref_history).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    seconds = {name: min(r[3] for r in rs) for name, rs in runs.items()}
+    faults = {name: min(r[4] for r in rs) for name, rs in runs.items()}
+    pairs = len(walks_to_pairs(walks, kwargs["window"]))
+    steps = kwargs["epochs"] * -(-pairs // kwargs["batch_size"])
+    print(f"\n\nTraining smoke — SGNS train() over {pairs} pairs in "
+          f"{steps} steps: "
+          f"oracle {seconds['oracle']:.3f}s / {faults['oracle']} minor "
+          f"faults vs workspace {seconds['workspace']:.3f}s / "
+          f"{faults['workspace']} minor faults")
+
+    _record("training_sgns_smoke", {
+        "num_nodes": num_nodes,
+        "dim": dim,
+        "pairs": pairs,
+        "steps": steps,
+        "oracle_seconds": round(seconds["oracle"], 4),
+        "workspace_seconds": round(seconds["workspace"], 4),
+        "oracle_minor_faults": faults["oracle"],
+        "workspace_minor_faults": faults["workspace"],
+    })
+
+    assert faults["workspace"] * 10 <= faults["oracle"], (
+        f"workspace SGNS took {faults['workspace']} minor faults per "
+        f"train(), more than 1/10 of the oracle's {faults['oracle']}")
+
+
 def test_scoring_cost_scales_linearly_with_nodes(benchmark):
     """Full-batch scoring is O(n): 4x the nodes ~ 4x the time, far from
     the superlinear blowup a retained graph per node would cause."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph import Graph, sample_walks
+from ..obs import trace
 from .word2vec import SkipGramModel
 
 __all__ = ["Node2VecConfig", "node2vec_embedding"]
@@ -35,6 +36,14 @@ class Node2VecConfig:
     def __post_init__(self) -> None:
         if self.dim < 1 or self.walks_per_node < 1 or self.walk_length < 2:
             raise ValueError("invalid node2vec configuration")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.negatives < 0:
+            raise ValueError("negatives must be >= 0")
+        if not self.lr > 0.0:
+            raise ValueError("lr must be > 0")
 
 
 def node2vec_embedding(graph, config: Node2VecConfig,
@@ -50,8 +59,10 @@ def node2vec_embedding(graph, config: Node2VecConfig,
     store's resident-memory bound rather than the full CSR.
     """
     starts = np.repeat(np.arange(graph.num_nodes), config.walks_per_node)
-    walks = sample_walks(graph, starts.size, config.walk_length, rng,
-                         starts=starts, p=config.p, q=config.q)
+    with trace.span("embedding.walks", walks=int(starts.size),
+                    length=config.walk_length):
+        walks = sample_walks(graph, starts.size, config.walk_length, rng,
+                             starts=starts, p=config.p, q=config.q)
     model = SkipGramModel(graph.num_nodes, config.dim, rng)
     model.train(walks, window=config.window, epochs=config.epochs,
                 negatives=config.negatives, lr=config.lr)

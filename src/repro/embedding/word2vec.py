@@ -6,6 +6,27 @@ form, so we implement them directly with vectorised NumPy (far faster than
 routing through the autograd engine) while keeping the exact objective:
 
 ``L = -log sigma(u_c . v_w) - sum_k log sigma(-u_nk . v_w)``
+
+Workspace and bit-identity contract.  One ``train()`` call allocates a
+:class:`_Workspace` sized for ``min(batch_size, len(pairs))`` pairs, and
+every step writes into slices of it through ``np.take(..., out=)``, ufunc
+``out=`` arguments and ``np.sum(..., out=)``; the workspace is freed when
+``train()`` returns.  A step runs the floating-point operations of the
+expression form, in the same order and with the same reductions::
+
+    v, u_pos, u_neg = in[centers], out[contexts], out[neg]
+    pos = sigmoid((v * u_pos).sum(1)); neg = sigmoid(-(u_neg * v).sum(2))
+    grad_v = g_pos * u_pos + (g_neg * u_neg).sum(1)
+    grad_u_pos, grad_u_neg = g_pos * v, g_neg * v
+
+and applies all three gradients with one ``bincount`` scatter over the
+stacked in- and out-rows, in which each row still sums its contributions in
+index order.  Negatives are drawn from a noise CDF computed once per
+``train()`` (:func:`noise_cdf`, :func:`draw_negatives`): the same
+``cumsum``/``random``/``searchsorted`` sequence that
+``Generator.choice(n, size, p=noise)`` runs, so the draws and the RNG
+stream are those of ``choice``.  The trained vectors and loss history are
+byte-identical to the expression form.
 """
 
 from __future__ import annotations
@@ -13,8 +34,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.backend import scatter_rows
+from ..obs import trace
 
-__all__ = ["SkipGramModel", "walks_to_pairs", "unigram_table"]
+__all__ = ["SkipGramModel", "walks_to_pairs", "unigram_table",
+           "noise_cdf", "draw_negatives"]
 
 
 def walks_to_pairs(walks: np.ndarray, window: int) -> np.ndarray:
@@ -43,8 +66,56 @@ def unigram_table(walks: np.ndarray, num_nodes: int,
     return counts / counts.sum()
 
 
+def noise_cdf(noise: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(n, size, p=noise)`` builds on every call."""
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_negatives(rng: np.random.Generator, cdf: np.ndarray,
+                   uniform: np.ndarray) -> np.ndarray:
+    """Draw ``uniform.shape`` node ids from :func:`noise_cdf`'s ``cdf``.
+
+    The same values, and the same RNG stream, as
+    ``rng.choice(len(cdf), size=uniform.shape, p=noise)``; ``uniform``
+    is the C-contiguous float64 buffer the uniforms are drawn into.
+    """
+    rng.random(out=uniform)
+    return cdf.searchsorted(uniform, side="right")
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+    """``1 / (1 + exp(-clip(x, -30, 30)))`` in place on ``x``."""
+    np.clip(x, -30.0, 30.0, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.add(x, 1.0, out=x)
+    return np.divide(1.0, x, out=x)
+
+
+class _Workspace:
+    """The buffers of one ``train()`` call, for batches of up to ``rows``
+    pairs; a step of ``b`` pairs uses the leading ``b``-pair slices.
+
+    ``grads`` is the stacked gradient slab ``[grad_v; grad_u_pos;
+    grad_u_neg]`` that the one scatter reads, row-aligned with the table
+    rows in ``rows``.  Before the gradients land in it, its blocks are the
+    scratch space of the ``(b, d)`` and ``(b, k, d)`` products, and the
+    ``grad_u_pos`` block holds the gathered ``u_pos``.
+    """
+
+    def __init__(self, rows: int, negatives: int, dim: int):
+        stacked = (negatives + 2) * rows
+        self.rows = np.empty(stacked, dtype=np.int64)
+        self.bins = np.empty((stacked, dim), dtype=np.int64)
+        self.grads = np.empty((stacked, dim))
+        self.v = np.empty((rows, dim))
+        self.u_neg = np.empty((rows * negatives, dim))
+        self.pos = np.empty(rows)
+        self.neg = np.empty(rows * negatives)
+        self.uniform = np.empty(rows * negatives)
+        self.loss = np.empty(rows)
 
 
 class SkipGramModel:
@@ -57,8 +128,21 @@ class SkipGramModel:
         self.dim = dim
         self._rng = rng
         scale = 0.5 / dim
-        self.in_vectors = rng.uniform(-scale, scale, (num_nodes, dim))
-        self.out_vectors = np.zeros((num_nodes, dim))
+        # Input rows [0, n) and output rows [n, 2n) of one table, so a
+        # step gathers and scatters both through one index array.
+        self._table = np.zeros((2 * num_nodes, dim))
+        self._table[:num_nodes] = rng.uniform(-scale, scale,
+                                              (num_nodes, dim))
+
+    @property
+    def in_vectors(self) -> np.ndarray:
+        """The input (center-word) matrix, a view of the table."""
+        return self._table[:self.num_nodes]
+
+    @property
+    def out_vectors(self) -> np.ndarray:
+        """The output (context-word) matrix, a view of the table."""
+        return self._table[self.num_nodes:]
 
     @property
     def vectors(self) -> np.ndarray:
@@ -69,59 +153,80 @@ class SkipGramModel:
               negatives: int = 5, lr: float = 0.05,
               batch_size: int = 2048) -> list[float]:
         """Train on the walk corpus; returns the mean loss per epoch."""
-        pairs = walks_to_pairs(walks, window)
-        noise = unigram_table(walks, self.num_nodes)
-        history = []
-        for epoch in range(epochs):
-            # Linear learning-rate decay, the standard word2vec schedule;
-            # floored at 10% so late epochs still make progress.
-            lr_epoch = lr * max(0.1, 1.0 - epoch / max(epochs, 1))
-            order = self._rng.permutation(len(pairs))
-            losses = []
-            for lo in range(0, len(order), batch_size):
-                batch = pairs[order[lo: lo + batch_size]]
-                losses.append(self._step(batch, negatives, lr_epoch, noise))
-            history.append(float(np.mean(losses)))
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        with trace.span("embedding.sgns", epochs=epochs) as span:
+            pairs = walks_to_pairs(walks, window)
+            cdf = noise_cdf(unigram_table(walks, self.num_nodes))
+            work = _Workspace(min(batch_size, len(pairs)), negatives,
+                              self.dim)
+            history = []
+            for epoch in range(epochs):
+                # Linear learning-rate decay, the standard word2vec
+                # schedule; floored at 10% so late epochs still make
+                # progress.
+                lr_epoch = lr * max(0.1, 1.0 - epoch / max(epochs, 1))
+                order = self._rng.permutation(len(pairs))
+                losses = []
+                for lo in range(0, len(order), batch_size):
+                    batch = pairs[order[lo: lo + batch_size]]
+                    losses.append(self._step(batch, negatives, lr_epoch,
+                                             cdf, work))
+                history.append(float(np.mean(losses)))
+            span.set(pairs=len(pairs),
+                     steps=epochs * len(range(0, len(pairs), batch_size)))
         return history
 
     def _step(self, batch: np.ndarray, negatives: int, lr: float,
-              noise: np.ndarray) -> float:
-        centers, contexts = batch[:, 0], batch[:, 1]
-        b = len(batch)
-        neg = self._rng.choice(self.num_nodes, size=(b, negatives), p=noise)
+              cdf: np.ndarray, work: _Workspace) -> float:
+        b, k, n, d = len(batch), negatives, self.num_nodes, self.dim
+        table = self._table
+        rows = work.rows[:(k + 2) * b]            # centers | contexts | negs
+        grads = work.grads[:(k + 2) * b]
+        rows[:b] = batch[:, 0]
+        np.add(batch[:, 1], n, out=rows[b:2 * b])
+        uniform = work.uniform[:b * k].reshape(b, k)
+        neg = draw_negatives(self._rng, cdf, uniform)
+        np.add(neg.ravel(), n, out=rows[2 * b:])
+        grad_v = grads[:b]
+        grad_u_pos = grads[b:2 * b]
+        grad_u_neg = grads[2 * b:].reshape(b, k, d)
+        # mode="clip" because mode="raise" buffers ``out``; every row
+        # index is in range by construction.
+        v = np.take(table, rows[:b], axis=0, out=work.v[:b], mode="clip")
+        u_pos = np.take(table, rows[b:2 * b], axis=0, out=grad_u_pos,
+                        mode="clip")
+        u_neg = np.take(table, rows[2 * b:], axis=0, out=work.u_neg[:b * k],
+                        mode="clip").reshape(b, k, d)
 
-        v = self.in_vectors[centers]                       # (b, d)
-        u_pos = self.out_vectors[contexts]                 # (b, d)
-        u_neg = self.out_vectors[neg]                      # (b, k, d)
+        # Until the gradients land, grad_v's and grad_u_neg's blocks hold
+        # the (b, d) and (b, k, d) products.
+        pos_score = np.sum(np.multiply(v, u_pos, out=grad_v), axis=1,
+                           out=work.pos[:b])
+        _sigmoid(pos_score)
+        neg_score = np.sum(np.multiply(u_neg, v[:, None, :], out=grad_u_neg),
+                           axis=2, out=work.neg[:b * k].reshape(b, k))
+        _sigmoid(np.negative(neg_score, out=neg_score))
 
-        pos_score = _sigmoid((v * u_pos).sum(axis=1))      # (b,)
-        neg_score = _sigmoid(-(u_neg * v[:, None, :]).sum(axis=2))  # (b, k)
+        log_pos = np.log(np.add(pos_score, 1e-12, out=work.loss[:b]),
+                         out=work.loss[:b]).mean()
+        log_neg = np.log(np.add(neg_score, 1e-12, out=uniform), out=uniform)
+        loss = float(-(log_pos + np.sum(log_neg, axis=1,
+                                        out=work.loss[:b]).mean()))
 
-        loss = float(-(np.log(pos_score + 1e-12).mean()
-                       + np.log(neg_score + 1e-12).sum(axis=1).mean()))
-
-        g_pos = (pos_score - 1.0)[:, None]                 # d/d(v.u_pos)
-        g_neg = (1.0 - neg_score)[:, :, None]              # d/d(v.u_neg)
-
-        grad_v = g_pos * u_pos + (g_neg * u_neg).sum(axis=1)
-        grad_u_pos = g_pos * v
-        grad_u_neg = g_neg * v[:, None, :]
+        g_pos = np.subtract(pos_score, 1.0, out=pos_score)[:, None]
+        g_neg = np.subtract(1.0, neg_score, out=neg_score)[:, :, None]
+        np.sum(np.multiply(g_neg, u_neg, out=grad_u_neg), axis=1, out=grad_v)
+        np.add(np.multiply(g_pos, u_pos, out=u_pos), grad_v, out=grad_v)
+        np.multiply(g_pos, v, out=grad_u_pos)
+        np.multiply(g_neg, v[:, None, :], out=grad_u_neg)
 
         # Rows repeat heavily inside a batch (hub nodes appear in many
         # pairs), so summed per-pair updates diverge while fully averaged
         # ones barely move.  Normalising by sqrt(count) keeps the update
         # variance bounded yet lets frequent rows learn faster.
-        self._apply_row_averaged(self.in_vectors, centers, grad_v, lr)
-        grad_out = np.concatenate(
-            [grad_u_pos, grad_u_neg.reshape(-1, self.dim)])
-        rows_out = np.concatenate([contexts, neg.ravel()])
-        self._apply_row_averaged(self.out_vectors, rows_out, grad_out, lr)
-        return loss
-
-    def _apply_row_averaged(self, matrix: np.ndarray, rows: np.ndarray,
-                            grads: np.ndarray, lr: float) -> None:
-        num_rows = matrix.shape[0]
-        accum = scatter_rows(rows, grads, num_rows)
-        counts = np.bincount(rows, minlength=num_rows)
+        accum = scatter_rows(rows, grads, 2 * n, bins=work.bins[:(k + 2) * b])
+        counts = np.bincount(rows, minlength=2 * n)
         touched = counts > 0
-        matrix[touched] -= lr * accum[touched] / np.sqrt(counts[touched])[:, None]
+        table[touched] -= lr * accum[touched] / np.sqrt(counts[touched])[:, None]
+        return loss

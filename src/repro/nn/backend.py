@@ -59,8 +59,16 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu_tanh(x: np.ndarray) -> np.ndarray:
     """The ``tanh`` term of :func:`gelu`; the training op computes it
-    once and hands it to both halves."""
-    return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    once and hands it to both halves.
+
+    ``tanh(C * (x + 0.044715 * ((x * x) * x)))`` on one buffer.
+    """
+    t = np.multiply(x, x)
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
@@ -71,18 +79,42 @@ def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     decode step.  (Fixture note: the two differ in the last ulp, so
     the seeded train-parity pins were regenerated with this order.)
     ``t`` is a precomputed :func:`gelu_tanh` of ``x``.
+
+    ``(0.5 * x) * (1.0 + t)`` on two buffers; ``x`` and a passed ``t``
+    are left unchanged (the training op's backward reuses both).
     """
     if t is None:
-        t = gelu_tanh(x)
-    return 0.5 * x * (1.0 + t)
+        one_plus_t = gelu_tanh(x)
+        one_plus_t += 1.0
+    else:
+        one_plus_t = np.add(t, 1.0)
+    out = np.multiply(x, 0.5)
+    out *= one_plus_t
+    return out
 
 
 def gelu_grad(grad: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Backward of :func:`gelu`, given its input ``x`` and
-    ``t = gelu_tanh(x)``."""
-    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
-    return grad * local
+    ``t = gelu_tanh(x)``.
+
+    ``grad * (0.5 * (1 + t) + ((0.5 * x) * (1 - t**2)) * dinner)`` with
+    ``dinner = C * (1 + 3 * 0.044715 * x**2)``, on two buffers; no input
+    is changed.
+    """
+    a = np.multiply(t, t)
+    np.subtract(1.0, a, out=a)
+    b = np.multiply(x, 0.5)
+    b *= a                                      # (0.5 * x) * (1 - t**2)
+    np.multiply(x, x, out=a)
+    a *= 3 * 0.044715
+    a += 1.0
+    a *= _GELU_C                                # dinner
+    b *= a
+    np.add(t, 1.0, out=a)
+    a *= 0.5
+    a += b
+    a *= grad
+    return a
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -126,17 +158,23 @@ def linear(x: np.ndarray, weight: np.ndarray,
     return out
 
 
-def scatter_rows(rows: np.ndarray, values: np.ndarray,
-                 num_rows: int) -> np.ndarray:
+def scatter_rows(rows: np.ndarray, values: np.ndarray, num_rows: int, *,
+                 bins: np.ndarray | None = None) -> np.ndarray:
     """``out[r] = sum(values[i] for i where rows[i] == r)``, ``(num_rows, d)``.
 
     One ``np.bincount`` over (row, column) bins.  Each bin sums its
     contributions in index order, exactly as ``np.add.at`` does, so the
     result is bit-identical to it at about a quarter of the cost.
+    ``bins`` is a C-contiguous int64 ``(rows.size, d)`` buffer for the bin
+    indices, for callers that scatter in a loop; by default one is
+    allocated.
     """
     dim = values.shape[-1]
-    bins = (rows.reshape(-1, 1) * dim + np.arange(dim)).ravel()
-    return np.bincount(bins, weights=values.ravel(),
+    if bins is None:
+        bins = np.empty((rows.size, dim), dtype=np.int64)
+    np.multiply(rows.reshape(-1, 1), dim, out=bins)
+    np.add(bins, np.arange(dim), out=bins)
+    return np.bincount(bins.ravel(), weights=values.ravel(),
                        minlength=num_rows * dim).reshape(num_rows, dim)
 
 

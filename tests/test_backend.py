@@ -337,6 +337,43 @@ class TestSharedKernelIdentity:
         np.testing.assert_array_equal(x, snapshot)
 
 
+class TestInPlaceGelu:
+    """The buffer-reusing GELU kernels reproduce their expression forms
+    byte for byte and leave every input unchanged."""
+
+    C = np.sqrt(2.0 / np.pi)
+
+    def _tanh_ref(self, x):
+        return np.tanh(self.C * (x + 0.044715 * (x * x * x)))
+
+    def _gelu_ref(self, x, t):
+        return 0.5 * x * (1.0 + t)
+
+    def _grad_ref(self, grad, x, t):
+        dinner = self.C * (1.0 + 3 * 0.044715 * x ** 2)
+        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner
+        return grad * local
+
+    # 2-D, 3-D (B, T, D), and seed-stacked (K, B, T, D) activations.
+    @pytest.mark.parametrize("shape", [(7, 5), (4, 9, 16), (3, 2, 9, 16)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_expression_forms(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape) * 3.0
+        x.flat[:3] = [0.0, -1e-310, 40.0]     # zero, subnormal, saturated
+        grad = rng.standard_normal(shape)
+        t = self._tanh_ref(x)
+        x0, t0, grad0 = x.copy(), t.copy(), grad.copy()
+
+        assert np.array_equal(kernels.gelu_tanh(x), t)
+        assert np.array_equal(kernels.gelu(x), self._gelu_ref(x, t))
+        assert np.array_equal(kernels.gelu(x, t), self._gelu_ref(x, t))
+        assert np.array_equal(kernels.gelu_grad(grad, x, t),
+                              self._grad_ref(grad, x, t))
+        for got, before in ((x, x0), (t, t0), (grad, grad0)):
+            assert np.array_equal(got, before)
+
+
 # ----------------------------------------------------------------------
 # Seeded parity pins
 # ----------------------------------------------------------------------

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.data import load_dataset
 from repro.embedding import (Node2VecConfig, SkipGramModel,
                              centroid_separability, node2vec_embedding,
                              pairwise_sq_distances, silhouette_score, tsne,
                              unigram_table, walks_to_pairs)
+from repro.embedding.word2vec import draw_negatives, noise_cdf
 from repro.graph import Graph, planted_protected_graph, sample_walks
+from repro.obs import trace
 
 
 class TestWalksToPairs:
@@ -54,10 +59,53 @@ class TestUnigramTable:
         assert (p[2:] < p[0]).all()
 
 
+class TestNegativeSampler:
+    """The hoisted CDF draws exactly what ``Generator.choice`` draws.
+
+    CI installs an unpinned numpy; this fails if a release changes
+    ``choice(n, size, p=...)``'s internals.
+    """
+
+    NOISE = {
+        "uniform": np.full(7, 1.0 / 7),
+        "skewed": unigram_table(np.array([[0] * 50 + [1] * 9 + [2, 3, 4]]),
+                                6),
+        "near_zero_mass": np.array([0.5, 1e-13, 0.25, 1e-13, 0.25 - 2e-13]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NOISE))
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (2048, 5), (16, 0)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_generator_choice(self, name, shape, seed):
+        noise = self.NOISE[name]
+        expected_rng = np.random.default_rng(seed)
+        expected = expected_rng.choice(len(noise), size=shape, p=noise)
+        rng = np.random.default_rng(seed)
+        got = draw_negatives(rng, noise_cdf(noise), np.empty(shape))
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
 class TestSkipGram:
     def test_invalid_sizes(self, rng):
         with pytest.raises(ValueError):
             SkipGramModel(0, 8, rng)
+
+    def test_invalid_batch_size(self, rng):
+        model = SkipGramModel(3, 4, rng)
+        with pytest.raises(ValueError, match="batch_size"):
+            model.train(np.array([[0, 1, 2]]), window=1, batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 5000])
+    def test_partial_and_oversized_batches_train(self, rng, batch_size):
+        """Batches smaller than, not dividing, or larger than the pair
+        count all run through the one workspace."""
+        walks = np.array([[0, 1, 2, 3], [3, 2, 1, 0]])
+        model = SkipGramModel(4, 4, rng)
+        history = model.train(walks, window=2, epochs=2,
+                              batch_size=batch_size)
+        assert len(history) == 2 and np.isfinite(history).all()
 
     def test_training_reduces_loss(self, two_cliques_graph, rng):
         walks = sample_walks(two_cliques_graph, 200, 8, rng)
@@ -85,6 +133,62 @@ class TestNode2Vec:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             Node2VecConfig(dim=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("window", 0), ("epochs", 0), ("negatives", -1), ("lr", 0.0),
+        ("lr", -1.0), ("lr", float("nan"))])
+    def test_invalid_training_budget(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Node2VecConfig(**{field: value})
+
+    def test_zero_negatives_accepted(self, two_cliques_graph, rng):
+        config = Node2VecConfig(dim=4, epochs=1, negatives=0)
+        emb = node2vec_embedding(two_cliques_graph, config, rng)
+        assert np.isfinite(emb).all()
+
+    def test_program_spans(self, two_cliques_graph, rng, tmp_path):
+        path = tmp_path / "trace.json"
+        trace.enable(path)
+        try:
+            node2vec_embedding(two_cliques_graph,
+                               Node2VecConfig(dim=4, walks_per_node=2,
+                                              walk_length=5, window=2,
+                                              epochs=2), rng)
+        finally:
+            trace.disable()
+        ends = {e["name"]: e.get("args", {})
+                for e in trace.load_trace(path) if e["ph"] == "E"}
+        # 16 walks of 5 steps, window 2: 16 * 2 * (4 + 3) pairs, one
+        # 2048-pair batch per epoch.
+        assert ends["embedding.walks"] == {"walks": 16, "length": 5}
+        assert ends["embedding.sgns"] == {"epochs": 2, "pairs": 224,
+                                          "steps": 2}
+
+    def test_blog_embedding_pinned(self, monkeypatch):
+        """The node2vec features FairGen's discriminator reads on BLOG.
+
+        Both SHA-256 pins were generated before SGNS moved onto its
+        per-``train()`` workspace; any drift in the SGNS arithmetic or
+        in its RNG draws changes them.
+        """
+        import repro.embedding.node2vec as n2v
+        histories = []
+        train = n2v.SkipGramModel.train
+
+        def recording_train(self, *args, **kwargs):
+            histories.append(train(self, *args, **kwargs))
+            return histories[-1]
+
+        monkeypatch.setattr(n2v.SkipGramModel, "train", recording_train)
+        vectors = node2vec_embedding(load_dataset("BLOG").graph,
+                                     Node2VecConfig(dim=32),
+                                     np.random.default_rng(0))
+        assert vectors.shape == (324, 32)
+        assert hashlib.sha256(vectors.tobytes()).hexdigest() == (
+            "e390b02b4a590e752828c93a89fea56b28501565b7cf189f118e9e970b60d7a0")
+        history = np.asarray(histories[0], dtype=np.float64)
+        assert hashlib.sha256(history.tobytes()).hexdigest() == (
+            "132812934e18c321a891596e3264adb2041a8d7c38981d9923d10db51354e7db")
 
     def test_all_nodes_covered(self, rng):
         """Even an isolated-ish node gets a non-zero embedding update."""
