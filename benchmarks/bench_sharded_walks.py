@@ -13,8 +13,13 @@ gates CI on the memory model actually holding:
   must cost less residency than just loading the graph would;
 * **throughput gate:** sharded walks finish within 3x of the in-memory
   engine on the identical workload;
-* **byte-identity gate:** a single-shard layout reproduces the
-  in-memory engine's walks exactly (same generator state, same bytes).
+* **byte-identity gate:** the one :class:`~repro.graph.WalkEngine`
+  walks a sharded graph exactly as it walks the in-memory twin (same
+  generator state, same bytes), for a one-shard and a multi-shard
+  layout and for uniform as well as biased walks.
+
+Biased (``p=0.25``, ``q=4``) out-of-core walks are timed and recorded
+next to the uniform ones, without a wall-clock gate.
 
 Results merge-update ``BENCH_walks.json`` at the repo root:
 
@@ -34,7 +39,6 @@ import pytest
 
 from repro.graph import (WalkEngine, ingest_edge_stream, ingest_graph,
                          ring_of_chords, synthetic_edge_stream)
-from repro.graph.walk_engine import ShardedWalkEngine
 
 #: ~1M undirected edges: a 150k-node ring plus 900k random chords
 NUM_NODES = 150_000
@@ -46,6 +50,10 @@ MAX_RESIDENT = 3
 
 NUM_WALKS = 20_000
 WALK_LENGTH = 16
+
+#: biased out-of-core record: fewer walks, the smoke's bias extreme
+BIASED_WALKS = 2_000
+BIASED_P, BIASED_Q = 0.25, 4.0
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_walks.json"
 
@@ -82,7 +90,7 @@ def test_sharded_walks_smoke_memory_and_throughput(tmp_path):
     # the arrays WalkEngine keeps resident) — the RSS gate's yardstick.
     csr_bytes = (2 * sharded.num_edges + 2 * (sharded.num_nodes + 1)) * 8
 
-    engine = ShardedWalkEngine(sharded)
+    engine = sharded.walk_engine()
     rng = np.random.default_rng(7)
     starts = engine.sample_starts(NUM_WALKS, rng)
 
@@ -108,8 +116,7 @@ def test_sharded_walks_smoke_memory_and_throughput(tmp_path):
     inmem_walks = inmem.walks(NUM_WALKS, WALK_LENGTH,
                               np.random.default_rng(7))
     inmem_seconds = time.perf_counter() - t0
-    # First-order draws never depend on the bucketing, so the entire
-    # walk matrix is byte-identical under any shard count.
+    # One engine, one RNG stream: byte-identical under any shard count.
     assert np.array_equal(sharded_walks, inmem_walks)
 
     ratio = sharded_seconds / max(inmem_seconds, 1e-9)
@@ -134,16 +141,47 @@ def test_sharded_walks_smoke_memory_and_throughput(tmp_path):
         "shard_loads": int(sharded.shard_loads),
     })
 
+    # --- biased walks: recorded, not gated on wall clock ----------------
+    loads_before = sharded.shard_loads
+    t0 = time.perf_counter()
+    sharded_biased = engine.walks(BIASED_WALKS, WALK_LENGTH,
+                                  np.random.default_rng(11),
+                                  p=BIASED_P, q=BIASED_Q)
+    biased_seconds = time.perf_counter() - t0
+    biased_loads = sharded.shard_loads - loads_before
+    t0 = time.perf_counter()
+    inmem_biased = inmem.walks(BIASED_WALKS, WALK_LENGTH,
+                               np.random.default_rng(11),
+                               p=BIASED_P, q=BIASED_Q)
+    inmem_biased_seconds = time.perf_counter() - t0
+    assert np.array_equal(sharded_biased, inmem_biased)
+    _record("sharded_biased_walks_smoke", {
+        "num_nodes": NUM_NODES,
+        "num_edges": int(sharded.num_edges),
+        "num_shards": NUM_SHARDS,
+        "max_resident": MAX_RESIDENT,
+        "num_walks": BIASED_WALKS,
+        "walk_length": WALK_LENGTH,
+        "p": BIASED_P,
+        "q": BIASED_Q,
+        "sharded_seconds": round(biased_seconds, 4),
+        "inmem_seconds": round(inmem_biased_seconds, 4),
+        "shard_loads": int(biased_loads),
+    })
+
 
 @pytest.mark.smoke
-def test_sharded_walks_smoke_single_shard_byte_identity(tmp_path):
-    """One shard ⇒ the documented RNG contract collapses to WalkEngine."""
+@pytest.mark.parametrize("num_shards", [1, 6])
+def test_sharded_walks_smoke_byte_identity(tmp_path, num_shards):
+    """Any shard layout walks exactly like the in-memory graph."""
     graph = ring_of_chords(3_000, 6_000, seed=11)
-    sharded = ingest_graph(graph, tmp_path / "one", num_shards=1)
-    inmem, out_of_core = WalkEngine(graph), ShardedWalkEngine(sharded)
+    sharded = ingest_graph(graph, tmp_path / "s", num_shards=num_shards)
+    sharded.max_resident = 2
+    inmem, out_of_core = WalkEngine(graph), sharded.walk_engine()
     for p, q in [(1.0, 1.0), (0.25, 4.0)]:
         expected = inmem.walks(512, 12, np.random.default_rng(3), p=p, q=q)
         actual = out_of_core.walks(512, 12, np.random.default_rng(3),
                                    p=p, q=q)
         assert np.array_equal(expected, actual), (
-            f"single-shard walks diverged from WalkEngine at p={p} q={q}")
+            f"{num_shards}-shard walks diverged from WalkEngine at "
+            f"p={p} q={q}")

@@ -4,7 +4,7 @@ from .graph import Graph
 from .components import connected_components, largest_component_nodes
 from .random_walk import (node2vec_walk, sample_walks, uniform_random_walk,
                           walks_to_edge_counts)
-from .walk_engine import ShardedWalkEngine, WalkEngine
+from .walk_engine import WalkEngine
 from .sharded import (ShardCSR, ShardedGraph, ingest_edge_file,
                       ingest_edge_stream, ingest_graph)
 from .diffusion import (diffusion_core, escape_probability, indicator_vector,
@@ -21,7 +21,7 @@ __all__ = [
     "Graph",
     "connected_components", "largest_component_nodes",
     "uniform_random_walk", "node2vec_walk", "sample_walks",
-    "walks_to_edge_counts", "WalkEngine", "ShardedWalkEngine",
+    "walks_to_edge_counts", "WalkEngine",
     "ShardedGraph", "ShardCSR", "ingest_edge_stream", "ingest_graph",
     "ingest_edge_file",
     "indicator_vector", "escape_probability", "stay_probability",

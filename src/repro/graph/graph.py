@@ -43,6 +43,8 @@ class Graph:
         self._adj.sort_indices()
         self._degrees = np.asarray(adj.sum(axis=1)).ravel()
         self._walk_engine = None
+        self._csr64: tuple[np.ndarray, np.ndarray] | None = None
+        self._edge_keys: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -107,11 +109,47 @@ class Graph:
         pos = lo + np.searchsorted(self._adj.indices[lo:hi], v)
         return bool(pos < hi and self._adj.indices[pos] == v)
 
+    def neighbor_at(self, nodes: np.ndarray,
+                    offsets: np.ndarray) -> np.ndarray:
+        """The ``offsets[i]``-th sorted neighbor of ``nodes[i]``.
+
+        ``nodes`` and ``offsets`` broadcast against each other; every
+        offset must lie in ``[0, degree)``.  Reads the int64 copies of the
+        CSR arrays, made on the first call.
+        """
+        if self._csr64 is None:
+            self._csr64 = (self._adj.indptr.astype(np.int64),
+                           self._adj.indices.astype(np.int64))
+        indptr, indices = self._csr64
+        return indices[indptr[nodes] + offsets]
+
+    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Vectorized edge membership: ``out[i] = (u[i], v[i]) in E``.
+
+        A binary search over the sorted ``row * n + col`` keys of all
+        directed edge slots (CSR rows are sorted, so the flattened key
+        array is too), built on the first call.
+        """
+        n = self.num_nodes
+        if self._edge_keys is None:
+            rows = np.repeat(np.arange(n, dtype=np.int64),
+                             np.diff(self._adj.indptr))
+            self._edge_keys = rows * n + self._adj.indices
+        keys = np.asarray(u, dtype=np.int64) * n \
+            + np.asarray(v, dtype=np.int64)
+        table = self._edge_keys
+        pos = np.searchsorted(table, keys)
+        inside = pos < table.size
+        hit = np.zeros(keys.shape, dtype=bool)
+        hit[inside] = table[pos[inside]] == keys[inside]
+        return hit
+
     def walk_engine(self) -> "WalkEngine":
         """Cached batched walk engine bound to this graph.
 
-        The graph is immutable, so one engine (and its lazily built edge
-        key table) is shared by every walk-hungry consumer.
+        The graph is immutable, so one engine (and the lazily built
+        neighbor and edge key arrays) is shared by every walk-hungry
+        consumer.
         """
         if self._walk_engine is None:
             from .walk_engine import WalkEngine

@@ -16,10 +16,14 @@ consumers touch only the shards their walk frontier currently occupies:
 * a ``manifest.json`` recording node/edge counts, shard ranges, per-shard
   edge counts and a log2 degree histogram — ``repro graph stats`` prints
   it without touching any shard;
-* :class:`ShardedGraph` — the read side: the ``Graph`` surface the walk
-  engines need (``num_nodes``, ``degrees``, ``neighbors``, ``has_edge``,
-  batched ``has_edges``, ``walk_engine()``) backed by an LRU of resident
-  shard mmaps, so resident memory is O(hot shards), not O(edges).
+* :class:`ShardedGraph` — the read side: the graph seam of
+  :class:`~repro.graph.walk_engine.WalkEngine` (``num_nodes``,
+  ``degrees``, ``neighbors``, batched ``neighbor_at`` and ``has_edges``)
+  plus ``has_edge`` and ``walk_engine()``, backed by an LRU of resident
+  shard mmaps, so resident memory is O(hot shards), not O(edges).  The
+  batched reads group their queries by owning shard; the engine never
+  sees the shard layout, so walks on a ``ShardedGraph`` are
+  byte-identical to walks on its in-memory twin for any shard count.
 
 Layout of a shard directory::
 
@@ -36,6 +40,7 @@ neighbor ids, sorted per row.
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap as _mmap
 import os
@@ -381,9 +386,10 @@ class ShardCSR:
 class ShardedGraph:
     """Read-only sharded graph with an LRU of resident shard mmaps.
 
-    Exposes the surface the walk engines and walk-based model fits need
+    Exposes the surface the walk engine and walk-based model fits need
     — ``num_nodes``, ``num_edges``, ``degrees`` (a read-only memmap),
-    ``neighbors``, ``has_edge``/``has_edges``, ``walk_engine()`` — while
+    ``neighbors``, ``neighbor_at``, ``has_edge``/``has_edges``,
+    ``walk_engine()`` — while
     keeping at most ``max_resident`` shards *physically* resident.
     Eviction drops the shard's cached edge keys and advises the kernel
     to release its mapped pages (``MADV_DONTNEED``), so physical
@@ -433,8 +439,26 @@ class ShardedGraph:
         #: ShardCSR views over the long-lived mappings (mapped shards
         #: only) — safe to reuse because the buffers never close
         self._shard_cache: dict[int, ShardCSR] = {}
+        # Narrow sort keys get numpy's radix path: the per-step frontier
+        # sort in _by_shard is ~8x cheaper on uint16 than on int64.
+        self._owner_dtype = (np.uint16 if self.num_shards
+                             <= np.iinfo(np.uint16).max else np.int64)
         self._walk_engine = None
         self.shard_loads = 0  #: shard (re-)entries, for tests/benches
+
+    @functools.cached_property
+    def _indptr(self) -> np.ndarray:
+        """Global CSR row offsets, O(nodes) and in memory: shard ``i``'s
+        slots are ``indptr[node] - indptr[shard_starts[i]]``, so no
+        neighbor read ever touches a shard's own ``indptr``."""
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(self._degrees, out=indptr[1:])
+        return indptr
+
+    @functools.cached_property
+    def _slot_base(self) -> np.ndarray:
+        """Global slot of each shard's first neighbor id."""
+        return self._indptr[self.shard_starts[:-1]]
 
     # -- Graph surface -------------------------------------------------
     @property
@@ -548,37 +572,67 @@ class ShardedGraph:
         pos = np.searchsorted(nbrs, v)
         return bool(pos < nbrs.size and nbrs[pos] == v)
 
+    def _by_shard(self, nodes: np.ndarray
+                  ) -> Iterator[tuple[ShardCSR, np.ndarray]]:
+        """``(shard, positions)`` groups of the flat ``nodes`` array by
+        owning shard, ascending shard id, positions ascending within a
+        group; each shard is made resident once per call."""
+        owners = self.shard_of(nodes).astype(self._owner_dtype, copy=False)
+        order = np.argsort(owners, kind="stable")
+        owners = owners[order]
+        cuts = np.flatnonzero(np.diff(owners)) + 1
+        for lo, hi in zip(np.concatenate([[0], cuts]),
+                          np.concatenate([cuts, [nodes.size]])):
+            yield self.shard(int(owners[lo])), order[lo:hi]
+
+    def neighbor_at(self, nodes: np.ndarray,
+                    offsets: np.ndarray) -> np.ndarray:
+        """The ``offsets[i]``-th sorted neighbor of ``nodes[i]``.
+
+        ``nodes`` and ``offsets`` broadcast against each other; every
+        offset must lie in ``[0, degree)``.  Slots are addressed through
+        the in-memory global row offsets, so no shard's ``indptr`` is
+        read; only the neighbor ids of the owning shards are touched.
+        """
+        nodes, offsets = np.broadcast_arrays(
+            np.asarray(nodes, dtype=np.int64),
+            np.asarray(offsets, dtype=np.int64))
+        shape = nodes.shape
+        nodes = nodes.ravel()
+        slots = self._indptr[nodes] + offsets.ravel()
+        out = np.empty(nodes.size, dtype=np.int64)
+        if nodes.size:
+            for shard, pos in self._by_shard(nodes):
+                out[pos] = shard.indices[
+                    slots[pos] - self._slot_base[shard.shard_id]]
+        return out.reshape(shape)
+
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized membership ``out[i] = (u[i], v[i]) in E``.
 
         Queries are grouped by the shard owning ``u`` and answered by a
         binary search over that shard's sorted global edge keys — the
-        sharded twin of :meth:`repro.graph.WalkEngine.has_edges`.
+        sharded twin of :meth:`repro.graph.Graph.has_edges`.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        out = np.zeros(u.shape, dtype=bool)
-        if u.size == 0:
-            return out
-        owners = self.shard_of(u)
-        for shard_id in np.unique(owners):
-            table = self.shard(int(shard_id)).edge_keys
-            sel = owners == shard_id
-            keys = u[sel] * np.int64(self.num_nodes) + v[sel]
-            pos = np.searchsorted(table, keys)
-            inside = pos < table.size
-            hit = np.zeros(keys.shape, dtype=bool)
-            hit[inside] = table[pos[inside]] == keys[inside]
-            out[sel] = hit
-        return out
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=np.int64),
+                                   np.asarray(v, dtype=np.int64))
+        keys = (u * np.int64(self.num_nodes) + v).ravel()
+        hit = np.zeros(keys.size, dtype=bool)
+        if keys.size:
+            for shard, pos in self._by_shard(u.ravel()):
+                table = shard.edge_keys
+                found = np.searchsorted(table, keys[pos])
+                inside = found < table.size
+                hit[pos[inside]] = table[found[inside]] == keys[pos[inside]]
+        return hit.reshape(u.shape)
 
     # -- engines / conversion ------------------------------------------
     def walk_engine(self):
-        """Cached :class:`~repro.graph.walk_engine.ShardedWalkEngine`."""
+        """Cached :class:`~repro.graph.walk_engine.WalkEngine`."""
         if self._walk_engine is None:
-            from .walk_engine import ShardedWalkEngine
+            from .walk_engine import WalkEngine
 
-            self._walk_engine = ShardedWalkEngine(self)
+            self._walk_engine = WalkEngine(self)
         return self._walk_engine
 
     def to_graph(self):
@@ -591,8 +645,7 @@ class ShardedGraph:
 
         from .graph import Graph
 
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(self._degrees, out=indptr[1:])
+        indptr = self._indptr.copy()
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
         for i in range(self.num_shards):
             shard = self.shard(i)

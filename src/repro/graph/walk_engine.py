@@ -1,11 +1,11 @@
-"""Batched random-walk engine over the CSR adjacency.
+"""Batched random-walk engine over any graph that exposes the walk seam.
 
 The scalar walkers in :mod:`repro.graph.random_walk` advance one walk one
 step at a time, which makes Python-loop overhead the dominant cost of every
 walk-hungry stage of the pipeline (context sampling ``f_S``, node2vec
 features for ``d_omega``, negative pools, generation-time score matrices).
 This module advances *all* active walks one step per iteration using only
-vectorized NumPy primitives on the CSR arrays:
+vectorized NumPy primitives:
 
 - first-order steps draw a neighbor offset per walk with a single
   ``rng.integers`` call over the per-walk degrees;
@@ -14,13 +14,20 @@ vectorized NumPy primitives on the CSR arrays:
   ``w / w_max``), with a batched exact inverse-CDF fallback advancing all
   walks that exhaust the rejection budget in one pass, so no ``np.isin``
   neighborhood scans are needed;
-- adjacency membership for the bias weights uses a binary search over
-  globally sorted ``row * n + col`` edge keys (CSR rows are sorted, so the
-  flattened key array is too);
 - start batching supports the degree-weighted convention of
   :func:`repro.graph.random_walk.sample_walks` (inverse-CDF over the
   cumulative degree vector) and the per-class pools of the label-informed
   sampler ``f_S``.
+
+**The graph seam.**  The engine reads a graph only through ``num_nodes``,
+``degrees``, ``neighbor_at(nodes, offsets)`` (the ``offsets[i]``-th sorted
+neighbor of ``nodes[i]``), ``has_edges(u, v)`` and, in the scalar test
+reference only, ``neighbors(node)``.  :class:`~repro.graph.Graph` answers
+from its CSR arrays, :class:`~repro.graph.sharded.ShardedGraph` shard by
+shard.  Every draw is one vectorized call over the whole frontier in walk
+order whose arguments depend only on degrees and the seam's answers, so a
+``ShardedGraph`` walks byte-identically to its in-memory twin under any
+shard count and any ``p``/``q``.
 
 The scalar :func:`repro.graph.random_walk.node2vec_walk` and
 :func:`repro.graph.random_walk.uniform_random_walk` remain as reference
@@ -34,56 +41,29 @@ from typing import Sequence, TYPE_CHECKING
 import numpy as np
 
 from ..obs import trace
-from .graph import Graph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .graph import Graph
     from .sharded import ShardedGraph
 
-__all__ = ["WalkEngine", "ShardedWalkEngine"]
+__all__ = ["WalkEngine"]
 
 
 class WalkEngine:
     """Vectorized multi-walk sampler bound to one (immutable) graph.
 
-    Construction is cheap — the engine only views the graph's CSR arrays —
-    so :meth:`Graph.walk_engine` caches one instance per graph.  The edge
-    key array used for batched adjacency queries is built lazily on the
-    first biased (``p != 1`` or ``q != 1``) walk.
+    Construction is cheap — the engine copies only the degree vector — so
+    :meth:`Graph.walk_engine` and :meth:`ShardedGraph.walk_engine` cache
+    one instance per graph.
     """
 
-    def __init__(self, graph: Graph, max_rejection_rounds: int = 50):
-        adj = graph.adjacency
+    def __init__(self, graph: "Graph | ShardedGraph",
+                 max_rejection_rounds: int = 50):
         self.graph = graph
         self.num_nodes = graph.num_nodes
-        self.indptr = adj.indptr.astype(np.int64)
-        self.indices = adj.indices.astype(np.int64)
-        self.degrees = np.diff(self.indptr)
+        self.degrees = np.asarray(graph.degrees).astype(np.int64)
         self.max_rejection_rounds = max_rejection_rounds
         self._cumulative_degrees: np.ndarray | None = None
-        self._edge_keys: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # Batched adjacency membership
-    # ------------------------------------------------------------------
-    @property
-    def edge_keys(self) -> np.ndarray:
-        """Sorted ``row * n + col`` keys of all directed edge slots."""
-        if self._edge_keys is None:
-            rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
-                             self.degrees)
-            self._edge_keys = rows * self.num_nodes + self.indices
-        return self._edge_keys
-
-    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Vectorized edge membership: ``out[i] = (u[i], v[i]) in E``."""
-        keys = np.asarray(u, dtype=np.int64) * self.num_nodes \
-            + np.asarray(v, dtype=np.int64)
-        table = self.edge_keys
-        pos = np.searchsorted(table, keys)
-        inside = pos < table.size
-        hit = np.zeros(keys.shape, dtype=bool)
-        hit[inside] = table[pos[inside]] == keys[inside]
-        return hit
 
     # ------------------------------------------------------------------
     # Start batching
@@ -127,6 +107,18 @@ class WalkEngine:
         within = rng.integers(sizes[cls])
         return flat[offsets[cls] + within]
 
+    def _check_starts(self, starts) -> np.ndarray:
+        """``starts`` as int64, or ``ValueError`` unless they are integer
+        node ids in ``[0, num_nodes)``."""
+        starts = np.asarray(starts)
+        if starts.size and (
+                starts.dtype.kind not in "iu" or starts.min() < 0
+                or starts.max() >= self.num_nodes):
+            raise ValueError(
+                f"walk starts must be integer node ids in [0, "
+                f"{self.num_nodes})")
+        return starts.astype(np.int64)
+
     # ------------------------------------------------------------------
     # Walk kernels
     # ------------------------------------------------------------------
@@ -137,9 +129,8 @@ class WalkEngine:
         deg = self.degrees[cur]
         active = deg > 0
         if active.any():
-            src = cur[active]
-            offsets = rng.integers(deg[active])
-            cur[active] = self.indices[self.indptr[src] + offsets]
+            cur[active] = self.graph.neighbor_at(cur[active],
+                                                 rng.integers(deg[active]))
         return cur
 
     def uniform_walks(self, starts: np.ndarray, length: int,
@@ -147,7 +138,7 @@ class WalkEngine:
         """First-order walks from ``starts``; shape ``(len(starts), length)``."""
         if length < 1:
             raise ValueError("walk length must be >= 1")
-        starts = np.asarray(starts, dtype=np.int64)
+        starts = self._check_starts(starts)
         walks = np.empty((starts.size, length), dtype=np.int64)
         walks[:, 0] = starts
         cur = starts.copy()
@@ -171,20 +162,16 @@ class WalkEngine:
         """
         if p <= 0 or q <= 0:
             raise ValueError("node2vec parameters p and q must be positive")
+        if p == 1.0 and q == 1.0:
+            return self.uniform_walks(starts, length, rng)
         if length < 1:
             raise ValueError("walk length must be >= 1")
-        starts = np.asarray(starts, dtype=np.int64)
+        starts = self._check_starts(starts)
         walks = np.empty((starts.size, length), dtype=np.int64)
         walks[:, 0] = starts
         if length == 1:
             return walks
         cur = starts.copy()
-        if p == 1.0 and q == 1.0:
-            with trace.span("walks.uniform", walks=int(starts.size),
-                            length=length):
-                for t in range(1, length):
-                    walks[:, t] = self._uniform_step(cur, rng)
-            return walks
         walks[:, 1] = self._uniform_step(cur, rng)
         inv_p, inv_q = 1.0 / p, 1.0 / q
         w_max = max(inv_p, 1.0, inv_q)
@@ -206,11 +193,12 @@ class WalkEngine:
                         exact_fallbacks += 1
                         break
                     src = cur[pending]
-                    offsets = rng.integers(self.degrees[src])
-                    candidates = self.indices[self.indptr[src] + offsets]
+                    candidates = self.graph.neighbor_at(
+                        src, rng.integers(self.degrees[src]))
                     weights = np.where(
                         candidates == prev[pending], inv_p,
-                        np.where(self.has_edges(candidates, prev[pending]),
+                        np.where(self.graph.has_edges(candidates,
+                                                      prev[pending]),
                                  1.0, inv_q))
                     accepted = rng.random(pending.size) * w_max < weights
                     nxt[pending[accepted]] = candidates[accepted]
@@ -270,20 +258,17 @@ class WalkEngine:
                             inv_p: float, inv_q: float) -> None:
         """One padded-rectangle inverse-CDF draw over ``pending`` walks."""
         src = cur[pending]
-        lo = self.indptr[src]
         deg = self.degrees[src]  # > 0: pending excludes isolated nodes
         cols = np.arange(int(deg.max()))
         valid = cols[None, :] < deg[:, None]
         # Clamp padded slots to each row's first neighbor; their weight
         # is zeroed below so the value never matters.
-        nbrs = self.indices[np.where(valid, lo[:, None] + cols[None, :],
-                                     lo[:, None])]
+        nbrs = self.graph.neighbor_at(src[:, None],
+                                      np.where(valid, cols[None, :], 0))
         prev_col = np.broadcast_to(prev[pending][:, None], nbrs.shape)
         weights = np.where(
             nbrs == prev_col, inv_p,
-            np.where(self.has_edges(nbrs.ravel(),
-                                    prev_col.ravel()).reshape(nbrs.shape),
-                     1.0, inv_q))
+            np.where(self.graph.has_edges(nbrs, prev_col), 1.0, inv_q))
         weights[~valid] = 0.0
         cdf = np.cumsum(weights, axis=1)
         cdf /= cdf[np.arange(pending.size), deg - 1][:, None]
@@ -304,12 +289,11 @@ class WalkEngine:
         one ``rng.random(n)``), so seeded outputs must match exactly.
         """
         for i in pending:
-            lo, hi = self.indptr[cur[i]], self.indptr[cur[i] + 1]
-            nbrs = self.indices[lo:hi]
+            nbrs = np.asarray(self.graph.neighbors(int(cur[i])))
             weights = np.where(
                 nbrs == prev[i], inv_p,
-                np.where(self.has_edges(nbrs,
-                                        np.full(nbrs.size, prev[i])),
+                np.where(self.graph.has_edges(nbrs,
+                                              np.full(nbrs.size, prev[i])),
                          1.0, inv_q))
             cdf = np.cumsum(weights)
             cdf /= cdf[-1]
@@ -325,284 +309,6 @@ class WalkEngine:
             raise ValueError("num_walks must be positive")
         if starts is None:
             starts = self.sample_starts(num_walks, rng)
-        else:
-            starts = np.asarray(starts, dtype=np.int64)
-            if starts.size != num_walks:
-                raise ValueError("starts must have num_walks entries")
-        return self.node2vec_walks(starts, length, rng, p=p, q=q)
-
-
-class ShardedWalkEngine:
-    """Out-of-core lock-step walks over a :class:`ShardedGraph`.
-
-    Each step buckets the walk frontier by the shard owning each walk's
-    current node (ascending shard id, walks in ascending index within a
-    bucket), advances every bucket with the same vectorized kernels as
-    :class:`WalkEngine` against that shard's CSR mmap, then lets crossing
-    walkers land wherever their sampled neighbor lives — the next step's
-    bucketing re-routes them.  Resident memory is therefore
-    O(frontier + hot shards), never O(edges).
-
-    **RNG-stream contract.**  One caller-supplied generator is consumed
-    per lock-step step.  *First-order* (uniform) steps issue the same
-    single ``rng.integers`` call :class:`WalkEngine` makes — over the
-    eligible frontier in ascending walk order — before any bucketing;
-    only the neighbor gathers are routed per shard.  *Biased* rejection
-    rounds run per bucket, ascending shard id with walks in ascending
-    index inside each bucket, issuing exactly the vectorized calls
-    :class:`WalkEngine` makes (one ``rng.integers`` per proposal round,
-    one ``rng.random`` per accept round, one ``rng.random`` per
-    exact-fallback batch).  Consequences:
-
-    * :meth:`sample_starts`, :meth:`uniform_walks` and ``p == q == 1``
-      :meth:`node2vec_walks` are *byte-identical* to
-      :class:`WalkEngine` under **any** shard count (their draws never
-      depend on the bucketing);
-    * biased walks from a **single-shard** layout have one bucket
-      holding all walks in index order, so every draw matches
-      :class:`WalkEngine` exactly — byte-identical given equal
-      generator state;
-    * biased walks from a multi-shard layout are **deterministic**
-      given (layout, seed), but changing the shard count regroups the
-      rejection draws and legitimately yields different (equally
-      distributed) walks.
-    """
-
-    def __init__(self, graph: "ShardedGraph",
-                 max_rejection_rounds: int = 50):
-        self.graph = graph
-        self.num_nodes = graph.num_nodes
-        # O(nodes) working state lives in memory: the global degree
-        # vector and the global CSR row offsets (each shard's slots are
-        # the contiguous range indptr[node] - indptr[shard_start], so no
-        # walk step ever reads a shard's indptr/degrees off disk — only
-        # the O(edges) neighbor ids stay out of core).
-        self.degrees = np.array(graph.degrees, dtype=np.int64)
-        self.indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=self.indptr[1:])
-        self._slot_base = self.indptr[graph.shard_starts[:-1]]
-        # Narrow sort keys get numpy's radix path — the per-step
-        # frontier sort is ~8x cheaper on uint16 than int64.
-        self._owner_dtype = (np.uint16 if graph.num_shards
-                             <= np.iinfo(np.uint16).max else np.int64)
-        self.max_rejection_rounds = max_rejection_rounds
-        self._cumulative_degrees: np.ndarray | None = None
-
-    _EXACT_CELL_BUDGET = WalkEngine._EXACT_CELL_BUDGET
-
-    # -- starts (identical math to WalkEngine.sample_starts) -----------
-    def sample_starts(self, num: int, rng: np.random.Generator,
-                      weight: str = "degree") -> np.ndarray:
-        """Degree-weighted starts; byte-identical to the in-memory
-        engine for any shard count (only the global degree vector is
-        read)."""
-        if weight not in ("degree", "uniform"):
-            raise ValueError("weight must be 'degree' or 'uniform'")
-        total = int(self.degrees.sum())
-        if weight == "uniform" or total == 0:
-            return rng.integers(self.num_nodes, size=num)
-        if self._cumulative_degrees is None:
-            self._cumulative_degrees = np.cumsum(self.degrees)
-        slots = rng.integers(total, size=num)
-        return np.searchsorted(self._cumulative_degrees, slots,
-                               side="right").astype(np.int64)
-
-    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Batched membership, routed shard-by-shard (RNG-free)."""
-        return self.graph.has_edges(u, v)
-
-    # -- frontier bucketing --------------------------------------------
-    def _buckets(self, cur: np.ndarray,
-                 eligible: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """``(shard_id, walk_indices)`` buckets of the eligible frontier,
-        ascending shard id, ascending walk index within each bucket."""
-        idx = np.flatnonzero(eligible)
-        if idx.size == 0:
-            return []
-        owners = self.graph.shard_of(cur[idx]).astype(self._owner_dtype,
-                                                      copy=False)
-        order = np.argsort(owners, kind="stable")
-        idx, owners = idx[order], owners[order]
-        cuts = np.flatnonzero(np.diff(owners)) + 1
-        return [(int(owners[lo]), idx[lo:hi])
-                for lo, hi in zip(np.concatenate([[0], cuts]),
-                                  np.concatenate([cuts, [idx.size]]))]
-
-    # -- kernels (per-bucket twins of the WalkEngine kernels) ----------
-    def _uniform_step(self, cur: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-        """Advance every walk one first-order step in place (lazy stall
-        at isolated nodes).
-
-        The offset draw is the *same single* ``rng.integers`` call
-        :class:`WalkEngine` makes — over the eligible frontier in walk
-        order — and only the neighbor gathers are routed shard by
-        shard, so uniform steps are byte-identical to the in-memory
-        engine under **any** shard count.
-        """
-        deg = self.degrees[cur]
-        idx = np.flatnonzero(deg > 0)
-        if idx.size == 0:
-            return cur
-        src = cur[idx]
-        slots = self.indptr[src] + rng.integers(deg[idx])
-        owners = self.graph.shard_of(src).astype(self._owner_dtype,
-                                                 copy=False)
-        order = np.argsort(owners, kind="stable")
-        idx, owners, slots = idx[order], owners[order], slots[order]
-        cuts = np.flatnonzero(np.diff(owners)) + 1
-        for lo, hi in zip(np.concatenate([[0], cuts]),
-                          np.concatenate([cuts, [idx.size]])):
-            shard_id = int(owners[lo])
-            shard = self.graph.shard(shard_id)
-            cur[idx[lo:hi]] = shard.indices[
-                slots[lo:hi] - self._slot_base[shard_id]]
-        return cur
-
-    def uniform_walks(self, starts: np.ndarray, length: int,
-                      rng: np.random.Generator) -> np.ndarray:
-        """First-order walks; shape ``(len(starts), length)``."""
-        if length < 1:
-            raise ValueError("walk length must be >= 1")
-        starts = np.asarray(starts, dtype=np.int64)
-        walks = np.empty((starts.size, length), dtype=np.int64)
-        walks[:, 0] = starts
-        cur = starts.copy()
-        with trace.span("walks.uniform", walks=int(starts.size),
-                        length=length, engine="sharded"):
-            for t in range(1, length):
-                walks[:, t] = self._uniform_step(cur, rng)
-        return walks
-
-    def node2vec_walks(self, starts: np.ndarray, length: int,
-                       rng: np.random.Generator,
-                       p: float = 1.0, q: float = 1.0) -> np.ndarray:
-        """Biased second-order walks; same weights as the in-memory
-        engine, rejection-sampled per shard bucket."""
-        if p <= 0 or q <= 0:
-            raise ValueError("node2vec parameters p and q must be positive")
-        if length < 1:
-            raise ValueError("walk length must be >= 1")
-        starts = np.asarray(starts, dtype=np.int64)
-        walks = np.empty((starts.size, length), dtype=np.int64)
-        walks[:, 0] = starts
-        if length == 1:
-            return walks
-        cur = starts.copy()
-        if p == 1.0 and q == 1.0:
-            with trace.span("walks.uniform", walks=int(starts.size),
-                            length=length, engine="sharded"):
-                for t in range(1, length):
-                    walks[:, t] = self._uniform_step(cur, rng)
-            return walks
-        walks[:, 1] = self._uniform_step(cur, rng)
-        inv_p, inv_q = 1.0 / p, 1.0 / q
-        w_max = max(inv_p, 1.0, inv_q)
-        with trace.span("walks.biased", walks=int(starts.size),
-                        length=length, p=p, q=q, engine="sharded"):
-            for t in range(2, length):
-                prev = walks[:, t - 2]
-                nxt = cur.copy()
-                buckets = self._buckets(cur, self.degrees[cur] > 0)
-                with trace.span("walks.frontier", t=t,
-                                buckets=len(buckets)):
-                    for shard_id, members in buckets:
-                        self._biased_bucket_step(
-                            self.graph.shard(shard_id), cur, prev,
-                            members, nxt, rng, inv_p, inv_q, w_max)
-                cur = nxt
-                walks[:, t] = cur
-        return walks
-
-    def _biased_bucket_step(self, shard, cur: np.ndarray,
-                            prev: np.ndarray, pending: np.ndarray,
-                            out: np.ndarray, rng: np.random.Generator,
-                            inv_p: float, inv_q: float,
-                            w_max: float) -> None:
-        """Rejection rounds + exact fallback for one shard bucket —
-        the same call sequence as the :class:`WalkEngine` biased loop,
-        restricted to walks currently inside ``shard``."""
-        indices = shard.indices
-        base = self._slot_base[shard.shard_id]
-        rounds = 0
-        while pending.size:
-            if rounds >= self.max_rejection_rounds:
-                self._exact_biased_steps(shard, cur, prev, pending, out,
-                                         rng, inv_p, inv_q)
-                break
-            src = cur[pending]
-            offsets = rng.integers(self.degrees[src])
-            candidates = indices[self.indptr[src] - base + offsets]
-            weights = np.where(
-                candidates == prev[pending], inv_p,
-                np.where(self.has_edges(candidates, prev[pending]),
-                         1.0, inv_q))
-            accepted = rng.random(pending.size) * w_max < weights
-            out[pending[accepted]] = candidates[accepted]
-            pending = pending[~accepted]
-            rounds += 1
-
-    def _exact_biased_steps(self, shard, cur: np.ndarray,
-                            prev: np.ndarray, pending: np.ndarray,
-                            out: np.ndarray, rng: np.random.Generator,
-                            inv_p: float, inv_q: float) -> None:
-        """Chunked exact fallback; same cell budget and chunk cuts as
-        :meth:`WalkEngine._exact_biased_steps`."""
-        deg_all = self.degrees[cur[pending]]
-        start = 0
-        while start < pending.size:
-            stop = start + 1
-            width = int(deg_all[start])
-            while stop < pending.size:
-                next_width = max(width, int(deg_all[stop]))
-                if (stop - start + 1) * next_width > self._EXACT_CELL_BUDGET:
-                    break
-                width = next_width
-                stop += 1
-            self._exact_biased_batch(shard, cur, prev,
-                                     pending[start:stop], out, rng,
-                                     inv_p, inv_q)
-            start = stop
-
-    def _exact_biased_batch(self, shard, cur: np.ndarray,
-                            prev: np.ndarray, pending: np.ndarray,
-                            out: np.ndarray, rng: np.random.Generator,
-                            inv_p: float, inv_q: float) -> None:
-        """Padded-rectangle inverse-CDF draw, arithmetic-identical to
-        :meth:`WalkEngine._exact_biased_batch` on shard-local arrays."""
-        indices = shard.indices
-        src = cur[pending]
-        lo = self.indptr[src] - self._slot_base[shard.shard_id]
-        deg = self.degrees[src]  # > 0: pending excludes isolated nodes
-        cols = np.arange(int(deg.max()))
-        valid = cols[None, :] < deg[:, None]
-        nbrs = indices[np.where(valid, lo[:, None] + cols[None, :],
-                                lo[:, None])]
-        prev_col = np.broadcast_to(prev[pending][:, None], nbrs.shape)
-        weights = np.where(
-            nbrs == prev_col, inv_p,
-            np.where(self.has_edges(nbrs.ravel(),
-                                    prev_col.ravel()).reshape(nbrs.shape),
-                     1.0, inv_q))
-        weights[~valid] = 0.0
-        cdf = np.cumsum(weights, axis=1)
-        cdf /= cdf[np.arange(pending.size), deg - 1][:, None]
-        cdf[~valid] = np.inf
-        u = rng.random(pending.size)
-        choice = (cdf <= u[:, None]).sum(axis=1)
-        out[pending] = nbrs[np.arange(pending.size), choice]
-
-    # ------------------------------------------------------------------
-    def walks(self, num_walks: int, length: int, rng: np.random.Generator,
-              starts: np.ndarray | None = None,
-              p: float = 1.0, q: float = 1.0) -> np.ndarray:
-        """Degree-weighted-start node2vec walks; the engine's front door."""
-        if num_walks <= 0:
-            raise ValueError("num_walks must be positive")
-        if starts is None:
-            starts = self.sample_starts(num_walks, rng)
-        else:
-            starts = np.asarray(starts, dtype=np.int64)
-            if starts.size != num_walks:
-                raise ValueError("starts must have num_walks entries")
+        elif np.size(starts) != num_walks:
+            raise ValueError("starts must have num_walks entries")
         return self.node2vec_walks(starts, length, rng, p=p, q=q)

@@ -37,6 +37,15 @@ def walk_model():
                                 rng=np.random.default_rng(7))
 
 
+def _wait_until(condition, timeout=60.0):
+    """Poll ``condition`` until it holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"condition not met within {timeout}s")
+        time.sleep(0.005)
+
+
 # ----------------------------------------------------------------------
 # ContinuousBatcher
 # ----------------------------------------------------------------------
@@ -436,8 +445,12 @@ class TestServeDaemon:
         thread = threading.Thread(
             target=lambda: box.update(
                 walks=client.generate("toy", 8, length=35, seed=9)))
+        # The daemon counts into the process-wide registry, so wait for
+        # the cumulative counter to pass its value before the request
+        # (not in_system: a fast request may already have left).
+        admitted = daemon.admission.accepted
         thread.start()
-        time.sleep(0.05)  # let the request reach the engine
+        _wait_until(lambda: daemon.admission.accepted > admitted)
         daemon.shutdown()
         thread.join()
         np.testing.assert_array_equal(
@@ -592,8 +605,11 @@ class TestGracefulShutdownSubprocess:
             thread = threading.Thread(
                 target=lambda: box.update(
                     walks=client.generate(key, 32, seed=4)))
+            # signal only once the daemon has admitted the request
+            admitted = client.stats()["admission"]["accepted"]
             thread.start()
-            time.sleep(0.2)  # request reaches the daemon's engine
+            _wait_until(lambda: client.stats()["admission"]["accepted"]
+                        > admitted)
             process.send_signal(signal.SIGTERM)
             thread.join(timeout=60)
             assert not thread.is_alive()

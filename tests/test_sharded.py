@@ -3,9 +3,9 @@
 Covers the ingest pipeline (streaming binning, dedup/self-loop
 semantics, resume/overwrite), the ``ShardedGraph`` read surface
 (manifest, LRU residency, adjacency queries, ``to_graph`` round-trip),
-the ``ShardedWalkEngine`` RNG-stream contract (byte-identity against
-:class:`~repro.graph.WalkEngine` where the contract promises it,
-determinism where it doesn't), and integration with the walk-based
+the walk contract (one :class:`~repro.graph.WalkEngine` walks a
+``ShardedGraph`` byte-identically to its in-memory twin for every shard
+layout and every ``p``/``q``), and integration with the walk-based
 model stack and the CLI.
 """
 
@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.graph import (Graph, ShardedGraph, ShardedWalkEngine,
-                         WalkEngine, ingest_edge_file, ingest_edge_stream,
-                         ingest_graph, ring_of_chords, sample_walks,
-                         synthetic_edge_stream)
+from repro.graph import (Graph, ShardedGraph, WalkEngine,
+                         ingest_edge_file, ingest_edge_stream, ingest_graph,
+                         ring_of_chords, sample_walks, synthetic_edge_stream)
 
 
 def _ring(num_nodes: int) -> Graph:
@@ -207,16 +206,47 @@ class TestShardedGraph:
 # ----------------------------------------------------------------------
 # Walk engine: RNG-stream contract
 # ----------------------------------------------------------------------
+#: shard layouts of the byte-identity contract: (graph, ingest kwargs)
+LAYOUTS = {
+    "shards1": (lambda: ring_of_chords(400, 700, seed=13),
+                dict(num_shards=1)),
+    "shards4": (lambda: ring_of_chords(400, 700, seed=13),
+                dict(num_shards=4)),
+    "shards8": (lambda: ring_of_chords(400, 700, seed=13),
+                dict(num_shards=8)),
+    # one node per shard: every single step crosses a shard boundary
+    "ring_node_per_shard": (lambda: _ring(12), dict(nodes_per_shard=1)),
+    # nodes 8..15 are isolated, so shard 1 of 2 holds no edges
+    "empty_shard": (lambda: Graph.from_edges(
+        16, [(i, i + 1) for i in range(7)]), dict(num_shards=2)),
+}
+
+
 class TestWalkContract:
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.25, 4.0), (4.0, 0.5)])
-    def test_single_shard_byte_identity(self, chord_graph, tmp_path,
-                                        p, q):
-        sharded = ingest_graph(chord_graph, tmp_path / "s", num_shards=1)
-        expected = WalkEngine(chord_graph).walks(
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_byte_identical_to_in_memory(self, tmp_path, layout, p, q):
+        build, kwargs = LAYOUTS[layout]
+        graph = build()
+        sharded = ingest_graph(graph, tmp_path / "s", **kwargs)
+        sharded.max_resident = 2
+        expected = WalkEngine(graph).walks(
             256, 10, np.random.default_rng(42), p=p, q=q)
-        actual = ShardedWalkEngine(sharded).walks(
+        actual = sharded.walk_engine().walks(
             256, 10, np.random.default_rng(42), p=p, q=q)
         np.testing.assert_array_equal(expected, actual)
+
+    @pytest.mark.parametrize("kind", ["graph", "sharded"])
+    def test_out_of_range_starts_rejected(self, tmp_path, kind):
+        graph = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3)])
+        if kind == "sharded":
+            graph = ingest_graph(graph, tmp_path / "s", num_shards=2)
+        rng = np.random.default_rng(0)
+        for starts in ([-1, 0], [0, 6], [1.7, 2.2]):
+            for p, q in [(1.0, 1.0), (0.5, 2.0)]:
+                with pytest.raises(ValueError, match="node ids"):
+                    sample_walks(graph, 2, 5, rng,
+                                 starts=np.array(starts), p=p, q=q)
 
     def test_uniform_walks_byte_identical_any_shard_count(
             self, chord_graph, tmp_path):
@@ -227,7 +257,7 @@ class TestWalkContract:
             sharded = ingest_graph(chord_graph,
                                    tmp_path / f"s{shards}",
                                    num_shards=shards)
-            actual = ShardedWalkEngine(sharded).walks(
+            actual = sharded.walk_engine().walks(
                 300, 12, np.random.default_rng(9))
             np.testing.assert_array_equal(expected, actual)
 
@@ -235,21 +265,13 @@ class TestWalkContract:
                                                    sharded4):
         expected = WalkEngine(chord_graph).sample_starts(
             500, np.random.default_rng(1))
-        actual = ShardedWalkEngine(sharded4).sample_starts(
+        actual = sharded4.walk_engine().sample_starts(
             500, np.random.default_rng(1))
         np.testing.assert_array_equal(expected, actual)
 
-    def test_multi_shard_biased_deterministic(self, sharded4):
-        kwargs = dict(p=0.5, q=2.0)
-        a = ShardedWalkEngine(sharded4).walks(
-            200, 10, np.random.default_rng(3), **kwargs)
-        b = ShardedWalkEngine(sharded4).walks(
-            200, 10, np.random.default_rng(3), **kwargs)
-        np.testing.assert_array_equal(a, b)
-
     def test_multi_shard_biased_steps_are_edges(self, chord_graph,
                                                 sharded4):
-        walks = ShardedWalkEngine(sharded4).walks(
+        walks = sharded4.walk_engine().walks(
             150, 10, np.random.default_rng(8), p=0.25, q=4.0)
         for t in range(1, walks.shape[1]):
             u, v = walks[:, t - 1], walks[:, t]
@@ -266,7 +288,7 @@ class TestWalkContract:
         assert sharded.num_shards == 12
         sharded.max_resident = 2
         expected = WalkEngine(ring).walks(64, 8, np.random.default_rng(2))
-        actual = ShardedWalkEngine(sharded).walks(
+        actual = sharded.walk_engine().walks(
             64, 8, np.random.default_rng(2))
         np.testing.assert_array_equal(expected, actual)
         assert len(sharded.resident_shards()) <= 2
@@ -276,7 +298,7 @@ class TestWalkContract:
         g = Graph.from_edges(16, [(i, i + 1) for i in range(7)])
         sharded = ingest_graph(g, tmp_path / "s", num_shards=2)
         assert sharded.stats()["shard_edges"][1] == 0
-        walks = ShardedWalkEngine(sharded).uniform_walks(
+        walks = sharded.walk_engine().uniform_walks(
             np.array([3, 12]), 6, np.random.default_rng(0))
         assert walks[1].tolist() == [12] * 6  # isolated: stalls
         expected = WalkEngine(g).uniform_walks(
@@ -286,8 +308,7 @@ class TestWalkContract:
     def test_bounded_residency_during_walks(self, chord_graph, tmp_path):
         sharded = ingest_graph(chord_graph, tmp_path / "s", num_shards=8)
         sharded.max_resident = 3
-        ShardedWalkEngine(sharded).walks(200, 10,
-                                         np.random.default_rng(4))
+        sharded.walk_engine().walks(200, 10, np.random.default_rng(4))
         assert len(sharded.resident_shards()) <= 3
 
 
