@@ -8,8 +8,10 @@ which makes cycle-loop training measurably faster now that generation
 is cache-bound.  The seed-stacked (vmap-style) fit path adds a second
 free lunch: a sweep cell's K same-config seeds train as ONE batched
 tensor program (see :mod:`repro.nn.vmap`) with byte-identical per-seed
-results.  The smoke subset gates CI on both speedups and merge-updates
-the trajectory into ``BENCH_train.json`` at the repo root:
+results.  A third smoke records FairGen's float32 generator step
+against a float64 copy of the model, ungated.  The smoke subset gates
+CI on both speedups and merge-updates the trajectory into
+``BENCH_train.json`` at the repo root:
 
     pytest benchmarks/bench_training.py -m smoke
 """
@@ -243,6 +245,89 @@ def test_training_smoke_stacked_fit_beats_per_seed_fits():
     assert speedup > 1.5, (
         f"stacked fit ({stacked_s:.3f}s) must beat {len(seeds)} per-seed "
         f"fits ({sequential_s:.3f}s) by > 1.5x")
+
+
+@pytest.mark.smoke
+def test_training_smoke_walk_lm_step():
+    """Records FairGen's generator step, float32 against float64.
+
+    The walk LM trains in float32.  This smoke times one FairGen
+    generator step at the ``bench`` shapes — a fused pos/neg batch of
+    2 x 32 walks of length 10, dim 32, BLOG's 324-node vocabulary —
+    on the production model and on a float64 copy of it, and records
+    ms and minor page faults per step.  It asserts the dtypes after the
+    step, not a wall-clock ratio.
+    """
+    import copy
+    import resource
+
+    from repro.models.walk_lm import TransformerWalkModel
+    from repro.nn import Adam
+    from repro.train import train_step
+
+    vocab, dim, length, batch, steps = 324, 32, 10, 32, 20
+    rng = np.random.default_rng(21)
+    model32 = TransformerWalkModel(vocab, dim, 4, 1, length, rng)
+    models = {"float32": model32,
+              "float64": copy.deepcopy(model32).astype(np.float64)}
+    optimizers = {name: Adam(m.parameters(), lr=0.01)
+                  for name, m in models.items()}
+    pos = rng.integers(0, vocab, (batch, length))
+    neg = rng.integers(0, vocab, (batch, length))
+
+    def fairgen_step(name):
+        model = models[name]
+
+        def step_loss():
+            pos_ll, neg_ll = model.log_likelihood_pair(pos, neg)
+            floor = float(pos_ll.numpy().mean()) - 2.0
+            penalty = (neg_ll - floor).relu().mean()
+            return -pos_ll.mean() + penalty * 0.1
+
+        return train_step(optimizers[name], list(model.parameters()),
+                          step_loss, clip_norm=5.0)
+
+    def block(name):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        for _ in range(steps):
+            fairgen_step(name)
+        seconds = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return 1e3 * seconds / steps, faults / steps
+
+    for name in models:  # warm BLAS and allocators outside the timings
+        block(name)
+    runs: dict[str, list[tuple[float, float]]] = {n: [] for n in models}
+    for _ in range(5):  # interleaved, so host drift hits both alike
+        for name in models:
+            runs[name].append(block(name))
+    ms = {name: min(r[0] for r in rs) for name, rs in runs.items()}
+    faults = {name: min(r[1] for r in rs) for name, rs in runs.items()}
+
+    for name, model in models.items():
+        dtype = np.dtype(name)
+        assert {p.data.dtype for p in model.parameters()} == {dtype}
+        opt = optimizers[name]
+        assert {buf.dtype for buf in opt._m + opt._v} == {dtype}
+
+    print(f"\n\nTraining smoke — FairGen generator step ({2 * batch} "
+          f"walks x {length}, dim {dim}, V={vocab}): float32 "
+          f"{ms['float32']:.2f} ms / {faults['float32']:.0f} minor faults "
+          f"vs float64 {ms['float64']:.2f} ms / {faults['float64']:.0f} "
+          f"per step ({ms['float64'] / ms['float32']:.2f}x)")
+    _record("training_walk_lm_step_smoke", {
+        "walks": 2 * batch,
+        "walk_length": length,
+        "dim": dim,
+        "vocab": vocab,
+        "steps_per_block": steps,
+        "float32_ms_per_step": round(ms["float32"], 3),
+        "float64_ms_per_step": round(ms["float64"], 3),
+        "float32_minor_faults_per_step": round(faults["float32"], 1),
+        "float64_minor_faults_per_step": round(faults["float64"], 1),
+        "speedup": round(ms["float64"] / ms["float32"], 2),
+    })
 
 
 def _reference_sgns_train(model, walks: np.ndarray, window: int,

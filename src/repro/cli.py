@@ -662,6 +662,7 @@ def _cmd_worker(args) -> int:
 def _cmd_serve(args) -> int:
     import threading
 
+    from .obs.metrics import get_registry
     from .serve.daemon import ServeDaemon
 
     daemon = ServeDaemon(args.cache_dir, host=args.host, port=args.port,
@@ -670,7 +671,7 @@ def _cmd_serve(args) -> int:
                          max_inflight=args.max_inflight,
                          queue_depth=args.queue_depth,
                          request_timeout=args.request_timeout,
-                         verbose=args.verbose)
+                         verbose=args.verbose, registry=get_registry())
     stop = threading.Event()
     _install_drain_handler(lambda signum: stop.set())
     daemon.start()

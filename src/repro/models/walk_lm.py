@@ -6,6 +6,11 @@ architecture (TagGen is likewise a self-attention model over walks).  The
 model is a standard causal LM: a start token, learned node embeddings plus
 sinusoidal positions, ``num_layers`` pre-norm transformer blocks, and a
 softmax over the node vocabulary.
+
+The model is ``float32`` end to end — parameters, activations, gradients,
+Adam moments, KV cache and logits — in training and in decode: its
+training step is bound by arithmetic, and single precision halves the
+bytes every kernel moves.
 """
 
 from __future__ import annotations
@@ -42,6 +47,15 @@ class TransformerWalkModel(Module):
         self.final_norm = LayerNorm(dim)
         self.head = Linear(dim, num_nodes, rng)
         self._positions = sinusoidal_positions(max_length + 1, dim)
+        # The initial weights are the float64 draws of the same RNG
+        # stream, rounded once.
+        self.astype(np.float32)
+
+    def astype(self, dtype) -> "TransformerWalkModel":
+        """Cast the parameters and the position table to ``dtype``."""
+        super().astype(dtype)
+        self._positions = self._positions.astype(dtype)
+        return self
 
     # ------------------------------------------------------------------
     def forward(self, tokens: np.ndarray) -> Tensor:

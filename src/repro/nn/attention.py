@@ -31,8 +31,12 @@ def causal_mask(length: int) -> np.ndarray:
     Memoised per length — training forwards request the same handful of
     lengths thousands of times, so the ``np.triu_indices`` build runs
     once per shape.  The returned array is shared and read-only.
+
+    ``float32``, so it never promotes the ``float32`` walk LM's scores;
+    ``-1e9`` is exact in ``float32``, so a ``float64`` attention adds the
+    same values as before.
     """
-    mask = np.zeros((length, length))
+    mask = np.zeros((length, length), dtype=np.float32)
     mask[np.triu_indices(length, k=1)] = -1e9
     mask.setflags(write=False)
     return mask
@@ -268,7 +272,7 @@ class MultiHeadSelfAttention(Module):
 
         drop = self.attn_dropout
         keep = F.dropout_mask(q.shape[:-1] + (k.shape[-2],), drop.p,
-                              drop.rng, drop.training)
+                              drop.rng, drop.training, dtype=q.data.dtype)
         context = attention(q, k, v, mask, keep)  # (B, H, T, d)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
         return self.out_proj(merged)

@@ -22,6 +22,8 @@ instance, looking the method up at every call so a per-method wrapper
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["Backend", "DECODE_KERNEL",
@@ -54,7 +56,9 @@ def tanh_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
     return grad * (1.0 - out ** 2)
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# Python floats, not NumPy scalars, so a float32 activation stays float32
+# (NEP 50: a NumPy float64 scalar would promote it).
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -242,7 +246,7 @@ class Backend:
         for blk, cache in zip(weights.blocks, caches):
             x = layer_norm(h, *blk.norm1)
             if scale is None:
-                scale = 1.0 / np.sqrt(blk.head_dim)
+                scale = 1.0 / math.sqrt(blk.head_dim)
 
             def split(t: np.ndarray) -> np.ndarray:
                 return t.reshape(batch, length, blk.num_heads,
@@ -276,7 +280,7 @@ class Backend:
         # The head GEMM's shape must match standalone decode exactly
         # (BLAS accumulation order is only guaranteed per identical
         # call), so it runs per request group, never over the batch.
-        logits = np.empty((batch, weights.head[0].shape[1]))
+        logits = np.empty((batch, weights.head[0].shape[1]), dtype=out.dtype)
         for row0, row1, _ in groups:
             logits[row0:row1] = linear(out[row0:row1], *weights.head)
         return logits

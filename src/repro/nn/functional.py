@@ -92,19 +92,23 @@ def mse_loss(pred: Tensor, target: np.ndarray | Tensor,
 
 
 def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator,
-                 training: bool = True) -> np.ndarray | None:
-    """The inverted-dropout multiplier :func:`dropout` applies, or
-    ``None`` where dropout is the identity (eval mode, ``p == 0`` or
-    under ``no_grad``).  Draws one ``rng.random(shape)``."""
+                 training: bool = True,
+                 dtype=np.float64) -> np.ndarray | None:
+    """The inverted-dropout multiplier :func:`dropout` applies, in the
+    activations' ``dtype``, or ``None`` where dropout is the identity
+    (eval mode, ``p == 0`` or under ``no_grad``).  Draws one
+    ``rng.random(shape)``."""
     if not training or p <= 0.0 or not is_grad_enabled():
         return None
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    keep = (rng.random(shape) >= p).astype(dtype)
+    keep /= 1.0 - p
+    return keep
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
             training: bool = True) -> Tensor:
     """Inverted dropout; identity outside training or when ``p == 0``."""
-    keep = dropout_mask(x.shape, p, rng, training)
+    keep = dropout_mask(x.shape, p, rng, training, dtype=x.data.dtype)
     return x if keep is None else x * Tensor(keep)

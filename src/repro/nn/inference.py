@@ -6,10 +6,11 @@ per step, O(T^3) per walk — while also paying :class:`~repro.nn.Tensor`
 graph-bookkeeping overhead it never used (sampling takes no gradients).
 This module is the fast inference path that removes both costs:
 
-* :class:`WalkDecoder` snapshots the raw ``float64`` parameter arrays of
-  a :class:`~repro.models.walk_lm.TransformerWalkModel` and evaluates
-  the network with plain NumPy ops — no ``Tensor`` allocation, no
-  autograd closures, no computation graph;
+* :class:`WalkDecoder` snapshots the raw parameter arrays of a
+  :class:`~repro.models.walk_lm.TransformerWalkModel` and evaluates the
+  network with plain NumPy ops in the model's own dtype (``float32``;
+  its KV caches and logits too) — no ``Tensor`` allocation, no autograd
+  closures, no computation graph;
 * a per-layer :class:`~repro.nn.attention.LayerKVCache` stores the keys
   and values of every position processed so far, so after one *prefill*
   pass over the prompt each *decode step* costs a single forward over

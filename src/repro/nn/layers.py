@@ -83,16 +83,28 @@ class Module:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{params[name].shape} vs {value.shape}")
             value = np.asarray(value)
-            if value.dtype == np.float64 and not value.flags.writeable:
-                # A read-only float64 array (e.g. an mmap-loaded serving
-                # weight) is aliased, not copied: nothing can mutate it
-                # through the parameter, and copying would defeat the
-                # point of memory-mapping — many resident models sharing
-                # the page cache.  Training such a model fails loudly on
-                # the first in-place update.
+            dtype = params[name].data.dtype  # the module's own precision
+            if value.dtype == dtype and not value.flags.writeable:
+                # A read-only array of the parameter's dtype (e.g. an
+                # mmap-loaded serving weight) is aliased, not copied:
+                # nothing can mutate it through the parameter, and
+                # copying would defeat the point of memory-mapping —
+                # many resident models sharing the page cache.  Training
+                # such a model fails loudly on the first in-place update.
                 params[name].data = value
             else:
-                params[name].data = value.astype(np.float64, copy=True)
+                params[name].data = value.astype(dtype, copy=True)
+
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype`` in place; returns ``self``.
+
+        Gradients are dropped.  An optimiser built before the cast keeps
+        moments of the old dtype, so cast first.
+        """
+        for param in self.parameters():
+            param.data = param.data.astype(dtype)
+            param.grad = None
+        return self
 
     # -- mode switching ---------------------------------------------------
     def train(self) -> "Module":

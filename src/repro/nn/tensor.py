@@ -8,8 +8,13 @@ back-propagates gradients through it.
 
 Design notes
 ------------
-* A :class:`Tensor` wraps a ``numpy.ndarray`` (always ``float64`` for
-  numerical robustness of gradient checks) plus an optional gradient buffer.
+* A :class:`Tensor` wraps a ``numpy.ndarray`` plus an optional gradient
+  buffer.  Tensors are dtype-generic over ``float32``/``float64``, as
+  HIPS autograd is: a ``float32`` array stays ``float32``, anything else
+  becomes ``float64``.  The walk LM (:mod:`repro.models.walk_lm`) is the
+  one ``float32`` model; every other model, and every gradient check,
+  runs in ``float64``.  A Python scalar operand is weakly typed, as in
+  NumPy's NEP 50: ``x - 1.0`` keeps ``x``'s dtype.
 * Each operation returns a new tensor that records its parents and a
   ``backward(out)`` function pushing ``out.grad`` into them.
   ``backward()`` runs a topological sort and calls ``node._backward(node)``
@@ -40,6 +45,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -91,9 +97,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _as_array(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return value.astype(np.float64, copy=False)
-    return np.asarray(value, dtype=np.float64)
+    """``value`` as a float array: ``float32`` data (an array, or the
+    NumPy scalar a full reduction returns) keeps its dtype without a
+    copy; everything else becomes ``float64``."""
+    array = np.asarray(value)
+    if array.dtype == np.float32:
+        return array
+    return array.astype(np.float64, copy=False)
 
 
 class Tensor:
@@ -102,7 +112,8 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload; converted to ``float64``.
+        Array-like payload; a ``float32`` array is kept, anything else is
+        converted to ``float64``.
     requires_grad:
         Whether gradients should be accumulated into ``self.grad`` during
         :meth:`backward`.
@@ -163,8 +174,15 @@ class Tensor:
     # Graph construction helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _lift(value) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
+    def _lift(value, dtype=np.float64) -> "Tensor":
+        """``value`` as a Tensor.  A Python scalar (``np.float64`` is one)
+        takes ``dtype`` — the other operand's — so it never promotes a
+        ``float32`` op to ``float64``."""
+        if isinstance(value, Tensor):
+            return value
+        if isinstance(value, (int, float)):
+            return Tensor(np.asarray(value, dtype=dtype))
+        return Tensor(value)
 
     def _make(self, data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[["Tensor"], None] | None) -> "Tensor":
@@ -200,7 +218,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = self._lift(other)
+        other = self._lift(other, self.data.dtype)
 
         def backward(out: Tensor) -> None:
             self._accumulate(_unbroadcast(out.grad, self.shape))
@@ -218,7 +236,7 @@ class Tensor:
         return self._make(np.negative(self.data), (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        other = self._lift(other)
+        other = self._lift(other, self.data.dtype)
 
         def backward(out: Tensor) -> None:
             self._accumulate(_unbroadcast(out.grad, self.shape))
@@ -228,10 +246,10 @@ class Tensor:
                           (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
-        return self._lift(other) - self
+        return self._lift(other, self.data.dtype) - self
 
     def __mul__(self, other) -> "Tensor":
-        other = self._lift(other)
+        other = self._lift(other, self.data.dtype)
 
         def backward(out: Tensor) -> None:
             self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
@@ -243,7 +261,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = self._lift(other)
+        other = self._lift(other, self.data.dtype)
 
         def backward(out: Tensor) -> None:
             self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
@@ -254,7 +272,7 @@ class Tensor:
                           (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return self._lift(other) / self
+        return self._lift(other, self.data.dtype) / self
 
     def __pow__(self, exponent) -> "Tensor":
         if isinstance(exponent, Tensor):
@@ -287,7 +305,7 @@ class Tensor:
         return self._make(np.power(self.data, exponent), (self,), backward)
 
     def __rpow__(self, base) -> "Tensor":
-        return self._lift(base) ** self
+        return self._lift(base, self.data.dtype) ** self
 
     def __matmul__(self, other) -> "Tensor":
         other = self._lift(other)
@@ -424,7 +442,7 @@ class Tensor:
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
                 value = np.expand_dims(value, axis)
-            mask = (self.data == value).astype(np.float64)
+            mask = (self.data == value).astype(self.data.dtype)
             mask /= mask.sum(axis=axis, keepdims=True)
             self._accumulate(mask * grad)
 
@@ -642,8 +660,11 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     flat = ids.ravel()
 
     def backward(out: Tensor) -> None:
+        # ``bincount`` always sums in float64; the gradient takes the
+        # weight's dtype.
         weight._accumulate(kernels.scatter_rows(
-            flat, out.grad.reshape(flat.size, -1), weight.shape[0]))
+            flat, out.grad.reshape(flat.size, -1), weight.shape[0])
+            .astype(weight.data.dtype, copy=False))
 
     return weight._make(weight.data[ids], (weight,), backward)
 
@@ -658,7 +679,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     inverted-dropout multiplier over the attention weights (see
     :func:`repro.nn.functional.dropout_mask`) or ``None``.
     """
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(q.shape[-1])  # a Python float: no upcast
     scores = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
     if mask is not None:
         scores += mask

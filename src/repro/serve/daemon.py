@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ..obs import trace
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import MetricsRegistry
 from .engine import ContinuousBatcher, serve_walks
 
 __all__ = ["ModelHouse", "AdmissionControl", "ServeDaemon", "ServeError"]
@@ -428,10 +428,12 @@ class ServeDaemon:
                  request_timeout: float = 120.0,
                  verbose: bool = False,
                  registry: MetricsRegistry | None = None) -> None:
-        # The daemon defaults to the process-wide registry so one
-        # `GET /metrics` scrape covers every layer (engines, admission,
-        # Runner, Trainer); pass a private registry to isolate.
-        self.registry = registry if registry is not None else get_registry()
+        # Each daemon counts into its own registry unless one is passed,
+        # so `/stats`, `/metrics` and `admission` describe this daemon
+        # alone.  `repro serve` passes the process-wide registry, so its
+        # `GET /metrics` scrape covers every layer (Trainer included).
+        self.registry = (registry if registry is not None
+                         else MetricsRegistry())
         self.house = ModelHouse(cache_dir, max_models=max_models,
                                 max_walks=max_walks,
                                 registry=self.registry)
@@ -622,7 +624,8 @@ class ServeDaemon:
             with self._eval_lock:
                 if self._eval_runner is None:
                     self._eval_runner = Runner(
-                        cache_dir=self.house.cache_dir)
+                        cache_dir=self.house.cache_dir,
+                        registry=self.registry)
                 result = self._eval_runner._load_from_disk(
                     spec, with_metrics=True)
             if result is not None and result.metrics is not None:

@@ -68,7 +68,9 @@ __all__ = ["TrainCallback", "TrainControl", "TrainState", "Trainer",
            "CHECKPOINT_FORMAT"]
 
 #: bump when the on-disk checkpoint layout changes incompatibly
-CHECKPOINT_FORMAT = "train-ckpt-v1"
+#: (v2: the walk LM's parameters and Adam moments are float32, so a v1
+#: float64 checkpoint would resume a fit no cold run reproduces)
+CHECKPOINT_FORMAT = "train-ckpt-v2"
 
 
 # ----------------------------------------------------------------------

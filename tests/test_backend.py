@@ -10,6 +10,7 @@ training parity pins (``tests/fixtures/train_parity.json``).
 
 from __future__ import annotations
 
+import copy
 import gc
 import importlib.util
 import json
@@ -181,7 +182,8 @@ def _reference_log_likelihood(model, walks, lengths=None):
     mask = F.one_hot(targets, model.num_nodes)
     if lengths is not None:
         mask = mask * (np.arange(length)[None, :] < lengths[:, None])[..., None]
-    return (log_probs * Tensor(mask)).sum(axis=-1).sum(axis=-1)
+    return (log_probs * Tensor(mask.astype(log_probs.data.dtype))
+            ).sum(axis=-1).sum(axis=-1)
 
 
 class TestCompoundOps:
@@ -193,6 +195,15 @@ class TestCompoundOps:
         model = _walk_model(rng, dropout)
         walks = rng.integers(0, 9, (5, 6))
         lengths = np.array([6, 4, 6, 1, 5]) if with_lengths else None
+        # The float32 production model: the forwards run the same floats.
+        start = _rng_state(model).state
+        fused = model.log_likelihood(walks, lengths=lengths)
+        _rng_state(model).state = start
+        reference = _reference_log_likelihood(model, walks, lengths)
+        assert fused.data.dtype == np.float32
+        assert np.array_equal(fused.data, reference.data)
+        # The gradients, at float64 tolerances, on a float64 copy.
+        model = copy.deepcopy(model).astype(np.float64)
         start = _rng_state(model).state
         fused = model.log_likelihood(walks, lengths=lengths)
         fused.sum().backward()

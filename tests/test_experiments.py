@@ -14,6 +14,7 @@ from repro.experiments import (ExperimentSpec, Runner, Supervision,
                                benchmark_model_names, create_model,
                                display_name, get_entry, model_names,
                                profile_names)
+from repro.experiments.runner import CACHE_FORMAT
 from repro.graph import Graph
 from repro.models import GraphGenerativeModel
 from repro.models.random_models import ERModel
@@ -325,6 +326,28 @@ class TestRunner:
                               overrides={"shape": [32, 16]})
         assert hash(spec) is not None
         assert spec.override_dict["shape"] == (32, 16)
+
+    def test_previous_cache_format_is_refit(self, tmp_path):
+        # A run-cache-v3 entry holds a float64 walk LM and the metrics
+        # measured on it: it is refit, never loaded into float32.
+        spec = ExperimentSpec(model="taggen", dataset=SMALLEST,
+                              profile="smoke")
+        Runner(cache_dir=tmp_path).run(spec, with_metrics=True)
+        meta_path = tmp_path / f"{spec.cache_key()}.json"
+        metadata = json.loads(meta_path.read_text())
+        metadata["format"] = "run-cache-v3"
+        metadata["metrics"]["overall_mean"] = -1.0
+        meta_path.write_text(json.dumps(metadata))
+        stale = Runner(cache_dir=tmp_path).run(spec, with_metrics=True,
+                                               need_model=True)
+        assert not stale.from_cache
+        assert stale.metrics["overall_mean"] != -1.0
+        assert json.loads(meta_path.read_text())["format"] == CACHE_FORMAT
+        # The rewritten entry loads, weights still float32.
+        warm = Runner(cache_dir=tmp_path).run(spec, need_model=True)
+        assert warm.from_cache
+        assert {p.data.dtype for p in warm.model.model.parameters()} \
+            == {np.dtype(np.float32)}
 
     def test_corrupt_cache_entry_recomputes(self, tmp_path):
         runner = Runner(cache_dir=tmp_path)

@@ -9,6 +9,8 @@ slow path that recomputes the full prefix every step.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,14 @@ class TestLayerKVCache:
 class TestWalkDecoder:
     def test_prefill_then_steps_match_forward_logits(self, model):
         tokens = np.array([[30, 3, 7, 1, 12], [30, 9, 9, 2, 0]])
+        # The float32 production model: a whole-prompt prefill runs the
+        # forward's floats exactly.
+        want = model.forward(tokens).numpy()[:, -1, :]
+        got = WalkDecoder(model).prefill(tokens)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+        # Steps reshape the GEMMs: float64 tolerance, on a float64 copy.
+        model = copy.deepcopy(model).astype(np.float64)
         want = model.forward(tokens).numpy()[:, -1, :]
 
         decoder = WalkDecoder(model)

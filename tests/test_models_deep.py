@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ class TestWalkLM:
         pos = rng.integers(0, 9, size=(5, 6))
         neg = rng.integers(0, 9, size=(5, 6))
 
-        def loss_grads(fused: bool):
+        def loss_grads(model, fused: bool):
             for p in model.parameters():
                 p.grad = None
             if fused:
@@ -107,8 +109,12 @@ class TestWalkLM:
             loss.backward()
             return loss.item(), [p.grad.copy() for p in model.parameters()]
 
-        fused_loss, fused_grads = loss_grads(True)
-        ref_loss, ref_grads = loss_grads(False)
+        # The float32 production model: the loss is exactly equal.
+        assert loss_grads(model, True)[0] == loss_grads(model, False)[0]
+        # The gradients, at float64 tolerances, on a float64 copy.
+        model = copy.deepcopy(model).astype(np.float64)
+        fused_loss, fused_grads = loss_grads(model, True)
+        ref_loss, ref_grads = loss_grads(model, False)
         assert fused_loss == pytest.approx(ref_loss, abs=0)
         # Weight gradients contract over the batch axis — one 2B-row
         # reduction fused vs two B-row reductions summed — so they can

@@ -360,6 +360,21 @@ class TestServeDaemon:
         assert stats["admission"]["completed"] >= 1
         assert stats["engines"]["toy"]["completed"] >= 1
 
+    def test_daemons_count_independently(self, daemon, walk_model):
+        other = ServeDaemon(None, port=0, max_walks=64)
+        other.house.adopt("toy", walk_model)
+        other.start()
+        try:
+            ServeClient(daemon.url).generate("toy", 2, length=5, seed=0)
+            ServeClient(daemon.url).generate("toy", 2, length=5, seed=1)
+            ServeClient(other.url).generate("toy", 2, length=5, seed=2)
+            assert daemon.admission.accepted == 2
+            assert other.admission.accepted == 1
+            assert ServeClient(other.url).stats()["admission"]["accepted"] \
+                == 1
+        finally:
+            other.shutdown()
+
     def test_unknown_model_is_404(self, daemon):
         with pytest.raises(ServeClientError) as err:
             ServeClient(daemon.url).generate("missing", 2)
@@ -445,12 +460,10 @@ class TestServeDaemon:
         thread = threading.Thread(
             target=lambda: box.update(
                 walks=client.generate("toy", 8, length=35, seed=9)))
-        # The daemon counts into the process-wide registry, so wait for
-        # the cumulative counter to pass its value before the request
-        # (not in_system: a fast request may already have left).
-        admitted = daemon.admission.accepted
+        # Wait until the daemon has admitted the request (not in_system:
+        # a fast request may already have left).
         thread.start()
-        _wait_until(lambda: daemon.admission.accepted > admitted)
+        _wait_until(lambda: daemon.admission.accepted >= 1)
         daemon.shutdown()
         thread.join()
         np.testing.assert_array_equal(
@@ -606,10 +619,9 @@ class TestGracefulShutdownSubprocess:
                 target=lambda: box.update(
                     walks=client.generate(key, 32, seed=4)))
             # signal only once the daemon has admitted the request
-            admitted = client.stats()["admission"]["accepted"]
             thread.start()
             _wait_until(lambda: client.stats()["admission"]["accepted"]
-                        > admitted)
+                        >= 1)
             process.send_signal(signal.SIGTERM)
             thread.join(timeout=60)
             assert not thread.is_alive()
