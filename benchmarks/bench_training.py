@@ -1,17 +1,14 @@
-"""Training-path benchmark: grad-free scoring, checkpoints, stacked fits.
+"""Training-path benchmark: grad-free scoring, checkpoints, the walk LM step.
 
 FairGen's self-paced cycle scores the discriminator over *all* nodes
 every cycle (the Eq. 14 vector update and the pseudo-label harvest
 share one ``predict_log_proba`` pass).  Since PR 5 that pass runs under
 ``no_grad()`` — identical floats, but no autograd graph construction —
 which makes cycle-loop training measurably faster now that generation
-is cache-bound.  The seed-stacked (vmap-style) fit path adds a second
-free lunch: a sweep cell's K same-config seeds train as ONE batched
-tensor program (see :mod:`repro.nn.vmap`) with byte-identical per-seed
-results.  A third smoke records FairGen's float32 generator step
-against a float64 copy of the model, ungated.  The smoke subset gates
-CI on both speedups and merge-updates the trajectory into
-``BENCH_train.json`` at the repo root:
+is cache-bound.  Another smoke records FairGen's float32 generator
+step against a float64 copy of the model, ungated.  The smoke subset
+gates CI and merge-updates the trajectory into ``BENCH_train.json`` at
+the repo root:
 
     pytest benchmarks/bench_training.py -m smoke
 """
@@ -173,78 +170,6 @@ def test_training_smoke_checkpoint_round_trip_is_cheap_and_exact():
         assert round_trip < 1.0
     finally:
         path.unlink(missing_ok=True)
-
-
-@pytest.mark.smoke
-def test_training_smoke_stacked_fit_beats_per_seed_fits():
-    """CI gate on the seed-stacked (vmap-style) fit path.
-
-    A sweep cell's K=5 same-config GAE fits run as one batched tensor
-    program: the autograd tape records one op per epoch step instead of
-    K, so in the overhead-bound regime of the paper's small graphs the
-    stack runs well over 2x faster than the per-seed loop.  The gate
-    asserts >= 1.5x — and, crucially, that every seed's fitted
-    parameters, loss history and post-fit RNG state are byte-identical
-    to its sequential fit: the speedup is an execution strategy, not an
-    approximation.
-    """
-    from repro.graph import planted_protected_graph
-    from repro.models import GAEModel
-
-    seeds = [11, 23, 35, 47, 59]
-    num_nodes, epochs = 32, 30
-    rng = np.random.default_rng(7)
-    graph, _, _ = planted_protected_graph(num_nodes, 8, rng, p_in=0.25,
-                                          p_out=0.03, num_classes=2,
-                                          protected_as_class=True)
-
-    def build():
-        return GAEModel(epochs=epochs, hidden=16, latent=8)
-
-    def per_seed():
-        out = []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            out.append((build().fit(graph, rng), rng))
-        return out
-
-    def stacked():
-        models = [build() for _ in seeds]
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        GAEModel.fit_stacked(models, graph, rngs)
-        return list(zip(models, rngs))
-
-    stacked()  # warm BLAS and allocators outside the timings
-    per_seed()
-    sequential_s = _best_of(per_seed, trials=3)
-    stacked_s = _best_of(stacked, trials=3)
-
-    # Byte-identity across the whole per-seed surface.
-    for (seq, seq_rng), (stk, stk_rng) in zip(per_seed(), stacked()):
-        assert seq.loss_history == stk.loss_history
-        seq_state, stk_state = seq.state_dict(), stk.state_dict()
-        assert seq_state.keys() == stk_state.keys()
-        for name in seq_state:
-            np.testing.assert_array_equal(seq_state[name], stk_state[name])
-        assert seq_rng.bit_generator.state == stk_rng.bit_generator.state
-
-    speedup = sequential_s / max(stacked_s, 1e-9)
-    print(f"\n\nTraining smoke — K={len(seeds)} GAE fits "
-          f"(n={num_nodes}, epochs={epochs}): per-seed {sequential_s:.3f}s "
-          f"vs stacked {stacked_s:.3f}s ({speedup:.2f}x)")
-
-    _record("training_stacked_fit_smoke", {
-        "num_nodes": num_nodes,
-        "epochs": epochs,
-        "num_seeds": len(seeds),
-        "per_seed_seconds": round(sequential_s, 4),
-        "stacked_seconds": round(stacked_s, 4),
-        "speedup": round(speedup, 2),
-    })
-
-    assert speedup > 1.5, (
-        f"stacked fit ({stacked_s:.3f}s) must beat {len(seeds)} per-seed "
-        f"fits ({sequential_s:.3f}s) by > 1.5x")
 
 
 @pytest.mark.smoke

@@ -152,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "and wait for external `repro worker` fleets)")
     swp.add_argument("--with-metrics", action="store_true",
                      help="compute the discrepancy scoreboard per spec")
-    swp.add_argument("--stack-seeds", action="store_true",
-                     help="collapse each eligible grid cell's seed axis "
-                          "into ONE vmap-style stacked fit before "
-                          "submission (per-seed artifacts land under "
-                          "their ordinary cache keys; workers then "
-                          "replay them with zero refits)")
     swp.add_argument("--submit-only", action="store_true",
                      help="enqueue the grid and exit without waiting")
     swp.add_argument("--lease-timeout", type=float, default=None,
@@ -549,7 +543,7 @@ def _cmd_sweep(args) -> int:
     try:
         report = sweep_api.run_sweep(
             specs, args.queue_dir, args.cache_dir, workers=args.workers,
-            with_metrics=args.with_metrics, stack_seeds=args.stack_seeds,
+            with_metrics=args.with_metrics,
             lease_timeout=args.lease_timeout, max_retries=args.max_retries,
             timeout=args.timeout, allow_surrogate=args.surrogate_labels,
             progress=progress)

@@ -53,7 +53,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -168,13 +168,6 @@ class RunResult:
     #: ``{"overall": {...}, "overall_mean": float, "protected": ...}``
     #: when the run was executed with ``with_metrics=True``
     metrics: dict | None = None
-    #: raw wall-clock of the *whole* stacked fit this seed rode in (the
-    #: per-seed ``fit_seconds`` is the amortised share, raw / K), and K
-    #: itself — ``None`` for ordinary per-seed fits.  Persisted in the
-    #: sidecar so stacking speedup is reconstructable from sidecars
-    #: alone: ``sum(per-seed sequential fits) / stacked_fit_seconds``.
-    stacked_fit_seconds: float | None = None
-    stacked_size: int | None = None
 
     @property
     def total_seconds(self) -> float:
@@ -282,13 +275,21 @@ class Runner:
         (overall, and protected when the dataset has — possibly
         surrogate — supervision).
         """
-        warm = self._warm(spec, need_model=need_model,
-                          with_metrics=with_metrics)
-        if warm is not None:
-            return warm
+        cached = self._memory.get(spec)
+        if cached is not None and (cached.model is not None
+                                   or not need_model):
+            self._m_hits.inc(layer="memory")
+            if with_metrics:
+                self._ensure_metrics(spec, cached)
+            return cached
+        disk = self._load_from_disk(spec, with_metrics,
+                                    need_model=need_model)
+        if disk is not None:
+            self._m_hits.inc(layer="disk")
+            self._memory[spec] = disk
+            return disk
 
         self._m_misses.inc()
-        cached = self._memory.get(spec)
         result = self._execute(spec)
         # Carry metrics already computed for this artifact (in memory or
         # in the cache sidecar) across a need_model refit.
@@ -311,149 +312,6 @@ class Runner:
         """
         return [self.run(spec, need_model=need_model,
                          with_metrics=with_metrics) for spec in specs]
-
-    def _warm(self, spec: ExperimentSpec, *, need_model: bool,
-              with_metrics: bool) -> RunResult | None:
-        """The memory-cache hit, else the disk replay, else ``None``.
-
-        A memory entry without a fitted model does not satisfy
-        ``need_model``; the disk replay then restores the model from the
-        ``.model.npz`` archive.
-        """
-        cached = self._memory.get(spec)
-        if cached is not None and (cached.model is not None
-                                   or not need_model):
-            self._m_hits.inc(layer="memory")
-            if with_metrics:
-                self._ensure_metrics(spec, cached)
-            return cached
-        disk = self._load_from_disk(spec, with_metrics,
-                                    need_model=need_model)
-        if disk is not None:
-            self._m_hits.inc(layer="disk")
-            self._memory[spec] = disk
-        return disk
-
-    # ------------------------------------------------------------------
-    # Seed-stacked execution
-    # ------------------------------------------------------------------
-    def stackable(self, specs: Sequence[ExperimentSpec]) -> bool:
-        """Whether ``specs`` form a seed-stackable grid cell.
-
-        A cell stacks when its specs differ *only* in seed, there are at
-        least two of them, and the model opts into ``fit_stacked`` while
-        taking no supervision (per-seed supervision streams would differ
-        across the stack, breaking per-seed reproducibility).
-        """
-        specs = list(specs)
-        if len(specs) < 2:
-            return False
-        head = specs[0]
-        cell = (head.model, head.dataset, head.profile, head.overrides)
-        if any((s.model, s.dataset, s.profile, s.overrides) != cell
-               for s in specs[1:]):
-            return False
-        if len({s.seed for s in specs}) != len(specs):
-            return False
-        entry = get_entry(head.model)
-        if entry.needs_supervision:
-            return False
-        return entry.build(head.profile, head.override_dict) \
-            .supports_stacked_fit
-
-    def run_stacked(self, specs: Sequence[ExperimentSpec], *,
-                    need_model: bool = False,
-                    with_metrics: bool = False) -> list[RunResult]:
-        """Execute one grid cell's seeds as a single stacked fit.
-
-        The K specs must differ only in seed.  Cache-warm seeds are
-        served without fitting; the misses train as ONE vmap-style
-        tensor program (:meth:`GraphGenerativeModel.fit_stacked`) and
-        unstack into per-seed artifacts stored under the *same* cache
-        keys the per-seed path uses — a later ``run`` of any seed, here
-        or in a sweep worker, replays them indistinguishably.  Cells
-        that cannot stack (single seed, supervision, unsupported model)
-        degrade to sequential :meth:`run` calls.
-        """
-        warm = [self._warm(spec, need_model=need_model,
-                           with_metrics=with_metrics) for spec in specs]
-        pending = [spec for spec, hit in zip(specs, warm) if hit is None]
-        if self.stackable(pending):
-            self._execute_stacked(pending)
-        # Stacked seeds now replay from memory; other misses fit per-seed.
-        return [hit if hit is not None
-                else self.run(spec, need_model=need_model,
-                              with_metrics=with_metrics)
-                for spec, hit in zip(specs, warm)]
-
-    def _execute_stacked(self, specs: list[ExperimentSpec]) -> None:
-        """Fit a cell's pending seeds as one stacked program and store
-        each seed's artifacts exactly as :meth:`_execute` would."""
-        entry = get_entry(specs[0].model)
-        data = self.dataset(specs[0].dataset)
-        models = [entry.build(spec.profile, spec.override_dict)
-                  for spec in specs]
-        rngs = [spec.rng(stream=0) for spec in specs]
-
-        control = None
-        if self.cache_dir is not None:
-            from ..train import TrainControl
-
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            control = TrainControl(
-                checkpoint_path=self.stacked_checkpoint_path(specs),
-                min_save_interval=self.checkpoint_interval,
-                tag=self._stamp(specs[0]))
-
-        head = specs[0]
-        start = time.perf_counter()
-        with trace.span("runner.fit_stacked", model=head.model,
-                        dataset=head.dataset, stack=len(specs)):
-            type(models[0]).fit_stacked(models, data.graph, rngs,
-                                        control=control)
-        # The stack shares one fit; bill each seed its amortised share,
-        # but keep the raw wall clock too so the speedup over K
-        # sequential fits is reconstructable from sidecars alone.
-        stacked_seconds = time.perf_counter() - start
-        fit_seconds = stacked_seconds / len(specs)
-        self._m_fits.inc(len(specs), model=head.model)
-        self._m_fit_seconds.observe(stacked_seconds, model=head.model)
-        self.registry.counter(
-            "runner_stacked_fits_total",
-            "Seed-stacked fit programs executed").inc(model=head.model)
-
-        for spec, model, rng in zip(specs, models, rngs):
-            start = time.perf_counter()
-            with trace.span("runner.generate", model=spec.model,
-                            dataset=spec.dataset, seed=spec.seed):
-                generated = model.generate(rng)
-            generate_seconds = time.perf_counter() - start
-            self._m_generates.inc(model=spec.model)
-            self._m_generate_seconds.observe(generate_seconds,
-                                             model=spec.model)
-            self._store(spec, RunResult(
-                spec=spec, generated=generated, fit_seconds=fit_seconds,
-                generate_seconds=generate_seconds, from_cache=False,
-                model=model, stacked_fit_seconds=stacked_seconds,
-                stacked_size=len(specs)))
-        if control is not None:
-            Path(control.checkpoint_path).unlink(missing_ok=True)
-
-    def stacked_checkpoint_path(self,
-                                specs: Sequence[ExperimentSpec]) -> Path:
-        """Cell-level ``.stacked.ckpt.npz`` path for a stacked fit.
-
-        Keyed by the cell plus the ordered seed list, so the same cell
-        stacked over the same seeds resumes its checkpoint and any other
-        seed set trains separately.
-        """
-        head = specs[0]
-        digest = zlib.crc32(json.dumps(
-            [[s.seed for s in specs], head.overrides],
-            sort_keys=True, default=str).encode())
-        key = (f"{head.model}__{head.dataset}__{head.profile}"
-               f"__stack{len(specs)}_{digest:08x}")
-        return self.cache_dir / f"{key}.stacked.ckpt.npz"
 
     # ------------------------------------------------------------------
     def _execute(self, spec: ExperimentSpec) -> RunResult:
@@ -612,20 +470,12 @@ class Runner:
         except (ValueError, KeyError, OSError, json.JSONDecodeError,
                 zipfile.BadZipFile):
             return None  # corrupt entry: treat as a miss and recompute
-        stacked = metadata.get("stacked_fit_seconds")
-        stacked_size = metadata.get("stacked_size")
         result = RunResult(spec=spec, generated=generated,
                            fit_seconds=float(metadata["fit_seconds"]),
                            generate_seconds=float(
                                metadata["generate_seconds"]),
                            from_cache=True, model=model,
-                           metrics=metadata.get("metrics"),
-                           stacked_fit_seconds=(float(stacked)
-                                                if stacked is not None
-                                                else None),
-                           stacked_size=(int(stacked_size)
-                                         if stacked_size is not None
-                                         else None))
+                           metrics=metadata.get("metrics"))
         if with_metrics:
             self._ensure_metrics(spec, result)
         return result
@@ -665,12 +515,6 @@ class Runner:
             "num_edges": result.generated.num_edges,
             "metrics": result.metrics,
         }
-        if result.stacked_fit_seconds is not None:
-            # Raw wall clock of the whole stacked fit (fit_seconds above
-            # is the amortised share): speedup = K * mean(sequential
-            # fit_seconds) / stacked_fit_seconds, from sidecars alone.
-            metadata["stacked_fit_seconds"] = result.stacked_fit_seconds
-            metadata["stacked_size"] = result.stacked_size
         if metadata["metrics"] is None:
             # e.g. a need_model=True refit: don't erase metrics a prior
             # with_metrics run already paid for on the same artifact.

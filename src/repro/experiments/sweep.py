@@ -33,7 +33,7 @@ from .runner import ExperimentSpec, Runner, RunResult
 from .scheduler import JobQueue, LocalWorkerPool, QueueError
 from .supervision import FEW_SHOT_PER_CLASS
 
-__all__ = ["expand", "grid", "run_sweep", "stack_cells", "SweepReport"]
+__all__ = ["expand", "grid", "run_sweep", "SweepReport"]
 
 #: axes that map onto ExperimentSpec fields; all other axes are
 #: hyperparameter-override axes
@@ -215,29 +215,11 @@ class SweepReport:
         return rows
 
 
-def stack_cells(specs: Sequence[ExperimentSpec]
-                ) -> list[list[ExperimentSpec]]:
-    """Group a spec batch into seed-stackable grid cells.
-
-    Returns the sub-batches (in first-appearance order) whose members
-    differ only in seed and have at least two seeds — the candidate
-    cells for a :meth:`Runner.run_stacked` fit.  Eligibility of the
-    *model* (``supports_stacked_fit``, supervision) is the Runner's
-    call; this is pure grouping.
-    """
-    groups: dict[tuple, list[ExperimentSpec]] = {}
-    for spec in specs:
-        key = (spec.model, spec.dataset, spec.profile, spec.overrides)
-        groups.setdefault(key, []).append(spec)
-    return [cell for cell in groups.values() if len(cell) >= 2]
-
-
 def run_sweep(specs: Iterable[ExperimentSpec],
               queue_dir: str | os.PathLike,
               cache_dir: str | os.PathLike, *,
               workers: int = 2,
               with_metrics: bool = False,
-              stack_seeds: bool = False,
               lease_timeout: float | None = None,
               max_retries: int | None = None,
               poll: float = 0.25,
@@ -256,15 +238,6 @@ def run_sweep(specs: Iterable[ExperimentSpec],
     store each serialisable one in the cache, where :meth:`Runner.run`
     on the same ``cache_dir`` restores it with zero fits.
 
-    ``stack_seeds`` collapses the seed axis of eligible grid cells
-    before submission: each cell whose model supports stacked fits
-    trains its K seeds as ONE vmap-style tensor program
-    (:meth:`Runner.run_stacked`), warming the shared artifact cache
-    with per-seed artifacts under their ordinary cache keys — the
-    submitted jobs then replay from cache, so workers perform zero
-    refits for stacked cells.  Ineligible cells are untouched and
-    train per-seed in the fleet as before.
-
     Returns a :class:`SweepReport`; terminal job failures are reported
     there rather than raised (call :meth:`SweepReport.raise_on_failure`
     for raising behaviour).
@@ -275,13 +248,6 @@ def run_sweep(specs: Iterable[ExperimentSpec],
     queue = JobQueue(queue_dir, lease_timeout=lease_timeout,
                      max_retries=max_retries)
     started = time.monotonic()
-    if stack_seeds:
-        stacker = Runner(cache_dir=cache_dir,
-                         allow_surrogate=allow_surrogate,
-                         few_shot_per_class=few_shot_per_class)
-        for cell in stack_cells(specs):
-            if stacker.stackable(cell):
-                stacker.run_stacked(cell, with_metrics=with_metrics)
     queue.submit(specs, with_metrics=with_metrics)
     # Per-spec ids (submit deduplicates, so its return value can be
     # shorter than ``specs``; the report stays aligned regardless).

@@ -76,14 +76,6 @@ class GraphGenerativeModel(abc.ABC):
     #: artifact cache); models without a training loop ignore it.
     train_control = None
 
-    #: whether the class offers ``fit_stacked`` — a vmap-style path that
-    #: trains K same-config instances as one tensor program with a
-    #: leading seed axis (see :mod:`repro.nn.vmap`), leaving every
-    #: instance byte-identical to a separate per-seed ``fit``.  Only
-    #: models whose fit consumes no per-seed supervision streams and
-    #: whose epoch body is expressible over batched parameters opt in.
-    supports_stacked_fit = False
-
     def __init__(self) -> None:
         self._fitted_graph: Graph | None = None
 

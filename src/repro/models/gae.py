@@ -13,8 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graph import Graph
-from ..nn import Adam, Linear, Module, Tensor, stack_modules
-from ..train import StackedRNG, Trainer, train_step
+from ..nn import Adam, Linear, Module, Tensor
+from ..train import Trainer, train_step
 from .base import (GraphGenerativeModel, assemble_from_scores, extract_state,
                    prefix_state)
 
@@ -28,18 +28,6 @@ def normalized_adjacency(graph: Graph) -> np.ndarray:
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     d_inv_sqrt = 1.0 / np.sqrt(deg)
     return (sp.diags(d_inv_sqrt) @ a_tilde @ sp.diags(d_inv_sqrt)).toarray()
-
-
-def _vgae_setup(graph: Graph):
-    """Shared fit preprocessing: propagation matrix + loss weighting."""
-    n = graph.num_nodes
-    a_hat = normalized_adjacency(graph)
-    adj_label = graph.adjacency.toarray()
-    # VGAE loss weighting: positives up-weighted by the class ratio.
-    num_pos = adj_label.sum()
-    pos_weight = float((n * n - num_pos) / max(num_pos, 1.0))
-    norm = n * n / max(2.0 * (n * n - num_pos), 1.0)
-    return a_hat, adj_label, pos_weight, norm
 
 
 class _GCNEncoder(Module):
@@ -94,56 +82,6 @@ class _GAETask:
         return train_step(self.optimizer, None, lambda: self._loss(rng))
 
 
-class _StackedGAETask:
-    """K seeds' VGAE epochs as one batched ELBO step.
-
-    The tensor program mirrors :class:`_GAETask` op for op with a
-    leading seed axis: per-slice arithmetic (batched matmul, axis-wise
-    reductions, elementwise Adam) is bit-identical to the unbatched
-    ops, so every seed's parameter trajectory matches its sequential
-    fit exactly — verified end-to-end by ``tests/test_stacked.py``.
-    """
-
-    def __init__(self, stacked, a_hat: Tensor, features: Tensor,
-                 target: Tensor, weight_mask: Tensor, norm: float, n: int,
-                 lr: float):
-        self.stacked = stacked
-        self.a_hat = a_hat
-        self.features = features
-        self.target = target
-        self.weight_mask = weight_mask
-        self.norm = norm
-        self.n = n
-        self.optimizer = Adam(stacked.parameters(), lr=lr)
-
-    def modules(self):
-        return {"encoder": self.stacked.module}
-
-    def optimizers(self):
-        return {"adam": self.optimizer}
-
-    def _per_seed_loss(self, rng: StackedRNG) -> Tensor:
-        mu, logvar = self.stacked(self.a_hat, self.features)  # (K, N, L)
-        noise = Tensor(rng.standard_normal(mu.shape))
-        z = mu + (logvar * 0.5).exp() * noise
-        logits = z @ z.swapaxes(-1, -2)                       # (K, N, N)
-        bce = (logits.relu() - logits * self.target
-               + ((-logits.abs()).exp() + 1.0).log()) * self.weight_mask
-        recon = bce.mean(axis=(1, 2)) * self.norm             # (K,)
-        kl = ((logvar.exp() + mu * mu - logvar - 1.0).sum(axis=(1, 2))
-              * (0.5 / self.n))
-        return recon + kl * (1.0 / self.n)
-
-    def epoch(self, state, rng: StackedRNG) -> list[float]:
-        # The seed-summed scalar has per-seed gradients: seeds share no
-        # parameters, so d(sum_k L_k)/d theta_k = dL_k/d theta_k.
-        self.optimizer.zero_grad()
-        per_seed = self._per_seed_loss(rng)
-        per_seed.sum().backward()
-        self.optimizer.step()
-        return [float(v) for v in per_seed.data]
-
-
 class GAEModel(GraphGenerativeModel):
     """VGAE graph generator.
 
@@ -152,7 +90,6 @@ class GAEModel(GraphGenerativeModel):
     """
 
     name = "GAE"
-    supports_stacked_fit = True
 
     def __init__(self, hidden: int = 32, latent: int = 16, epochs: int = 80,
                  lr: float = 0.01):
@@ -169,9 +106,13 @@ class GAEModel(GraphGenerativeModel):
             supervision=None) -> "GAEModel":
         self._fitted_graph = graph
         n = graph.num_nodes
-        a_hat_np, adj_label, pos_weight, norm = _vgae_setup(graph)
-        a_hat = Tensor(a_hat_np)
+        a_hat = Tensor(normalized_adjacency(graph))
         features = Tensor(np.eye(n))
+        adj_label = graph.adjacency.toarray()
+        # VGAE loss weighting: positives up-weighted by the class ratio.
+        num_pos = adj_label.sum()
+        pos_weight = float((n * n - num_pos) / max(num_pos, 1.0))
+        norm = n * n / max(2.0 * (n * n - num_pos), 1.0)
 
         encoder = _GCNEncoder(n, self.hidden, self.latent, rng)
         task = _GAETask(encoder, a_hat, features,
@@ -188,60 +129,6 @@ class GAEModel(GraphGenerativeModel):
         self._encoder = encoder
         self._z_mean = mu.numpy().copy()
         return self
-
-    @staticmethod
-    def fit_stacked(models: list["GAEModel"], graph: Graph,
-                    rngs: list[np.random.Generator],
-                    control=None) -> list["GAEModel"]:
-        """Fit K same-config models as ONE stacked tensor program.
-
-        ``models[k]`` ends up byte-identical to ``models[k].fit(graph,
-        rngs[k])`` — stacked parameters, loss histories and post-fit RNG
-        states all match the sequential path exactly — while the K fits
-        share every epoch's batched matmuls.  ``control`` is an optional
-        cell-level :class:`~repro.train.TrainControl` checkpointing the
-        whole stack through the unchanged Trainer machinery.
-        """
-        models, rngs = list(models), list(rngs)
-        if not models or len(models) != len(rngs):
-            raise ValueError("need one RNG per model (and at least one)")
-        config = models[0].config_dict()
-        for model in models[1:]:
-            if model.config_dict() != config:
-                raise ValueError("stacked fits require identical configs; "
-                                 "split differing configs into their own "
-                                 f"stacks ({model.config_dict()} != {config})")
-
-        n = graph.num_nodes
-        a_hat_np, adj_label, pos_weight, norm = _vgae_setup(graph)
-        a_hat = Tensor(a_hat_np)
-        features = Tensor(np.eye(n))
-
-        # Per-seed encoder init consumes each generator exactly as the
-        # sequential fit would, keeping post-fit draw streams aligned.
-        head = models[0]
-        encoders = [_GCNEncoder(n, head.hidden, head.latent, rng)
-                    for rng in rngs]
-        stacked = stack_modules(encoders)
-        task = _StackedGAETask(stacked, a_hat, features,
-                               target=Tensor(adj_label),
-                               weight_mask=Tensor(np.where(adj_label > 0,
-                                                           pos_weight, 1.0)),
-                               norm=norm, n=n, lr=head.lr)
-        state = Trainer(task, epochs=head.epochs,
-                        control=control).fit(StackedRNG(rngs))
-
-        for index, model in enumerate(models):
-            model._fitted_graph = graph
-            model.loss_history = [float(record[index])
-                                  for record in state.history]
-            encoder = _GCNEncoder(n, model.hidden, model.latent,
-                                  np.random.default_rng(0))
-            encoder.load_state_dict(stacked.state_dict_for(index))
-            mu, _ = encoder.eval_forward(a_hat, features)
-            model._encoder = encoder
-            model._z_mean = mu.numpy().copy()
-        return models
 
     def generate(self, rng: np.random.Generator) -> Graph:
         fitted = self._require_fitted()

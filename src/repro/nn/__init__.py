@@ -11,7 +11,6 @@ from .rnn import LSTM, LSTMCell
 from .optim import (Adagrad, Adam, CosineAnnealingLR, LRScheduler,
                     Optimizer, RMSprop, SGD, StepLR, clip_grad_norm)
 from .serialization import load_state, save_state
-from .vmap import StackedModules, stack_modules, unstack_state_dict
 from . import functional
 
 __all__ = [
@@ -25,6 +24,5 @@ __all__ = [
     "Optimizer", "SGD", "Adam", "RMSprop", "Adagrad", "clip_grad_norm",
     "LRScheduler", "StepLR", "CosineAnnealingLR",
     "save_state", "load_state",
-    "StackedModules", "stack_modules", "unstack_state_dict",
     "functional",
 ]

@@ -592,29 +592,17 @@ def _affine_grads(g: np.ndarray, x: Tensor, weight: Tensor,
                   bias: Tensor | None) -> None:
     """Accumulate the VJP of ``x @ weight + bias`` for upstream ``g``.
 
-    A 2-D weight takes its gradient as one GEMM over the flattened
-    leading axes.  Seed-stacked ``(K, in, out)`` weights (and their
-    ``(K, 1, out)`` biases, see :mod:`repro.nn.vmap`) keep one batched
-    GEMM per seed, so each slice matches its unstacked fit exactly.
+    ``weight`` is 2-D: each gradient is one GEMM over the flattened
+    leading axes of ``x``.
     """
     a, w = x.data, weight.data
-    if w.ndim == 2:
-        g2 = g.reshape(-1, g.shape[-1])
-        if weight.requires_grad:
-            weight._accumulate(a.reshape(-1, a.shape[-1]).T @ g2)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0).reshape(bias.shape))
-        if x.requires_grad:
-            x._accumulate((g2 @ w.T).reshape(a.shape))
-        return
+    g2 = g.reshape(-1, g.shape[-1])
     if weight.requires_grad:
-        weight._accumulate(_unbroadcast(
-            np.matmul(np.swapaxes(a, -1, -2), g), w.shape))
+        weight._accumulate(a.reshape(-1, a.shape[-1]).T @ g2)
     if bias is not None and bias.requires_grad:
-        bias._accumulate(_unbroadcast(g, bias.shape))
+        bias._accumulate(g2.sum(axis=0).reshape(bias.shape))
     if x.requires_grad:
-        x._accumulate(_unbroadcast(
-            np.matmul(g, np.swapaxes(w, -1, -2)), a.shape))
+        x._accumulate((g2 @ w.T).reshape(a.shape))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -630,10 +618,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Layer norm over the last axis as one node (seven in op-by-op form).
-
-    ``gamma``/``beta`` may carry a seed axis, ``(K, 1, d)``.
-    """
+    """Layer norm over the last axis as one node (seven in op-by-op form)."""
     data, normed, std = kernels.layer_norm(x.data, gamma.data, beta.data,
                                            eps, with_stats=True)
 
@@ -648,7 +633,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
             dx = gn - gn.mean(axis=-1, keepdims=True)
             dx -= normed * (gn * normed).mean(axis=-1, keepdims=True)
             dx /= std
-            x._accumulate(_unbroadcast(dx, x.shape))
+            x._accumulate(dx)
 
     return x._make(data, (x, gamma, beta), backward)
 

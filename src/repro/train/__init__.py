@@ -14,8 +14,7 @@ artifact cache, written on the worker's heartbeat cadence).
 from .trainer import (CHECKPOINT_FORMAT, MetricsCallback, TrainCallback,
                       TrainControl, Trainer, TrainState, minibatches,
                       step_rng, train_step)
-from .stacked import StackedRNG, stacked_step_rng
 
 __all__ = ["Trainer", "TrainState", "TrainControl", "TrainCallback",
            "MetricsCallback", "minibatches", "train_step", "step_rng",
-           "CHECKPOINT_FORMAT", "StackedRNG", "stacked_step_rng"]
+           "CHECKPOINT_FORMAT"]

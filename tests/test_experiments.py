@@ -209,22 +209,8 @@ class TestRunner:
         assert result.from_cache
         assert result.model is None
 
-    def test_need_model_refits_after_disk_hit(self, tmp_path):
-        Runner(cache_dir=tmp_path).run(self.SPEC)
-        runner = Runner(cache_dir=tmp_path)
-        cached = runner.run(self.SPEC)
-        assert cached.model is None
-        modeled = runner.run(self.SPEC, need_model=True)
-        assert modeled.model is not None and modeled.model.is_fitted
-        assert _adjacency_equal(cached.generated, modeled.generated)
-
-    def test_warm_cache_satisfies_need_model_with_zero_fits(
-            self, tmp_path, monkeypatch):
-        # A plain run persists the fitted model alongside the artifact;
-        # a later need_model run must replay it without any fitting.
-        Runner(cache_dir=tmp_path).run(self.SPEC)
-        assert (tmp_path / f"{self.SPEC.cache_key()}.model.npz").exists()
-
+    @staticmethod
+    def _count_fits(monkeypatch) -> list[int]:
         fits: list[int] = []
         original = ERModel.fit
 
@@ -233,6 +219,46 @@ class TestRunner:
             return original(model, *args, **kwargs)
 
         monkeypatch.setattr(ERModel, "fit", counting_fit)
+        return fits
+
+    def test_need_model_restores_memory_entry_from_disk(self, tmp_path,
+                                                        monkeypatch):
+        # A memory entry replayed from disk holds no model; need_model
+        # must restore it from the .model.npz archive, not refit it.
+        Runner(cache_dir=tmp_path).run(self.SPEC)
+        fits = self._count_fits(monkeypatch)
+        runner = Runner(cache_dir=tmp_path)
+        cached = runner.run(self.SPEC)
+        assert cached.model is None
+        modeled = runner.run(self.SPEC, need_model=True)
+        assert modeled.from_cache
+        assert modeled.model is not None and modeled.model.is_fitted
+        assert _adjacency_equal(cached.generated, modeled.generated)
+        assert fits == []
+
+    def test_sidecar_with_retired_keys_still_loads(self, tmp_path,
+                                                   monkeypatch):
+        # Sidecars from the retired seed-stacked fit path carry two
+        # extra keys; their artifacts match per-seed fits, so they load.
+        fresh = Runner(cache_dir=tmp_path).run(self.SPEC)
+        meta_path = tmp_path / f"{self.SPEC.cache_key()}.json"
+        metadata = json.loads(meta_path.read_text())
+        metadata.update(stacked_fit_seconds=1.5, stacked_size=3)
+        meta_path.write_text(json.dumps(metadata))
+        fits = self._count_fits(monkeypatch)
+        loaded = Runner(cache_dir=tmp_path).run(self.SPEC)
+        assert loaded.from_cache
+        assert _adjacency_equal(fresh.generated, loaded.generated)
+        assert fits == []
+
+    def test_warm_cache_satisfies_need_model_with_zero_fits(
+            self, tmp_path, monkeypatch):
+        # A plain run persists the fitted model alongside the artifact;
+        # a later need_model run must replay it without any fitting.
+        Runner(cache_dir=tmp_path).run(self.SPEC)
+        assert (tmp_path / f"{self.SPEC.cache_key()}.model.npz").exists()
+
+        fits = self._count_fits(monkeypatch)
         result = Runner(cache_dir=tmp_path).run(self.SPEC, need_model=True)
         assert result.from_cache
         assert result.model is not None and result.model.is_fitted

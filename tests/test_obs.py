@@ -350,29 +350,6 @@ class TestRunnerMetrics:
         assert reg2.counter("runner_cache_hits_total").value(
             layer="disk") == 1
 
-    def test_stacked_sidecar_records_raw_wall_clock(self, tmp_path):
-        specs = [ExperimentSpec(model="gae", dataset=SMALLEST,
-                                profile="smoke", seed=s) for s in (1, 2)]
-        runner = Runner(cache_dir=tmp_path)
-        results = runner.run_stacked(specs)
-        for result, spec in zip(results, specs):
-            assert result.stacked_size == 2
-            assert result.stacked_fit_seconds is not None
-            # amortized mean stays the headline number
-            assert result.fit_seconds == pytest.approx(
-                result.stacked_fit_seconds / 2)
-            sidecar = json.loads(
-                (tmp_path / f"{spec.cache_key()}.json").read_text())
-            assert sidecar["stacked_fit_seconds"] == pytest.approx(
-                result.stacked_fit_seconds)
-            assert sidecar["stacked_size"] == 2
-        # raw seconds survive the disk round trip
-        replay = Runner(cache_dir=tmp_path).run_stacked(specs)
-        assert all(r.from_cache for r in replay)
-        assert replay[0].stacked_fit_seconds == pytest.approx(
-            results[0].stacked_fit_seconds)
-        assert replay[0].stacked_size == 2
-
     def test_artifacts_byte_identical_with_tracing(self, tmp_path):
         spec = ExperimentSpec(model="gae", dataset=SMALLEST,
                               profile="smoke", seed=3)
