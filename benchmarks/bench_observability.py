@@ -17,7 +17,8 @@ Gates (run on every CI pass):
 * with tracing enabled the trace file parses, contains balanced B/E
   span events, and the walk matrix equals the untraced run exactly.
 
-Results merge-update ``BENCH_obs.json`` at the repo root:
+Results merge-update ``.bench/BENCH_obs.json`` (see
+:func:`common.record`):
 
     pytest benchmarks/bench_observability.py -m smoke
 """
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from common import record
 from repro.graph import ring_of_chords
 from repro.graph.walk_engine import WalkEngine
 from repro.graph import walk_engine as walk_engine_mod
@@ -47,18 +48,6 @@ ROUNDS = 5              # interleaved best-of-N
 
 OVERHEAD_BUDGET = 1.03  # disabled path within 3% of the no-op baseline
 SPAN_NS_BUDGET = 5_000  # one disabled span() call, nanoseconds
-
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_obs.json"
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge-update one benchmark's entry in ``BENCH_obs.json``."""
-    existing: dict = {}
-    if BENCH_JSON.exists():
-        existing = json.loads(BENCH_JSON.read_text())
-    existing[name] = payload
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True)
-                          + "\n")
 
 
 def _engine() -> WalkEngine:
@@ -118,7 +107,7 @@ def test_observability_smoke_disabled_overhead(monkeypatch):
     assert span_ns < SPAN_NS_BUDGET, (
         f"disabled span() costs {span_ns:.0f}ns > {SPAN_NS_BUDGET}ns")
 
-    _record("disabled_overhead_smoke", {
+    record("BENCH_obs.json", "disabled_overhead_smoke", {
         "num_nodes": NUM_NODES,
         "walk_calls": NUM_CALLS,
         "walks_per_call": WALKS_PER_CALL,
@@ -169,7 +158,7 @@ def test_observability_smoke_enabled_trace_is_valid(tmp_path):
     assert isinstance(json.loads(path.read_text()), list)
 
     summary = {row["name"]: row for row in trace.summarize_trace([path])}
-    _record("enabled_trace_smoke", {
+    record("BENCH_obs.json", "enabled_trace_smoke", {
         "events": len(events),
         "span_names": sorted(names),
         "biased_walk_ms": round(

@@ -13,21 +13,20 @@ small requests in flight at once.
 The smoke subset gates CI on that speedup — at least 1.5x walks/sec for
 8+ concurrent mixed-length requests over draining the same requests one
 at a time — and merge-updates request-latency percentiles and
-throughput into ``BENCH_serve.json`` at the repo root:
+throughput into ``.bench/BENCH_serve.json`` (see :func:`common.record`):
 
     pytest benchmarks/bench_serving.py -m smoke
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from common import record
 from repro.models.walk_lm import TransformerWalkModel
 from repro.serve import ContinuousBatcher, serve_walks
 
@@ -45,8 +44,6 @@ TRIALS = 5
 #: runs one coalesced decode of ~max(length) steps.
 REQUESTS = [(1 + (i % 2), 44 + (i % 5), 100 + i, [1.0, 0.9, 1.1][i % 3])
             for i in range(16)]
-
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 
 
 def _serving_model() -> TransformerWalkModel:
@@ -73,7 +70,13 @@ def _concurrent(model: TransformerWalkModel):
     """
     engine = ContinuousBatcher(model, max_walks=256)
     stop = threading.Event()
-    decoder = threading.Thread(target=engine.run, args=(stop,), daemon=True)
+
+    def decode_loop() -> None:
+        while not (stop.is_set() and engine.idle):
+            if not engine.step():
+                time.sleep(0.0005)
+
+    decoder = threading.Thread(target=decode_loop, daemon=True)
     decoder.start()
 
     results: list = [None] * len(REQUESTS)
@@ -99,19 +102,6 @@ def _concurrent(model: TransformerWalkModel):
         stop.set()
         decoder.join()
     return elapsed, results, latencies
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge-update one benchmark's entry in ``BENCH_serve.json``."""
-    existing: dict = {}
-    if BENCH_JSON.exists():
-        existing = json.loads(BENCH_JSON.read_text())
-        if "benchmark" in existing:  # legacy flat layout
-            legacy = dict(existing)
-            existing = {legacy.pop("benchmark"): legacy}
-    existing[name] = payload
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True)
-                          + "\n")
 
 
 @pytest.mark.smoke
@@ -156,7 +146,7 @@ def test_serving_smoke_continuous_batching_beats_sequential_decode():
           f"{speedup:.2f}x); latency p50 {p50 * 1e3:.0f}ms "
           f"p99 {p99 * 1e3:.0f}ms")
 
-    _record("serving_continuous_batching_smoke", {
+    record("BENCH_serve.json", "serving_continuous_batching_smoke", {
         "num_nodes": NUM_NODES,
         "dim": DIM,
         "num_layers": NUM_LAYERS,

@@ -21,22 +21,22 @@ gates CI on the memory model actually holding:
 Biased (``p=0.25``, ``q=4``) out-of-core walks are timed and recorded
 next to the uniform ones, without a wall-clock gate.
 
-Results merge-update ``BENCH_walks.json`` at the repo root:
+Results merge-update ``.bench/BENCH_walks.json`` (see
+:func:`common.record`):
 
     pytest benchmarks/bench_sharded_walks.py -m smoke
 """
 
 from __future__ import annotations
 
-import json
 import resource
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from common import record
 from repro.graph import (WalkEngine, ingest_edge_stream, ingest_graph,
                          ring_of_chords, synthetic_edge_stream)
 
@@ -54,21 +54,6 @@ WALK_LENGTH = 16
 #: biased out-of-core record: fewer walks, the smoke's bias extreme
 BIASED_WALKS = 2_000
 BIASED_P, BIASED_Q = 0.25, 4.0
-
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_walks.json"
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge-update one benchmark's entry in ``BENCH_walks.json``."""
-    existing: dict = {}
-    if BENCH_JSON.exists():
-        existing = json.loads(BENCH_JSON.read_text())
-        if "benchmark" in existing:  # legacy flat layout
-            legacy = dict(existing)
-            existing = {legacy.pop("benchmark"): legacy}
-    existing[name] = payload
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True)
-                          + "\n")
 
 
 def _maxrss_bytes() -> int:
@@ -125,7 +110,7 @@ def test_sharded_walks_smoke_memory_and_throughput(tmp_path):
         f"{inmem_seconds:.2f}s ({ratio:.2f}x > 3x budget)")
 
     walks_per_sec = NUM_WALKS / max(sharded_seconds, 1e-9)
-    _record("sharded_walks_smoke", {
+    record("BENCH_walks.json", "sharded_walks_smoke", {
         "num_nodes": NUM_NODES,
         "num_edges": int(sharded.num_edges),
         "num_shards": NUM_SHARDS,
@@ -155,7 +140,7 @@ def test_sharded_walks_smoke_memory_and_throughput(tmp_path):
                                p=BIASED_P, q=BIASED_Q)
     inmem_biased_seconds = time.perf_counter() - t0
     assert np.array_equal(sharded_biased, inmem_biased)
-    _record("sharded_biased_walks_smoke", {
+    record("BENCH_walks.json", "sharded_biased_walks_smoke", {
         "num_nodes": NUM_NODES,
         "num_edges": int(sharded.num_edges),
         "num_shards": NUM_SHARDS,

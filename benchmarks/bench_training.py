@@ -7,21 +7,20 @@ share one ``predict_log_proba`` pass).  Since PR 5 that pass runs under
 which makes cycle-loop training measurably faster now that generation
 is cache-bound.  Another smoke records FairGen's float32 generator
 step against a float64 copy of the model, ungated.  The smoke subset
-gates CI and merge-updates the trajectory into ``BENCH_train.json`` at
-the repo root:
+gates CI and merge-updates the trajectory into ``.bench/BENCH_train.json``
+(see :func:`common.record`):
 
     pytest benchmarks/bench_training.py -m smoke
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from common import BENCH_DIR, record
 from repro.core.discriminator import FairDiscriminator
 from repro.train import TrainState, Trainer
 
@@ -31,8 +30,6 @@ FEATURE_DIM = 32
 HIDDEN_DIM = 32
 NUM_CLASSES = 3
 REPS = 100
-
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_train.json"
 
 
 def _smoke_discriminator() -> FairDiscriminator:
@@ -51,25 +48,6 @@ def _best_of(fn, trials: int = 5) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge-update one benchmark's entry in ``BENCH_train.json``.
-
-    The file maps benchmark name -> latest result, so each smoke test
-    refreshes its own row without clobbering the others.  (A legacy
-    single-benchmark flat file is rewrapped under its ``benchmark``
-    key on first contact.)
-    """
-    existing: dict = {}
-    if BENCH_JSON.exists():
-        existing = json.loads(BENCH_JSON.read_text())
-        if "benchmark" in existing:  # legacy flat layout
-            legacy = dict(existing)
-            existing = {legacy.pop("benchmark"): legacy}
-    existing[name] = payload
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True)
-                          + "\n")
 
 
 @pytest.mark.smoke
@@ -113,7 +91,7 @@ def test_training_smoke_grad_free_scoring_beats_grad_path():
           f"(n={NUM_NODES}, d={FEATURE_DIM}): grad path {with_graph:.3f}s "
           f"vs grad-free {grad_free:.3f}s ({speedup:.2f}x)")
 
-    _record("training_grad_free_scoring_smoke", {
+    record("BENCH_train.json", "training_grad_free_scoring_smoke", {
         "num_nodes": NUM_NODES,
         "feature_dim": FEATURE_DIM,
         "hidden_dim": HIDDEN_DIM,
@@ -153,7 +131,8 @@ def test_training_smoke_checkpoint_round_trip_is_cheap_and_exact():
 
     before = {name: value.copy()
               for name, value in model.model.state_dict().items()}
-    path = BENCH_JSON.parent / ".bench_train_ckpt.npz"
+    BENCH_DIR.mkdir(exist_ok=True)
+    path = BENCH_DIR / ".bench_train_ckpt.npz"
     try:
         start = time.perf_counter()
         state.save(path, task, fit_rng)
@@ -241,7 +220,7 @@ def test_training_smoke_walk_lm_step():
           f"{ms['float32']:.2f} ms / {faults['float32']:.0f} minor faults "
           f"vs float64 {ms['float64']:.2f} ms / {faults['float64']:.0f} "
           f"per step ({ms['float64'] / ms['float32']:.2f}x)")
-    _record("training_walk_lm_step_smoke", {
+    record("BENCH_train.json", "training_walk_lm_step_smoke", {
         "walks": 2 * batch,
         "walk_length": length,
         "dim": dim,
@@ -376,7 +355,7 @@ def test_training_smoke_sgns_workspace():
           f"faults vs workspace {seconds['workspace']:.3f}s / "
           f"{faults['workspace']} minor faults")
 
-    _record("training_sgns_smoke", {
+    record("BENCH_train.json", "training_sgns_smoke", {
         "num_nodes": num_nodes,
         "dim": dim,
         "pairs": pairs,

@@ -5,31 +5,27 @@ A seconds-scale smoke gate covers the hot NN-generation path:
 KV-cached incremental decoder (one O(T) step per token) against the old
 full-prefix recompute (O(T^2) per token).
 
-Results merge-update per-benchmark entries in ``BENCH_decode.json`` at
-the repo root (same map format as ``BENCH_train.json`` /
-``BENCH_serve.json``), so the decode-performance trajectory is tracked
-commit over commit without one benchmark clobbering another:
+Results merge-update per-benchmark entries in ``.bench/BENCH_decode.json``
+(see :func:`common.record`; the committed ``BENCH_decode.json`` at the
+repo root is a snapshot refreshed on purpose):
 
     pytest benchmarks/bench_walklm_decode.py -m smoke
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from common import record
 from repro.models.walk_lm import TransformerWalkModel
 
 #: the smoke gate requires the win to show at this length (>= 32)
 LENGTH = 48
 NUM_WALKS = 64
 NUM_NODES = 300
-
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_decode.json"
 
 
 def _smoke_model() -> TransformerWalkModel:
@@ -44,19 +40,6 @@ def _time(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
-
-
-def _record(name: str, payload: dict) -> None:
-    """Merge-update one benchmark's entry in ``BENCH_decode.json``."""
-    existing: dict = {}
-    if BENCH_JSON.exists():
-        existing = json.loads(BENCH_JSON.read_text())
-        if "benchmark" in existing:  # legacy flat layout
-            legacy = dict(existing)
-            existing = {legacy.pop("benchmark"): legacy}
-    existing[name] = payload
-    BENCH_JSON.write_text(json.dumps(existing, indent=2, sort_keys=True)
-                          + "\n")
 
 
 @pytest.mark.smoke
@@ -87,7 +70,7 @@ def test_decode_smoke_incremental_beats_full_recompute():
           f"(n={NUM_NODES}): incremental {incremental:.3f}s vs "
           f"full recompute {full:.3f}s ({speedup:.1f}x)")
 
-    _record("walklm_decode_smoke", {
+    record("BENCH_decode.json", "walklm_decode_smoke", {
         "num_walks": NUM_WALKS,
         "length": LENGTH,
         "num_nodes": NUM_NODES,

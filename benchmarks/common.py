@@ -13,11 +13,17 @@ Table IV reuses their timings, and Figure 6 reuses the fitted models.
 Set ``REPRO_BENCH_CACHE=/path`` to back the run cache with a disk
 directory that survives across pytest sessions: warm entries replay the
 generated graphs and timings without refitting anything.
+
+The smoke benchmarks :func:`record` their timings under the ignored
+``.bench/`` directory at the repository root, never into the committed
+``BENCH_*.json`` snapshots there.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -25,10 +31,13 @@ from repro.experiments import (ExperimentSpec, Runner, RunResult,
                                benchmark_model_names, get_entry)
 from repro.utils import format_table  # single shared implementation
 
-__all__ = ["BENCH_SEED", "MODEL_NAMES", "get_run", "bench_runner",
-           "bench_spec", "format_table", "fmt_val"]
+__all__ = ["BENCH_SEED", "BENCH_DIR", "MODEL_NAMES", "get_run",
+           "bench_runner", "bench_spec", "format_table", "fmt_val", "record"]
 
 BENCH_SEED = 20240
+
+#: where a benchmark run writes its records (ignored by git)
+BENCH_DIR = Path(__file__).resolve().parents[1] / ".bench"
 
 #: the paper's nine-method scoreboard, in Table/Figure row order
 MODEL_NAMES = benchmark_model_names()
@@ -68,3 +77,23 @@ def fmt_val(value: float) -> str:
     if isinstance(value, float) and np.isinf(value):
         return "inf"
     return f"{value:.4f}"
+
+
+def record(filename: str, name: str, payload: dict) -> None:
+    """Merge-update entry ``name`` of ``.bench/<filename>``.
+
+    The file maps benchmark name -> latest result, so each smoke test
+    refreshes its own entry without clobbering the others.  (A legacy
+    single-benchmark flat file is rewrapped under its ``benchmark`` key
+    on first contact.)
+    """
+    path = BENCH_DIR / filename
+    existing: dict = {}
+    if path.exists():
+        existing = json.loads(path.read_text())
+        if "benchmark" in existing:  # legacy flat layout
+            legacy = dict(existing)
+            existing = {legacy.pop("benchmark"): legacy}
+    existing[name] = payload
+    BENCH_DIR.mkdir(exist_ok=True)
+    path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")

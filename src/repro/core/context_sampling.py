@@ -37,7 +37,6 @@ class ContextSampler:
         self.walk_length = walk_length
         self.delta = delta
         self.diffusion_steps = diffusion_steps
-        self._class_members: dict[int, np.ndarray] = {}
         self._class_starts: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -55,7 +54,6 @@ class ContextSampler:
         labeled_classes = np.asarray(labeled_classes, dtype=np.int64)
         if labeled_nodes.shape != labeled_classes.shape:
             raise ValueError("labeled nodes/classes shape mismatch")
-        self._class_members.clear()
         self._class_starts.clear()
         # Diffusion cores need the dense-ish lazy transition matrix; an
         # out-of-core ShardedGraph does not expose it, so label-guided
@@ -64,7 +62,6 @@ class ContextSampler:
         has_cores = hasattr(self.graph, "transition_matrix")
         for cls in np.unique(labeled_classes):
             members = labeled_nodes[labeled_classes == cls]
-            self._class_members[int(cls)] = members
             if has_cores and members.size >= 2:
                 core = diffusion_core(self.graph, members, self.delta,
                                       self.diffusion_steps)
@@ -74,10 +71,7 @@ class ContextSampler:
 
     @property
     def classes(self) -> list[int]:
-        return sorted(self._class_members)
-
-    def class_members(self, cls: int) -> np.ndarray:
-        return self._class_members[cls]
+        return sorted(self._class_starts)
 
     def class_starts(self, cls: int) -> np.ndarray:
         """Diffusion-core starts for a class (falls back to all members)."""
@@ -94,7 +88,7 @@ class ContextSampler:
         """
         if num_walks <= 0:
             raise ValueError("num_walks must be positive")
-        if not self._class_members:
+        if not self._class_starts:
             # Without labels f_S degenerates to general sampling.
             return sample_walks(self.graph, num_walks, self.walk_length, rng)
 

@@ -47,13 +47,6 @@ class SelfPacedState:
     def ground_truth_nodes(self) -> np.ndarray:
         return self._ground_truth_nodes
 
-    @property
-    def ground_truth_classes(self) -> np.ndarray:
-        return self._ground_truth_classes
-
-    def is_ground_truth(self, node: int) -> bool:
-        return node in set(self._ground_truth_nodes.tolist())
-
     # ------------------------------------------------------------------
     def augment_lambda(self) -> float:
         """Algorithm 1, step 7: grow the threshold, returning the new value."""

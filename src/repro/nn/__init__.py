@@ -8,8 +8,7 @@ from .attention import (LayerKVCache, MultiHeadSelfAttention,
                         TransformerBlock, causal_mask, sinusoidal_positions)
 from .inference import WalkDecoder
 from .rnn import LSTM, LSTMCell
-from .optim import (Adagrad, Adam, CosineAnnealingLR, LRScheduler,
-                    Optimizer, RMSprop, SGD, StepLR, clip_grad_norm)
+from .optim import Adam, Optimizer, SGD, clip_grad_norm
 from .serialization import load_state, save_state
 from . import functional
 
@@ -21,8 +20,7 @@ __all__ = [
     "MultiHeadSelfAttention", "TransformerBlock", "causal_mask",
     "sinusoidal_positions", "LayerKVCache", "WalkDecoder",
     "LSTM", "LSTMCell",
-    "Optimizer", "SGD", "Adam", "RMSprop", "Adagrad", "clip_grad_norm",
-    "LRScheduler", "StepLR", "CosineAnnealingLR",
+    "Optimizer", "SGD", "Adam", "clip_grad_norm",
     "save_state", "load_state",
     "functional",
 ]

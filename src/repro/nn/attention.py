@@ -3,6 +3,12 @@
 FairGen replaces the RNN generators of NetGAN/TagGen with a causal
 Transformer (Section II-B, M1, Eq. 4): the generator ``g_theta`` is an
 autoregressive language model over node-id sequences (random walks).
+
+Sampling decodes incrementally against a :class:`LayerKVCache` per
+block.  The cache keeps one row per walk with its own length and is
+written one row group at a time (rows sharing a length), which is the
+one decode mode of both the standalone decoder (one group) and the
+serving engine (one group per request).
 """
 
 from __future__ import annotations
@@ -53,169 +59,94 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 
 class LayerKVCache:
-    """Per-layer key/value cache for incremental decoding.
+    """Per-layer key/value cache for incremental decoding, one row per walk.
 
-    Holds the raw ``(B, H, T, d)`` key and value arrays of every position
-    processed so far.  A prefill pass over the prompt populates it; each
-    decode step appends one position and attends against the whole cache,
-    so no causal mask is needed after prefill.  The cache stores detached
-    ndarrays — gradients never flow into cached positions — making it an
-    inference-only structure (use under ``no_grad()``).
+    Holds ``(B, H, capacity, d)`` key and value buffers, preallocated so
+    the decode hot path writes into slices and never reallocates, plus
+    :attr:`row_lengths`, the number of valid positions of each row.  The
+    cache stores detached ndarrays — gradients never flow into cached
+    positions — so it is an inference-only structure (use under
+    ``no_grad()``).
 
-    The buffers are preallocated at ``(B, H, capacity, d)`` on first
-    append and every later step writes into a slice, so the decode hot
-    path never reallocates (every decoder knows its maximum session
-    length up front).
+    Rows are written in *groups*: contiguous rows that share a length —
+    one sampling session's walks, or one served request's.
+    :meth:`append` writes a group's new positions at that shared length
+    and returns the group's exact attention window, so no padding
+    position ever reaches a softmax.  A prefill is a group append of the
+    prompt; each decode step appends one position per group.
 
-    **Row-level serving mode.**  The continuous-batching engine
-    (:mod:`repro.serve.engine`) coalesces walk requests of different
-    lengths into one decode batch, so a serving-side cache is *ragged*:
-    each row has its own number of valid positions.  Three row-level
-    primitives support this: :meth:`append_cache` transplants another
-    cache's rows onto the end of this one (admitting a freshly prefilled
-    request), :meth:`gather_rows` keeps only the given rows (evicting
-    finished walks and compacting the batch), and :meth:`append_ragged`
-    appends one position per row at that row's own offset.  Per-row
-    validity lives in :attr:`row_lengths`; the uniform (single
-    ``length``) mode of :meth:`append` is unchanged.
+    The continuous-batching engine (:mod:`repro.serve.engine`) starts
+    from zero rows and changes the row set with two more primitives:
+    :meth:`append_cache` transplants another cache's rows onto the end
+    of this one (admitting a freshly prefilled request) and
+    :meth:`gather_rows` keeps only the given rows (evicting finished
+    walks and compacting the batch).
     """
 
-    __slots__ = ("_k", "_v", "_length", "capacity", "_row_lengths")
+    __slots__ = ("_k", "_v", "row_lengths")
 
-    def __init__(self, capacity: int) -> None:
-        self._k: np.ndarray | None = None
-        self._v: np.ndarray | None = None
-        self._length = 0
-        self.capacity = capacity
-        self._row_lengths: np.ndarray | None = None
+    def __init__(self, rows: int, heads: int, capacity: int, head_dim: int,
+                 dtype) -> None:
+        self._k = np.empty((rows, heads, capacity, head_dim), dtype=dtype)
+        self._v = np.empty_like(self._k)
+        #: valid positions per row, ``(B,)`` int64
+        self.row_lengths = np.zeros(rows, dtype=np.int64)
 
     @property
-    def length(self) -> int:
-        """Number of cached positions (the maximum across rows when the
-        cache is ragged)."""
-        return self._length
+    def capacity(self) -> int:
+        """Maximum number of positions per row."""
+        return self._k.shape[2]
 
     @property
     def num_rows(self) -> int:
         """Number of batch rows currently held."""
-        return 0 if self._k is None else self._k.shape[0]
+        return self._k.shape[0]
 
-    @property
-    def row_lengths(self) -> np.ndarray:
-        """Valid positions per row, ``(B,)`` int64.
+    def append(self, k_new: np.ndarray, v_new: np.ndarray, row0: int,
+               row1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Append ``(row1 - row0, H, L, d)`` positions to rows ``row0:row1``.
 
-        Uniform caches report ``length`` for every row; ragged caches
-        (built through the row-level primitives) track each row
-        separately.
+        The rows must share a length; the new positions land at it and
+        the rows' lengths advance by ``L``.  Returns zero-copy ``(k, v)``
+        views of the rows' whole history, ``(row1 - row0, H, length, d)``.
         """
-        if self._row_lengths is not None:
-            return self._row_lengths
-        return np.full(self.num_rows, self._length, dtype=np.int64)
-
-    @property
-    def k(self) -> np.ndarray | None:
-        """Cached keys, ``(B, H, length, d)``."""
-        return None if self._k is None else self._k[:, :, :self._length]
-
-    @property
-    def v(self) -> np.ndarray | None:
-        """Cached values, ``(B, H, length, d)``."""
-        return None if self._v is None else self._v[:, :, :self._length]
-
-    def append(self, k_new: np.ndarray,
-               v_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append new positions and return the full (k, v) arrays."""
-        batch, heads, steps, dim = k_new.shape
-        if self._k is None:
-            self._k = np.empty((batch, heads, self.capacity, dim),
-                               dtype=k_new.dtype)
-            self._v = np.empty_like(self._k)
-        if self._length + steps > self.capacity:
+        start = int(self.row_lengths[row0])
+        stop = start + k_new.shape[2]
+        if stop > self.capacity:
             raise ValueError("KV cache capacity exceeded")
-        self._k[:, :, self._length: self._length + steps] = k_new
-        self._v[:, :, self._length: self._length + steps] = v_new
-        self._length += steps
-        return self.k, self.v
+        self._k[row0:row1, :, start:stop] = k_new
+        self._v[row0:row1, :, start:stop] = v_new
+        self.row_lengths[row0:row1] = stop
+        return self._k[row0:row1, :, :stop], self._v[row0:row1, :, :stop]
 
-    # ------------------------------------------------------------------
-    # Row-level primitives (continuous-batching serving mode)
-    # ------------------------------------------------------------------
     def append_cache(self, donor: "LayerKVCache") -> None:
         """Transplant ``donor``'s rows onto the end of this cache.
 
-        ``donor`` is a freshly prefilled per-request cache (uniform
-        length, at the same ``capacity``); its rows join
-        this cache's batch with their own per-row length.  This is the
-        admission path of the continuous batcher: prefill a request in
-        isolation, then splice its K/V rows into the shared batch.
+        ``donor`` is a freshly prefilled per-request cache at the same
+        ``capacity``; its rows join this cache's batch with their own
+        lengths.  This is the admission path of the continuous batcher:
+        prefill a request in isolation, then splice its K/V rows into
+        the shared batch.
         """
-        if donor._k is None:
-            raise ValueError("donor cache must be non-empty")
         if donor.capacity != self.capacity:
             raise ValueError(f"donor capacity {donor.capacity} != "
                              f"{self.capacity}")
-        lengths = donor.row_lengths
-        if self._k is None:
-            self._k = donor._k.copy()
-            self._v = donor._v.copy()
-            self._row_lengths = lengths.copy()
-        else:
-            own_lengths = self.row_lengths  # BEFORE the batch axis grows
-            self._k = np.concatenate([self._k, donor._k], axis=0)
-            self._v = np.concatenate([self._v, donor._v], axis=0)
-            self._row_lengths = np.concatenate([own_lengths, lengths])
-        self._length = int(self._row_lengths.max())
+        self._k = np.concatenate([self._k, donor._k])
+        self._v = np.concatenate([self._v, donor._v])
+        self.row_lengths = np.concatenate([self.row_lengths,
+                                           donor.row_lengths])
 
     def gather_rows(self, rows: np.ndarray) -> None:
         """Keep only ``rows`` (in order): evict finished walks, compact.
 
         ``rows`` indexes the current batch axis; an empty selection
-        resets the cache to its pristine state so a later
-        :meth:`append_cache` starts a fresh batch.
+        leaves zero rows, and a later :meth:`append_cache` starts a
+        fresh batch.
         """
-        if self._k is None:
-            raise ValueError("cache holds no rows to gather")
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            self._k = self._v = None
-            self._row_lengths = None
-            self._length = 0
-            return
         self._k = self._k[rows]
         self._v = self._v[rows]
-        self._row_lengths = self.row_lengths[rows]
-        self._length = int(self._row_lengths.max())
-
-    def append_ragged(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Append one position per row at each row's own offset.
-
-        ``k_new``/``v_new`` are ``(B, H, 1, d)`` — the decode-step
-        projections of a ragged batch.  Row ``i``'s new position lands
-        at its current ``row_lengths[i]``; lengths advance by one.
-        """
-        if self._k is None:
-            raise ValueError("cache holds no rows to append to")
-        batch = self._k.shape[0]
-        if k_new.shape[0] != batch or k_new.shape[2] != 1:
-            raise ValueError(f"expected ({batch}, H, 1, d) step arrays, "
-                             f"got {k_new.shape}")
-        lengths = self.row_lengths
-        if int(lengths.max()) + 1 > self.capacity:
-            raise ValueError("KV cache capacity exceeded")
-        idx = np.arange(batch)
-        self._k[idx, :, lengths] = k_new[:, :, 0]
-        self._v[idx, :, lengths] = v_new[:, :, 0]
-        self._row_lengths = lengths + 1
-        self._length = int(self._row_lengths.max())
-
-    def rows_view(self, start: int, stop: int,
-                  length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(k, v)`` views of rows ``start:stop`` truncated to
-        ``length`` positions — the exact per-request attention window of
-        one continuous-batching group (all rows of one request share a
-        length, so no padding is ever materialised)."""
-        return (self._k[start:stop, :, :length],
-                self._v[start:stop, :, :length])
+        self.row_lengths = self.row_lengths[rows]
 
 
 class MultiHeadSelfAttention(Module):
@@ -247,10 +178,10 @@ class MultiHeadSelfAttention(Module):
         """Attend ``x`` over itself, or over ``cache`` + ``x`` when given.
 
         With ``cache``, the keys/values of the new positions are appended
-        to the cache and the queries attend over the full cached history
-        — the incremental-decoding contract: prefill the prompt once
-        (with a causal ``mask``), then feed one position per call with no
-        mask.  Cached positions are detached, so this path is for
+        to the cache (the batch is one row group) and the queries attend
+        over the full cached history — the incremental-decoding contract:
+        prefill the prompt once (with a causal ``mask``), then feed one
+        position per call with no mask.  Cached positions are detached, so this path is for
         inference only and raises under autograd rather than silently
         severing the key/value gradient flow.
 
@@ -267,7 +198,7 @@ class MultiHeadSelfAttention(Module):
                 raise RuntimeError(
                     "the KV cache is inference-only: cached keys/values "
                     "do not propagate gradients, so call under no_grad()")
-            k_all, v_all = cache.append(k.numpy(), v.numpy())
+            k_all, v_all = cache.append(k.numpy(), v.numpy(), 0, batch)
             k, v = Tensor(k_all), Tensor(v_all)
 
         drop = self.attn_dropout

@@ -12,12 +12,14 @@ run one forward per op.  The backward halves live with the ops in
 
 :meth:`Backend.decode_step` advances a whole transformer decode step
 (embed + positions, every block's layer-norm/QKV/cached-attention/
-out-proj/FFN, final norm, vocabulary head) for both the single-session
-:class:`~repro.nn.inference.WalkDecoder` and the ragged
-continuous-batching serving engine.  There is one decode kernel, and
-both callers reach it through the module-level :data:`DECODE_KERNEL`
-instance, looking the method up at every call so a per-method wrapper
-(a profiler's, a test's) sees every decode.
+out-proj/FFN, final norm, vocabulary head) in one mode: the batch is a
+list of ``(row0, row1)`` row groups whose rows share a length, and
+each row's position is its KV-cache length.  The single-session
+:class:`~repro.nn.inference.WalkDecoder` passes one group, the
+continuous-batching serving engine one group per request.  There is
+one decode kernel, and both callers reach it through the module-level
+:data:`DECODE_KERNEL` instance, looking the method up at every call so
+a per-method wrapper (a profiler's, a test's) sees every decode.
 """
 
 from __future__ import annotations
@@ -188,9 +190,8 @@ def scatter_rows(rows: np.ndarray, values: np.ndarray, num_rows: int, *,
 class Backend:
     """The decode kernel: one shared-kernel call per primitive."""
 
-    def decode_step(self, weights, caches, tokens: np.ndarray,
-                    position, *, mask: np.ndarray | None = None,
-                    groups: list | None = None) -> np.ndarray:
+    def decode_step(self, weights, caches, tokens: np.ndarray, groups, *,
+                    mask: np.ndarray | None = None) -> np.ndarray:
         """Advance one whole transformer decode step in a single call.
 
         Embed + position add, then per transformer block layer-norm /
@@ -209,44 +210,39 @@ class Backend:
             tuples plus ``num_heads``/``head_dim``/``dim``),
             ``final_norm`` and ``head``.
         caches:
-            One :class:`~repro.nn.attention.LayerKVCache` per block;
-            mutated — the step's keys/values are appended.
+            One :class:`~repro.nn.attention.LayerKVCache` per block,
+            holding the ``B`` rows of ``tokens``; mutated — the step's
+            keys/values are appended.  Each row's position is its
+            ``caches[0].row_lengths`` entry.
         tokens:
-            ``(B, L)`` int64 input ids (``L == 1`` on decode steps,
-            ``L > 1`` for a uniform prefill; ragged mode takes
-            ``L == 1`` only).
-        position:
-            An ``int`` in uniform mode — every row has this many
-            previously decoded positions — or a ``(B,)`` int64 array of
-            per-row positions in ragged (serving) mode.
+            ``(B, L)`` int64 input ids (``L > 1`` for a prefill,
+            ``L == 1`` on decode steps).
+        groups:
+            ``(row0, row1)`` pairs partitioning the batch into row
+            groups that share a length: ``[(0, B)]`` for a sampling
+            session, one pair per request for the serving engine.
         mask:
             Optional additive attention mask over the new positions
-            (the causal mask of a uniform prefill); ``None`` on
-            single-token steps.
-        groups:
-            ``None`` selects uniform mode (:meth:`LayerKVCache.append`,
-            whole-batch attention and head).  A list of ``(row0, row1,
-            new_len)`` triples selects ragged serving mode: keys/values
-            land via :meth:`LayerKVCache.append_ragged` and attention +
-            the head GEMM run per request group over exact cache
-            slices, so served walks stay byte-identical to standalone
-            decode.
+            (the causal mask of a prefill); ``None`` on single-token
+            steps.
+
+        Rows are independent everywhere but in attention and the head:
+        embedding, layer norms, GELU and residual adds are row-wise,
+        and the ``(B, L, D) @ (D, D')`` projections are per-row GEMMs.
+        Attention and the head GEMM run per group over the group's exact
+        cache window, so a row's logits never depend on which other
+        groups share the step, and served walks stay byte-identical to
+        standalone decode.
 
         Returns the ``(B, vocab)`` logits of the last new position, a
         freshly allocated array callers may hold across later steps.
         """
         batch, length = tokens.shape
-        if groups is None:
-            h = weights.embed[tokens] \
-                + weights.positions[position: position + length]
-        else:
-            pos = np.asarray(position, dtype=np.int64)
-            h = weights.embed[tokens] + weights.positions[pos][:, None, :]
-        scale = None
+        pos = caches[0].row_lengths[:, None] + np.arange(length)
+        h = weights.embed[tokens] + weights.positions[pos]
+        scale = 1.0 / math.sqrt(weights.blocks[0].head_dim)
         for blk, cache in zip(weights.blocks, caches):
             x = layer_norm(h, *blk.norm1)
-            if scale is None:
-                scale = 1.0 / math.sqrt(blk.head_dim)
 
             def split(t: np.ndarray) -> np.ndarray:
                 return t.reshape(batch, length, blk.num_heads,
@@ -255,19 +251,14 @@ class Backend:
             q = split(linear(x, *blk.q))
             k = split(linear(x, *blk.k))
             v = split(linear(x, *blk.v))
-            if groups is None:
-                k_all, v_all = cache.append(k, v)
-                scores = (q @ k_all.transpose(0, 1, 3, 2)) * scale
+            context = np.empty_like(q)
+            for row0, row1 in groups:
+                k_g, v_g = cache.append(k[row0:row1], v[row0:row1],
+                                        row0, row1)
+                scores = (q[row0:row1] @ k_g.transpose(0, 1, 3, 2)) * scale
                 if mask is not None:
                     scores = scores + mask
-                context = softmax(scores) @ v_all
-            else:
-                cache.append_ragged(k, v)
-                context = np.empty_like(q)
-                for row0, row1, new_len in groups:
-                    k_g, v_g = cache.rows_view(row0, row1, new_len)
-                    s = (q[row0:row1] @ k_g.transpose(0, 1, 3, 2)) * scale
-                    context[row0:row1] = softmax(s) @ v_g
+                np.matmul(softmax(scores), v_g, out=context[row0:row1])
             merged = context.transpose(0, 2, 1, 3).reshape(batch, length,
                                                            blk.dim)
             h = h + linear(merged, *blk.out)
@@ -275,14 +266,15 @@ class Backend:
             hidden = gelu(linear(x2, *blk.ff_in))
             h = h + linear(hidden, *blk.ff_out)
         out = layer_norm(h[:, -1, :], *weights.final_norm)
-        if groups is None:
-            return linear(out, *weights.head)
         # The head GEMM's shape must match standalone decode exactly
         # (BLAS accumulation order is only guaranteed per identical
-        # call), so it runs per request group, never over the batch.
-        logits = np.empty((batch, weights.head[0].shape[1]), dtype=out.dtype)
-        for row0, row1, _ in groups:
-            logits[row0:row1] = linear(out[row0:row1], *weights.head)
+        # call), so it runs per group, never over the batch.
+        head_w, head_b = weights.head
+        logits = np.empty((batch, head_w.shape[1]), dtype=out.dtype)
+        for row0, row1 in groups:
+            rows = logits[row0:row1]
+            np.matmul(out[row0:row1], head_w, out=rows)
+            rows += head_b
         return logits
 
 

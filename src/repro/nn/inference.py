@@ -11,15 +11,18 @@ This module is the fast inference path that removes both costs:
   network with plain NumPy ops in the model's own dtype (``float32``;
   its KV caches and logits too) — no ``Tensor`` allocation, no autograd
   closures, no computation graph;
-* a per-layer :class:`~repro.nn.attention.LayerKVCache` stores the keys
-  and values of every position processed so far, so after one *prefill*
-  pass over the prompt each *decode step* costs a single forward over
-  one token attending to the cached history — O(T) per step instead of
-  O(T^2), and no causal mask is needed in decode.
+* a per-layer :class:`~repro.nn.attention.LayerKVCache`, built at
+  prefill with one row per walk, stores the keys and values of every
+  position processed so far, so after one *prefill* pass over the
+  prompt each *decode step* costs a single forward over one token
+  attending to the cached history — O(T) per step instead of O(T^2),
+  and no causal mask is needed in decode.
 
 Each prefill/step is ONE call of the one decode kernel,
 :meth:`~repro.nn.backend.Backend.decode_step` — the whole
-embed/blocks/norm/head pipeline per call.
+embed/blocks/norm/head pipeline per call — with the session's walks as
+its single row group ``[(0, B)]``.  The serving engine calls the same
+kernel with one row group per request.
 
 The decode kernel calls the same layer-norm/linear/softmax/GELU
 functions as the :class:`~repro.nn.Tensor` ops, in the same order, so
@@ -69,7 +72,7 @@ class _WalkWeights:
 
     Shared by :class:`WalkDecoder` (single-session decode) and the
     continuous-batching engine (:mod:`repro.serve.engine`), which walks
-    the same arrays with per-request attention groups.  This is the
+    the same arrays with one row group per request.  This is the
     ``weights`` shape :meth:`repro.nn.backend.Backend.decode_step`
     duck-types.
     """
@@ -84,6 +87,13 @@ class _WalkWeights:
                            model.final_norm.beta.data, model.final_norm.eps)
         self.head = (model.head.weight.data, model.head.bias.data)
 
+    def new_caches(self, rows: int) -> list[LayerKVCache]:
+        """One empty :class:`LayerKVCache` of ``rows`` rows per block, at
+        the session maximum length and in the model's dtype."""
+        return [LayerKVCache(rows, blk.num_heads, self.positions.shape[0],
+                             blk.head_dim, self.embed.dtype)
+                for blk in self.blocks]
+
 
 class WalkDecoder:
     """KV-cached incremental decoder for one sampling session.
@@ -96,35 +106,26 @@ class WalkDecoder:
             next_ids = sample_from(logits)
             logits = decoder.step(next_ids)       # (B, vocab)
 
-    The decoder views (never copies) the model's parameter arrays, so it
-    is cheap to construct per :meth:`sample` call; it must not outlive a
-    training step that updates the parameters in place.
+    The session's walks are one row group, ``[(0, B)]``, of the decode
+    kernel.  The decoder views (never copies) the model's parameter
+    arrays, so it is cheap to construct per :meth:`sample` call; it must
+    not outlive a training step that updates the parameters in place.
     """
 
     def __init__(self, model) -> None:
         self._weights = _WalkWeights(model)
-        # Preallocated at the session maximum: decode steps write into
-        # the cache buffers instead of reallocating them every token.
-        self._caches = [LayerKVCache(capacity=self._positions.shape[0])
-                        for _ in self._weights.blocks]
-        self._length = 0
-        self._batch: int | None = None
-
-    # Internal views kept as properties so the serving engine and older
-    # call sites can keep addressing the weight tuples uniformly.
-    @property
-    def _positions(self) -> np.ndarray:
-        return self._weights.positions
+        #: built at prefill, when the batch size is known
+        self._caches: list[LayerKVCache] = []
 
     @property
     def length(self) -> int:
         """Number of positions decoded so far (prompt included)."""
-        return self._length
+        return int(self._caches[0].row_lengths[0]) if self._caches else 0
 
     @property
     def batch_size(self) -> int | None:
         """Batch size frozen at prefill (``None`` before prefill)."""
-        return self._batch
+        return self._caches[0].num_rows if self._caches else None
 
     @property
     def caches(self) -> list[LayerKVCache]:
@@ -136,13 +137,11 @@ class WalkDecoder:
     def _forward(self, tokens: np.ndarray,
                  mask: np.ndarray | None) -> np.ndarray:
         """Advance the caches by ``tokens`` and return last-step logits."""
-        length = tokens.shape[1]
-        if self._length + length > self._positions.shape[0]:
+        if self.length + tokens.shape[1] > self._weights.positions.shape[0]:
             raise ValueError("decoding past the configured maximum length")
-        logits = DECODE_KERNEL.decode_step(
-            self._weights, self._caches, tokens, self._length, mask=mask)
-        self._length += length
-        return logits
+        return DECODE_KERNEL.decode_step(
+            self._weights, self._caches, tokens, [(0, tokens.shape[0])],
+            mask=mask)
 
     # ------------------------------------------------------------------
     def prefill(self, tokens: np.ndarray) -> np.ndarray:
@@ -153,14 +152,14 @@ class WalkDecoder:
         the final prompt position — the distribution of the first
         sampled token.
         """
-        if self._length:
+        if self._caches:
             raise RuntimeError("prefill must be the first decoder call")
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2 or tokens.shape[0] == 0 or tokens.shape[1] == 0:
             raise ValueError(
                 f"prefill expects a non-empty (B, T) prompt, got shape "
                 f"{tokens.shape}")
-        self._batch = tokens.shape[0]
+        self._caches = self._weights.new_caches(tokens.shape[0])
         return self._forward(tokens, causal_mask(tokens.shape[1]))
 
     def step(self, next_ids: np.ndarray) -> np.ndarray:
@@ -176,12 +175,12 @@ class WalkDecoder:
         that is the continuous-batching engine's job
         (:class:`repro.serve.ContinuousBatcher`).
         """
-        if not self._length:
+        if not self._caches:
             raise RuntimeError("call prefill before step")
         next_ids = np.asarray(next_ids, dtype=np.int64).reshape(-1, 1)
-        if next_ids.shape[0] != self._batch:
+        if next_ids.shape[0] != self.batch_size:
             raise ValueError(
                 f"step batch size {next_ids.shape[0]} does not match the "
-                f"batch size {self._batch} frozen at prefill; the decoder "
-                "cannot grow or shrink its walk batch mid-session")
+                f"batch size {self.batch_size} frozen at prefill; the "
+                "decoder cannot grow or shrink its walk batch mid-session")
         return self._forward(next_ids, None)

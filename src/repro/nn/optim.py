@@ -13,8 +13,7 @@ import numpy as np
 
 from .layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "RMSprop", "Adagrad",
-           "LRScheduler", "StepLR", "CosineAnnealingLR", "clip_grad_norm"]
+__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
@@ -151,110 +150,3 @@ class Adam(Optimizer):
             v *= b2
             v += (1 - b2) * grad ** 2
             p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-
-class RMSprop(Optimizer):
-    """RMSprop (Tieleman & Hinton): scale steps by an EMA of squared grads."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-2,
-                 alpha: float = 0.99, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError("alpha must be in [0, 1)")
-        self.lr = lr
-        self.alpha = alpha
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._sq = [np.zeros_like(p.data) for p in self.params]
-
-    def _buffer_slots(self) -> dict[str, list[np.ndarray]]:
-        return {"sq": self._sq}
-
-    def step(self) -> None:
-        for p, sq in zip(self.params, self._sq):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            sq *= self.alpha
-            sq += (1 - self.alpha) * grad ** 2
-            p.data -= self.lr * grad / (np.sqrt(sq) + self.eps)
-
-
-class Adagrad(Optimizer):
-    """Adagrad (Duchi et al.): per-coordinate cumulative scaling."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-2,
-                 eps: float = 1e-10):
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.eps = eps
-        self._accum = [np.zeros_like(p.data) for p in self.params]
-
-    def _buffer_slots(self) -> dict[str, list[np.ndarray]]:
-        return {"accum": self._accum}
-
-    def step(self) -> None:
-        for p, accum in zip(self.params, self._accum):
-            if p.grad is None:
-                continue
-            accum += p.grad ** 2
-            p.data -= self.lr * p.grad / (np.sqrt(accum) + self.eps)
-
-
-class LRScheduler:
-    """Base learning-rate scheduler wrapping an optimizer's ``lr``."""
-
-    def __init__(self, optimizer: Optimizer):
-        if not hasattr(optimizer, "lr"):
-            raise TypeError("optimizer has no adjustable lr")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        """Advance one epoch; returns the new learning rate."""
-        self.epoch += 1
-        self.optimizer.lr = self._lr_at(self.epoch)
-        return self.optimizer.lr
-
-    def _lr_at(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int,
-                 gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base rate to ``min_lr`` over ``total`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, total: int,
-                 min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if total < 1:
-            raise ValueError("total must be >= 1")
-        self.total = total
-        self.min_lr = min_lr
-
-    def _lr_at(self, epoch: int) -> float:
-        progress = min(epoch, self.total) / self.total
-        cos = 0.5 * (1.0 + np.cos(np.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cos

@@ -4,7 +4,7 @@ Stdlib-only. Three metric kinds, all supporting labeled series:
 
 * :class:`Counter` — monotonically increasing floats (``inc``).
 * :class:`Gauge` — last-write-wins floats (``set``/``inc``/``dec``/
-  ``set_max``), optionally backed by a callable for live values.
+  ``set_max``).
 * :class:`Histogram` — fixed upper-bound buckets with cumulative
   counts, a running sum, and percentile estimation (p50/p90/p99 in
   snapshots) by linear interpolation inside the winning bucket.
@@ -138,15 +138,8 @@ class _Metric:
         raise NotImplementedError
 
 
-class Counter(_Metric):
-    kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        key = self._series_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+class _Scalar(_Metric):
+    """One float per labeled series (counters and gauges)."""
 
     def value(self, **labels: object) -> float:
         key = _label_key(labels)
@@ -174,7 +167,18 @@ class Counter(_Metric):
         return {json.dumps(dict(key)): val for key, val in items}
 
 
-class Gauge(_Metric):
+class Counter(_Scalar):
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        if amount < 0:
+            raise ValueError("counters can only increase")
+        key = self._series_key(labels)
+        with self._lock:
+            self._series[key] = self._series.get(key, 0.0) + amount
+
+
+class Gauge(_Scalar):
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
@@ -185,10 +189,7 @@ class Gauge(_Metric):
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         key = self._series_key(labels)
         with self._lock:
-            cur = self._series.get(key, 0.0)
-            if callable(cur):
-                raise ValueError(f"gauge {self.name} is callback-backed")
-            self._series[key] = cur + amount
+            self._series[key] = self._series.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
@@ -197,45 +198,8 @@ class Gauge(_Metric):
         """Keep the running maximum (e.g. peak batch occupancy)."""
         key = self._series_key(labels)
         with self._lock:
-            cur = self._series.get(key, float("-inf"))
-            if callable(cur):
-                raise ValueError(f"gauge {self.name} is callback-backed")
-            if value > cur:
+            if value > self._series.get(key, float("-inf")):
                 self._series[key] = float(value)
-
-    def set_function(self, fn: Callable[[], float], **labels: object) -> None:
-        """Back this series with a callable evaluated at read time."""
-        key = self._series_key(labels)
-        with self._lock:
-            self._series[key] = fn
-
-    def value(self, **labels: object) -> float:
-        key = _label_key(labels)
-        with self._lock:
-            cur = self._series.get(key, 0.0)
-        if callable(cur):
-            return float(cur())
-        return float(cur)
-
-    def _materialized(self) -> List[Tuple[LabelKey, float]]:
-        with self._lock:
-            items = sorted(self._series.items())
-        out: List[Tuple[LabelKey, float]] = []
-        for key, val in items:
-            out.append((key, float(val()) if callable(val) else float(val)))
-        return out
-
-    def expositions(self) -> List[str]:
-        return [
-            f"{self.name}{_render_labels(key)} {_format_value(val)}"
-            for key, val in self._materialized()
-        ]
-
-    def snapshot_value(self) -> object:
-        items = self._materialized()
-        if len(items) == 1 and items[0][0] == ():
-            return items[0][1]
-        return {json.dumps(dict(key)): val for key, val in items}
 
 
 class _HistogramSeries:

@@ -16,10 +16,11 @@ use:
   (:meth:`~repro.nn.attention.LayerKVCache.append_cache`);
 * every engine step advances **all** resident walks by one token in a
   single forward — ONE :meth:`~repro.nn.backend.Backend.decode_step`
-  call, the same kernel standalone sampling runs, where the dense
+  call with one ``(row0, row1)`` row group per request, the same kernel
+  and mode standalone sampling runs with its single group: the dense
   projections and feed-forward run over the whole coalesced batch while
-  attention and the vocabulary head run per request group over exact
-  (unpadded) cache slices;
+  attention and the vocabulary head run per group over the request's
+  exact (unpadded) cache window;
 * walks that reach their requested length are swapped out
   (:meth:`~repro.nn.attention.LayerKVCache.gather_rows`) and queued
   requests are admitted in their place, so the batch stays full while
@@ -51,7 +52,6 @@ from collections import deque
 
 import numpy as np
 
-from ..nn.attention import LayerKVCache
 from ..nn.backend import DECODE_KERNEL
 from ..nn.inference import WalkDecoder, _WalkWeights
 from ..obs import trace
@@ -253,7 +253,7 @@ class ContinuousBatcher:
 
     Thread model: any number of threads may :meth:`submit`; exactly one
     thread drives :meth:`step` (directly, via :meth:`drain`, or via the
-    :meth:`run` loop the daemon uses).
+    daemon's decode loop).
     """
 
     def __init__(self, model, *, max_walks: int = 256,
@@ -266,10 +266,7 @@ class ContinuousBatcher:
         self.max_walks = max_walks
         self._pending: deque[tuple] = deque()
         self._active: list[_ActiveRequest] = []
-        self._caches: list[LayerKVCache] = [
-            LayerKVCache(capacity=self._weights.positions.shape[0])
-            for _ in self._weights.blocks]
-        self._work = threading.Event()
+        self._caches = self._weights.new_caches(0)
         self.stats = EngineStats(registry, name)
 
     # ------------------------------------------------------------------
@@ -298,7 +295,6 @@ class ContinuousBatcher:
                               tokens))
         # Registry-locked: submit() runs on arbitrary caller threads.
         self.stats.note("submitted")
-        self._work.set()
         return ticket
 
     @property
@@ -394,17 +390,17 @@ class ContinuousBatcher:
         with trace.span("serve.step", batch=batch,
                         requests=len(self._active)):
             self.stats.note_step(batch)
-            groups: list[tuple[int, int, int]] = []  # (row0, row1, new_len)
+            groups: list[tuple[int, int]] = []  # (row0, row1) per request
             offset = 0
             for req in self._active:
-                groups.append((offset, offset + req.n, req.tokens.shape[1]))
+                groups.append((offset, offset + req.n))
                 offset += req.n
             tokens = np.concatenate(
                 [req.pending_ids for req in self._active])[:, None]
             logits = self._forward_step(tokens, groups)
 
             finished: list[int] = []
-            for i, (req, (row0, row1, _)) in enumerate(
+            for i, (req, (row0, row1)) in enumerate(
                     zip(self._active, groups)):
                 next_ids = model._sample_step(logits[row0:row1],
                                               req.temperature,
@@ -422,22 +418,18 @@ class ContinuousBatcher:
         return batch
 
     def _forward_step(self, tokens: np.ndarray,
-                      groups: list[tuple[int, int, int]]) -> np.ndarray:
-        """One whole-step decode over the coalesced ragged batch.
+                      groups: list[tuple[int, int]]) -> np.ndarray:
+        """One whole-step decode over the coalesced batch.
 
         ``tokens`` is ``(B, 1)``; ``groups`` lists each request's
-        contiguous ``(row0, row1, new_length)`` — its rows and the cache
-        length *after* this step's append.  The entire forward is a
-        single :meth:`~repro.nn.backend.Backend.decode_step` call in
-        ragged mode; the per-row position index and the per-group
-        attention/head slices keep every request value-exact (see the
-        module docstring).
+        contiguous ``(row0, row1)`` rows.  The entire forward is a
+        single :meth:`~repro.nn.backend.Backend.decode_step` call with
+        one row group per request (see the module docstring).
         """
         with trace.span("serve.decode_step", rows=tokens.shape[0],
                         groups=len(groups)):
             return DECODE_KERNEL.decode_step(
-                self._weights, self._caches, tokens,
-                self._caches[0].row_lengths, groups=groups)
+                self._weights, self._caches, tokens, groups)
 
     # ------------------------------------------------------------------
     # Driving loops
@@ -446,24 +438,6 @@ class ContinuousBatcher:
         """Step until every submitted request has completed."""
         while not self.idle:
             self.step()
-
-    def run(self, stop: threading.Event, idle_wait: float = 0.05) -> None:
-        """Decode-loop body for a dedicated engine thread.
-
-        Steps while work exists; parks on the submission event when
-        idle.  ``stop`` ends the loop — after draining resident work, so
-        a graceful daemon shutdown never abandons admitted walks.
-        """
-        while True:
-            if self.step() == 0:
-                if stop.is_set():
-                    if self.idle:
-                        return
-                    continue  # drain what was admitted before the stop
-                self._work.wait(idle_wait)
-                self._work.clear()
-            elif stop.is_set() and self.idle:
-                return
 
 
 def serve_walks(engine: ContinuousBatcher, n_walks: int, length: int,

@@ -13,8 +13,8 @@ artifact cache, written on the worker's heartbeat cadence).
 
 from .trainer import (CHECKPOINT_FORMAT, MetricsCallback, TrainCallback,
                       TrainControl, Trainer, TrainState, minibatches,
-                      step_rng, train_step)
+                      train_step)
 
 __all__ = ["Trainer", "TrainState", "TrainControl", "TrainCallback",
-           "MetricsCallback", "minibatches", "train_step", "step_rng",
+           "MetricsCallback", "minibatches", "train_step",
            "CHECKPOINT_FORMAT"]

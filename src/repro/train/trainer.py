@@ -64,7 +64,7 @@ from ..obs import trace
 from ..obs.metrics import MetricsRegistry, get_registry
 
 __all__ = ["TrainCallback", "TrainControl", "TrainState", "Trainer",
-           "MetricsCallback", "minibatches", "train_step", "step_rng",
+           "MetricsCallback", "minibatches", "train_step",
            "CHECKPOINT_FORMAT"]
 
 #: bump when the on-disk checkpoint layout changes incompatibly
@@ -117,19 +117,6 @@ def _steps_counter():
         _STEPS_COUNTER = get_registry().counter(
             "train_steps_total", "Optimizer steps taken via train_step")
     return _STEPS_COUNTER
-
-
-def step_rng(seed: int, epoch: int, step: int = 0) -> np.random.Generator:
-    """Independent per-step RNG stream for ``(seed, epoch, step)``.
-
-    New Trainer tasks that want order-independent minibatch randomness
-    (e.g. data-parallel epochs) derive one stream per step instead of
-    consuming a shared sequential generator.  The legacy-parity tasks do
-    NOT use this — they keep the sequential consumption their pinned
-    numerics depend on.
-    """
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFF, epoch, step]))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Parity and hygiene tests for the whole-step ``decode_step`` kernel.
 
 ``Backend.decode_step`` must reproduce the per-op reference (the
-training modules' ``cache=`` arm) byte for byte in both of its modes:
+training modules' ``cache=`` arm) byte for byte for both of its
+callers:
 
-* uniform prefill/decode (the :class:`WalkDecoder` path),
-* ragged single-token serving decode (the batcher steady state).
+* one row group, prefill then steps (the :class:`WalkDecoder` path),
+* several row groups in one single-token step (the batcher steady
+  state), each equal to its group decoded alone.
 
 It must also never mutate its inputs — tokens, mask, model
 parameters.  Both sampling and the serving engine must look the kernel
@@ -18,7 +20,6 @@ import pytest
 
 from repro.models.walk_lm import TransformerWalkModel
 from repro.nn import Backend, Tensor, WalkDecoder, causal_mask, no_grad
-from repro.nn.attention import LayerKVCache
 from repro.nn.backend import DECODE_KERNEL
 from repro.nn.inference import _WalkWeights
 from repro.serve.engine import ContinuousBatcher
@@ -33,16 +34,10 @@ def model():
     return m
 
 
-def _fresh_caches(weights):
-    return [LayerKVCache(capacity=weights.positions.shape[0])
-            for _ in weights.blocks]
-
-
-def _tensor_decoder(model):
+def _tensor_decoder(model, rows):
     """Per-op reference: the training modules, one Tensor op per call,
     decoding against KV caches (the ``cache=`` arm of attention)."""
-    caches = [LayerKVCache(capacity=model._positions.shape[0])
-              for _ in model.blocks]
+    caches = _WalkWeights(model).new_caches(rows)
     decoded = 0
 
     def forward(tokens, mask):
@@ -61,14 +56,14 @@ def _tensor_decoder(model):
 
 
 # ----------------------------------------------------------------------
-# Uniform mode: decode_step vs the per-op Tensor forward
+# Uniform batch, one group: decode_step vs the per-op Tensor forward
 # ----------------------------------------------------------------------
 class TestUniformParity:
     def test_prefill_and_steps_match_per_op_reference(self, model):
         rng = np.random.default_rng(3)
         prompt = rng.integers(0, 40, size=(5, 4))
 
-        ref = _tensor_decoder(model)
+        ref = _tensor_decoder(model, 5)
         decoder = WalkDecoder(model)
         np.testing.assert_array_equal(decoder.prefill(prompt),
                                       ref(prompt, causal_mask(4)))
@@ -85,11 +80,12 @@ class TestUniformParity:
 
 
 # ----------------------------------------------------------------------
-# Ragged serving mode
+# Ragged batch: groups of different lengths in one step (the serving
+# engine)
 # ----------------------------------------------------------------------
 class TestRaggedParity:
     def test_single_token_groups_match_uniform_per_request(self, model):
-        """A coalesced ragged step equals each request decoded alone."""
+        """A coalesced two-group step equals each request decoded alone."""
         weights = _WalkWeights(model)
         rng = np.random.default_rng(21)
 
@@ -102,20 +98,20 @@ class TestRaggedParity:
             d.prefill(p)
             decoders.append(d)
 
-        caches = _fresh_caches(weights)
+        caches = weights.new_caches(0)
         for cache, d0, d1 in zip(caches, decoders[0].caches,
                                  decoders[1].caches):
             cache.append_cache(d0)
             cache.append_cache(d1)
 
         ids = rng.integers(0, 40, size=5)
-        groups = [(0, 3, 3), (3, 5, 6)]
-        ragged = DECODE_KERNEL.decode_step(
-            weights, caches, ids[:, None], caches[0].row_lengths,
-            groups=groups)
+        grouped = DECODE_KERNEL.decode_step(
+            weights, caches, ids[:, None], [(0, 3), (3, 5)])
         solo = np.concatenate([decoders[0].step(ids[:3]),
                                decoders[1].step(ids[3:])])
-        np.testing.assert_array_equal(ragged, solo)
+        np.testing.assert_array_equal(grouped, solo)
+        np.testing.assert_array_equal(caches[0].row_lengths,
+                                      [3, 3, 3, 6, 6])
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +140,7 @@ class TestKernelLookup:
         ticket = engine.submit(2, 6, np.random.default_rng(2))
         engine.drain()
         assert ticket.result(timeout=0).shape == (2, 6)
-        # one isolated prefill at admission, then five ragged steps
+        # one isolated prefill at admission, then five grouped steps
         assert calls == [2] * 6
 
 
@@ -163,8 +159,8 @@ class TestNoInputMutation:
                         for blk in weights.blocks]
         embed_copy = weights.embed.copy()
 
-        DECODE_KERNEL.decode_step(weights, _fresh_caches(weights), tokens,
-                                  0, mask=mask)
+        DECODE_KERNEL.decode_step(weights, weights.new_caches(3), tokens,
+                                  [(0, 3)], mask=mask)
 
         np.testing.assert_array_equal(tokens, tokens_copy)
         np.testing.assert_array_equal(mask, mask_copy)

@@ -65,7 +65,7 @@ def test_walk_lm_float32_end_to_end_rest_float64(monkeypatch):
     assert {p.grad.dtype for p in params} == {F32}
     assert {buf.dtype for buf in optimizer._m + optimizer._v} == {F32}
 
-    # Decode: standalone sample, then one ragged serving-engine step over
+    # Decode: standalone sample, then one serving-engine step over
     # two requests of different lengths.
     made.clear()
     model.sample(5, 8, rng)
@@ -80,7 +80,7 @@ def test_walk_lm_float32_end_to_end_rest_float64(monkeypatch):
     assert len(logits) == 8 + 1 + 2 + 1
     assert {out.dtype for out in logits} == {F32}
     caches = decoder.caches + engine._caches
-    assert {buf.dtype for c in caches for buf in (c.k, c.v)} == {F32}
+    assert {buf.dtype for c in caches for buf in (c._k, c._v)} == {F32}
 
     # Everything else stays float64: the discriminator, SGNS, gradchecks.
     made.clear()

@@ -1,6 +1,5 @@
-"""Tests for the extension modules: extra optimizers and schedulers,
-spectral utilities, classic generators, MMD metrics, link prediction,
-and the GraphRNN baseline."""
+"""Tests for the extension modules: spectral utilities, classic
+generators, MMD metrics, link prediction, and the GraphRNN baseline."""
 
 from __future__ import annotations
 
@@ -12,65 +11,6 @@ from repro.graph import (Graph, cheeger_bounds, configuration_model,
                          normalized_laplacian, personalized_pagerank,
                          planted_protected_graph, spectral_gap, sweep_cut,
                          watts_strogatz)
-from repro.nn import (Adagrad, Adam, CosineAnnealingLR, Parameter, RMSprop,
-                      SGD, StepLR)
-
-
-class TestExtraOptimizers:
-    def _minimise(self, optimizer_factory, steps=300):
-        w = Parameter(np.array([4.0, -2.0]))
-        opt = optimizer_factory([w])
-        for _ in range(steps):
-            opt.zero_grad()
-            ((w - 1.0) ** 2).sum().backward()
-            opt.step()
-        return w.numpy()
-
-    def test_rmsprop_converges(self):
-        out = self._minimise(lambda p: RMSprop(p, lr=0.05))
-        np.testing.assert_allclose(out, [1.0, 1.0], atol=0.05)
-
-    def test_adagrad_converges(self):
-        out = self._minimise(lambda p: Adagrad(p, lr=0.5))
-        np.testing.assert_allclose(out, [1.0, 1.0], atol=0.05)
-
-    def test_rmsprop_validation(self):
-        with pytest.raises(ValueError):
-            RMSprop([Parameter(np.zeros(1))], lr=0.0)
-        with pytest.raises(ValueError):
-            RMSprop([Parameter(np.zeros(1))], alpha=1.5)
-
-    def test_adagrad_validation(self):
-        with pytest.raises(ValueError):
-            Adagrad([Parameter(np.zeros(1))], lr=-1.0)
-
-
-class TestSchedulers:
-    def test_step_lr_decays(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        rates = [sched.step() for _ in range(4)]
-        assert rates == [1.0, 0.5, 0.5, 0.25]
-
-    def test_cosine_reaches_min(self):
-        opt = Adam([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineAnnealingLR(opt, total=10, min_lr=0.1)
-        for _ in range(10):
-            last = sched.step()
-        assert last == pytest.approx(0.1)
-
-    def test_cosine_monotone_decreasing(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineAnnealingLR(opt, total=8)
-        rates = [sched.step() for _ in range(8)]
-        assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
-
-    def test_validation(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(opt, total=0)
 
 
 class TestSpectral:

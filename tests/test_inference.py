@@ -39,29 +39,46 @@ class TestCausalMaskCache:
             causal_mask(7)[0, 0] = 1.0
 
 
+def _cache(rows, capacity, heads=4, head_dim=4):
+    return LayerKVCache(rows, heads, capacity, head_dim, np.float64)
+
+
 class TestLayerKVCache:
     def test_append_grows_time_axis(self, rng):
-        cache = LayerKVCache(capacity=5)
-        assert cache.length == 0
+        cache = _cache(2, 5, head_dim=8)
+        np.testing.assert_array_equal(cache.row_lengths, [0, 0])
         k1 = rng.normal(size=(2, 4, 3, 8))
-        cache.append(k1, k1.copy())
-        assert cache.length == 3
-        cache.append(k1[:, :, :1], k1[:, :, :1].copy())
-        assert cache.length == 4
+        k_all, v_all = cache.append(k1, k1 + 1.0, 0, 2)
+        np.testing.assert_array_equal(cache.row_lengths, [3, 3])
+        np.testing.assert_array_equal(k_all, k1)
+        np.testing.assert_array_equal(v_all, k1 + 1.0)
+        k_all, _ = cache.append(k1[:, :, :1], k1[:, :, :1].copy(), 0, 2)
+        np.testing.assert_array_equal(cache.row_lengths, [4, 4])
+        assert k_all.shape == (2, 4, 4, 8) and k_all.base is not None
+
+    def test_append_to_one_group_leaves_the_others(self, rng):
+        cache = _cache(3, 6, heads=2)
+        cache.append(rng.normal(size=(3, 2, 2, 4)),
+                     rng.normal(size=(3, 2, 2, 4)), 0, 3)
+        k_new = rng.normal(size=(1, 2, 1, 4))
+        k_g, v_g = cache.append(k_new, k_new + 1.0, 2, 3)
+        np.testing.assert_array_equal(cache.row_lengths, [2, 2, 3])
+        np.testing.assert_array_equal(k_g[:, :, 2:], k_new)
+        np.testing.assert_array_equal(v_g[:, :, 2:], k_new + 1.0)
 
     def test_capacity_overflow_rejected(self, rng):
-        cache = LayerKVCache(capacity=2)
+        cache = _cache(1, 2, heads=2)
         k = rng.normal(size=(1, 2, 2, 4))
-        cache.append(k, k.copy())
+        cache.append(k, k.copy(), 0, 1)
         with pytest.raises(ValueError, match="capacity"):
-            cache.append(k[:, :, :1], k[:, :, :1].copy())
+            cache.append(k[:, :, :1], k[:, :, :1].copy(), 0, 1)
 
     def test_attention_cached_decode_matches_full_forward(self, rng):
         attn = MultiHeadSelfAttention(16, 4, rng)
         x = Tensor(rng.normal(size=(3, 6, 16)))
         with no_grad():
             full = attn(x, causal_mask(6)).numpy()
-            cache = LayerKVCache(capacity=6)
+            cache = _cache(3, 6)
             prefix = attn(Tensor(x.numpy()[:, :4]), causal_mask(4),
                           cache=cache).numpy()
             np.testing.assert_allclose(prefix, full[:, :4], atol=1e-12)
@@ -70,14 +87,14 @@ class TestLayerKVCache:
                             cache=cache).numpy()
                 np.testing.assert_allclose(step[:, 0], full[:, t],
                                            atol=1e-12)
-        assert cache.length == 6
+        np.testing.assert_array_equal(cache.row_lengths, [6, 6, 6])
 
     def test_block_cached_decode_matches_full_forward(self, rng):
         block = TransformerBlock(16, 4, rng)
         x = Tensor(rng.normal(size=(2, 5, 16)))
         with no_grad():
             full = block(x, causal_mask(5)).numpy()
-            cache = LayerKVCache(capacity=5)
+            cache = _cache(2, 5)
             out = block(Tensor(x.numpy()[:, :3]), causal_mask(3),
                         cache=cache).numpy()
             np.testing.assert_allclose(out, full[:, :3], atol=1e-12)
@@ -93,7 +110,7 @@ class TestLayerKVCache:
         attn = MultiHeadSelfAttention(16, 4, rng)
         x = Tensor(rng.normal(size=(1, 2, 16)))
         with pytest.raises(RuntimeError, match="inference-only"):
-            attn(x, causal_mask(2), cache=LayerKVCache(capacity=2))
+            attn(x, causal_mask(2), cache=_cache(1, 2))
 
 
 class TestWalkDecoder:
@@ -223,13 +240,19 @@ class TestSampleChunked:
 
 
 class TestLayerKVCacheRowOps:
-    """Row-level insert/evict/compact: the serving engine's cache mode."""
+    """Row-level insert/evict/compact: the serving engine's cache ops."""
 
     def _filled(self, rng, rows, length, capacity=6):
-        cache = LayerKVCache(capacity=capacity)
+        cache = _cache(rows, capacity, heads=2)
         k = rng.normal(size=(rows, 2, length, 4))
-        cache.append(k, k + 1.0)
+        cache.append(k, k + 1.0, 0, rows)
         return cache, k
+
+    def _window(self, cache, row0, row1):
+        """The (k, v) rows ``row0:row1`` at their shared length."""
+        length = int(cache.row_lengths[row0])
+        return (cache._k[row0:row1, :, :length],
+                cache._v[row0:row1, :, :length])
 
     def test_append_cache_transplants_rows(self, rng):
         a, k_a = self._filled(rng, 2, 3)
@@ -237,9 +260,9 @@ class TestLayerKVCacheRowOps:
         a.append_cache(b)
         assert a.num_rows == 5
         np.testing.assert_array_equal(a.row_lengths, [3, 3, 5, 5, 5])
-        k_rows, _ = a.rows_view(0, 2, 3)
+        k_rows, _ = self._window(a, 0, 2)
         np.testing.assert_array_equal(k_rows, k_a)
-        k_rows, v_rows = a.rows_view(2, 5, 5)
+        k_rows, v_rows = self._window(a, 2, 5)
         np.testing.assert_array_equal(k_rows, k_b)
         np.testing.assert_array_equal(v_rows, k_b + 1.0)
 
@@ -249,11 +272,6 @@ class TestLayerKVCacheRowOps:
         with pytest.raises(ValueError, match="capacity"):
             a.append_cache(b)
 
-    def test_append_cache_rejects_empty_donor(self, rng):
-        a, _ = self._filled(rng, 1, 2)
-        with pytest.raises(ValueError, match="non-empty"):
-            a.append_cache(LayerKVCache(capacity=6))
-
     def test_gather_rows_evicts_and_compacts(self, rng):
         a, k_a = self._filled(rng, 2, 3)
         b, k_b = self._filled(rng, 3, 5)
@@ -261,44 +279,46 @@ class TestLayerKVCacheRowOps:
         a.gather_rows(np.array([0, 3, 4]))  # drop row 1 and b's first row
         assert a.num_rows == 3
         np.testing.assert_array_equal(a.row_lengths, [3, 5, 5])
-        k_rows, _ = a.rows_view(0, 1, 3)
+        k_rows, _ = self._window(a, 0, 1)
         np.testing.assert_array_equal(k_rows, k_a[:1])
-        k_rows, _ = a.rows_view(1, 3, 5)
+        k_rows, _ = self._window(a, 1, 3)
         np.testing.assert_array_equal(k_rows, k_b[1:])
+
+    def test_append_ragged_capacity_overflow_rejected(self, rng):
+        a, _ = self._filled(rng, 1, 6, capacity=6)  # row already full
+        b, _ = self._filled(rng, 1, 2, capacity=6)
+        a.append_cache(b)
+        k = rng.normal(size=(1, 2, 1, 4))
+        with pytest.raises(ValueError, match="capacity"):
+            a.append(k, k.copy(), 0, 1)
+        np.testing.assert_array_equal(a.row_lengths, [6, 2])
+        # the shorter group of the same batch still has room
+        a.append(k, k.copy(), 1, 2)
+        np.testing.assert_array_equal(a.row_lengths, [6, 3])
+
+    def test_rows_view_is_zero_copy(self, rng):
+        a, k_a = self._filled(rng, 1, 2)
+        b, k_b = self._filled(rng, 2, 4)
+        a.append_cache(b)
+        k_new = rng.normal(size=(2, 2, 1, 4))
+        k_rows, v_rows = a.append(k_new, k_new + 1.0, 1, 3)
+        assert k_rows.base is not None and v_rows.base is not None
+        assert np.shares_memory(k_rows, a._k)
+        assert np.shares_memory(v_rows, a._v)
+        np.testing.assert_array_equal(k_rows[:, :, :4], k_b)
+        np.testing.assert_array_equal(k_rows[:, :, 4:], k_new)
+        np.testing.assert_array_equal(self._window(a, 0, 1)[0], k_a)
 
     def test_gather_all_rows_resets_to_pristine(self, rng):
         cache, _ = self._filled(rng, 2, 3)
         cache.gather_rows(np.empty(0, dtype=np.int64))
-        assert cache.num_rows == 0 and cache.length == 0
-        # the cache is reusable afterwards, as if freshly constructed
-        k = rng.normal(size=(1, 2, 2, 4))
-        cache.append(k, k.copy())
-        assert cache.length == 2
-
-    def test_append_ragged_advances_per_row_lengths(self, rng):
-        a, _ = self._filled(rng, 2, 3)
-        b, _ = self._filled(rng, 1, 5)
-        a.append_cache(b)
-        k_new = rng.normal(size=(3, 2, 1, 4))
-        a.append_ragged(k_new, k_new + 1.0)
-        np.testing.assert_array_equal(a.row_lengths, [4, 4, 6])
-        k_rows, v_rows = a.rows_view(0, 2, 4)
-        np.testing.assert_array_equal(k_rows[:, :, 3:], k_new[:2])
-        np.testing.assert_array_equal(v_rows[:, :, 3:], k_new[:2] + 1.0)
-        k_rows, _ = a.rows_view(2, 3, 6)
-        np.testing.assert_array_equal(k_rows[:, :, 5:], k_new[2:])
-
-    def test_append_ragged_capacity_overflow_rejected(self, rng):
-        a, _ = self._filled(rng, 1, 6, capacity=6)  # row already full
-        k = rng.normal(size=(1, 2, 1, 4))
-        with pytest.raises(ValueError, match="capacity"):
-            a.append_ragged(k, k.copy())
-
-    def test_rows_view_is_zero_copy(self, rng):
-        cache, k = self._filled(rng, 3, 4)
-        k_rows, v_rows = cache.rows_view(1, 3, 4)
-        assert k_rows.base is not None and v_rows.base is not None
-        np.testing.assert_array_equal(k_rows, k[1:3])
+        assert cache.num_rows == 0 and cache.row_lengths.size == 0
+        # a later admission starts a fresh batch
+        donor, k = self._filled(rng, 1, 2)
+        cache.append_cache(donor)
+        np.testing.assert_array_equal(cache.row_lengths, [2])
+        k_rows, _ = self._window(cache, 0, 1)
+        np.testing.assert_array_equal(k_rows, k)
 
 
 class TestWalkDecoderBatchGuards:

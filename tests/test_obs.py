@@ -69,14 +69,11 @@ class TestRegistry:
         assert counter.value(route="/b") == 2
         assert counter.total() == 3
 
-    def test_gauge_set_max_and_function(self):
+    def test_gauge_set_max(self):
         gauge = MetricsRegistry().gauge("g")
         gauge.set_max(3)
         gauge.set_max(1)
         assert gauge.value() == 3
-        live = MetricsRegistry().gauge("live")
-        live.set_function(lambda: 42.0)
-        assert live.value() == 42.0
 
     def test_thread_safety_exact_totals(self):
         """12 hammering threads, every increment lands — no lost updates."""

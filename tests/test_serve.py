@@ -8,6 +8,7 @@ same walk generated standalone.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -35,6 +36,26 @@ def walk_model():
     return TransformerWalkModel(num_nodes=23, dim=32, num_heads=4,
                                 num_layers=2, max_length=40,
                                 rng=np.random.default_rng(7))
+
+
+@contextlib.contextmanager
+def _stepping(engine):
+    """Step ``engine`` on a plain thread until the block exits and the
+    engine has drained."""
+    stop = threading.Event()
+
+    def loop():
+        while not (stop.is_set() and engine.idle):
+            if not engine.step():
+                time.sleep(0.001)
+
+    thread = threading.Thread(target=loop)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
 
 
 def _wait_until(condition, timeout=60.0):
@@ -166,34 +187,13 @@ class TestContinuousBatcher:
         engine.drain()
         assert ticket.result().shape == (2, 10)
 
-    def test_run_loop_drains_on_stop(self, walk_model):
-        engine = ContinuousBatcher(walk_model, max_walks=16)
-        stop = threading.Event()
-        thread = threading.Thread(target=engine.run, args=(stop,))
-        thread.start()
-        ticket = engine.submit(4, 25, np.random.default_rng(5))
-        stop.set()
-        engine._work.set()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        np.testing.assert_array_equal(
-            ticket.result(timeout=0),
-            walk_model.sample(4, 25, np.random.default_rng(5)))
-
 
 class TestServeWalks:
     def test_matches_sample_chunked(self, walk_model):
         engine = ContinuousBatcher(walk_model, max_walks=16)
-        stop = threading.Event()
-        thread = threading.Thread(target=engine.run, args=(stop,))
-        thread.start()
-        try:
+        with _stepping(engine):
             got = serve_walks(engine, 20, 15, np.random.default_rng(99),
                               chunk=7)
-        finally:
-            stop.set()
-            engine._work.set()
-            thread.join()
         np.testing.assert_array_equal(
             got, walk_model.sample_chunked(20, 15,
                                            np.random.default_rng(99),
@@ -204,16 +204,9 @@ class TestServeWalks:
             return rng.integers(0, walk_model.num_nodes, size=take)
 
         engine = ContinuousBatcher(walk_model, max_walks=16)
-        stop = threading.Event()
-        thread = threading.Thread(target=engine.run, args=(stop,))
-        thread.start()
-        try:
+        with _stepping(engine):
             got = serve_walks(engine, 20, 9, np.random.default_rng(31),
                               chunk=6, starts_fn=starts_fn)
-        finally:
-            stop.set()
-            engine._work.set()
-            thread.join()
         np.testing.assert_array_equal(
             got, walk_model.sample_chunked(20, 9, np.random.default_rng(31),
                                            chunk=6, starts_fn=starts_fn))
@@ -244,17 +237,10 @@ class TestServedModelParity:
 
     def _served(self, walk_model, n_walks, length, seed, starts_fn=None):
         engine = ContinuousBatcher(walk_model, max_walks=256)
-        stop = threading.Event()
-        thread = threading.Thread(target=engine.run, args=(stop,))
-        thread.start()
-        try:
+        with _stepping(engine):
             return serve_walks(engine, n_walks, length,
                                np.random.default_rng(seed),
                                starts_fn=starts_fn)
-        finally:
-            stop.set()
-            engine._work.set()
-            thread.join()
 
     def test_taggen_generate_walks_parity(self, fitted_setting):
         graph, _ = fitted_setting
@@ -278,9 +264,6 @@ class TestServedModelParity:
             self, walk_model):
         """Parity must hold while unrelated requests share the batch."""
         engine = ContinuousBatcher(walk_model, max_walks=64)
-        stop = threading.Event()
-        thread = threading.Thread(target=engine.run, args=(stop,))
-        thread.start()
         results: dict[int, np.ndarray] = {}
 
         def client(i):
@@ -290,16 +273,12 @@ class TestServedModelParity:
 
         clients = [threading.Thread(target=client, args=(i,))
                    for i in range(4)]
-        try:
+        with _stepping(engine):
             for t in clients:
                 t.start()
                 time.sleep(0.003)  # stagger: arrivals land mid-decode
             for t in clients:
                 t.join()
-        finally:
-            stop.set()
-            engine._work.set()
-            thread.join()
         for i in range(4):
             np.testing.assert_array_equal(
                 results[i],
