@@ -344,38 +344,20 @@ class ShardCSR:
     """One resident shard: memory-mapped CSR views over its node range.
 
     ``indptr``/``degrees`` are local to ``[node_start, node_stop)``;
-    ``indices`` hold global neighbor ids, sorted per row.  ``edge_keys``
-    (for batched adjacency membership) is materialised lazily on the
-    first biased-walk query and cached with the resident entry, so it is
-    evicted together with the shard.
+    ``indices`` hold global neighbor ids, sorted per row.
     """
 
     __slots__ = ("shard_id", "node_start", "node_stop", "indptr",
-                 "indices", "degrees", "_edge_keys", "_num_nodes")
+                 "indices", "degrees")
 
     def __init__(self, shard_id: int, node_start: int, node_stop: int,
-                 arrays: dict[str, np.ndarray], num_nodes: int):
+                 arrays: dict[str, np.ndarray]):
         self.shard_id = shard_id
         self.node_start = node_start
         self.node_stop = node_stop
         self.indptr = arrays["indptr"]
         self.indices = arrays["indices"]
         self.degrees = arrays["degrees"]
-        self._edge_keys: np.ndarray | None = None
-        self._num_nodes = num_nodes
-
-    @property
-    def edge_keys(self) -> np.ndarray:
-        """Sorted global ``row * n + col`` keys of this shard's slots."""
-        if self._edge_keys is None:
-            span = self.node_stop - self.node_start
-            rows = np.repeat(
-                np.arange(self.node_start, self.node_stop,
-                          dtype=np.int64),
-                np.asarray(self.degrees[:span]))
-            self._edge_keys = rows * self._num_nodes \
-                + np.asarray(self.indices)
-        return self._edge_keys
 
     def neighbors(self, node: int) -> np.ndarray:
         local = node - self.node_start
@@ -391,8 +373,8 @@ class ShardedGraph:
     ``neighbors``, ``neighbor_at``, ``has_edge``/``has_edges``,
     ``walk_engine()`` — while
     keeping at most ``max_resident`` shards *physically* resident.
-    Eviction drops the shard's cached edge keys and advises the kernel
-    to release its mapped pages (``MADV_DONTNEED``), so physical
+    Eviction advises the kernel to release the shard's mapped pages
+    (``MADV_DONTNEED``), so physical
     residency stays bounded; the mapping and its zero-copy views are
     kept, making re-entry free — a thrashing walk frontier touches
     every shard every step, so re-entry cost is the constant factor
@@ -508,7 +490,7 @@ class ShardedGraph:
                 shard = ShardCSR(shard_id,
                                  int(self.shard_starts[shard_id]),
                                  int(self.shard_starts[shard_id + 1]),
-                                 arrays, self.num_nodes)
+                                 arrays)
             if shard_id in self._buffers:
                 # views alias a long-lived mapping: reuse across evictions
                 self._shard_cache[shard_id] = shard
@@ -520,12 +502,11 @@ class ShardedGraph:
         return shard
 
     def _evict(self, shard_id: int, shard: ShardCSR) -> None:
-        """Bound physical residency: drop the shard's derived in-memory
-        state and release its mapped pages back to the OS.  The mapping
-        itself survives, so the next :meth:`shard` call pays only page
-        re-faults (served from the page cache while the shard is hot)."""
+        """Bound physical residency: release the shard's mapped pages
+        back to the OS.  The mapping itself survives, so the next
+        :meth:`shard` call pays only page re-faults (served from the
+        page cache while the shard is hot)."""
         with trace.span("shard.evict", shard=shard_id):
-            shard._edge_keys = None
             buf = self._buffers.get(shard_id)
             if buf is not None and hasattr(_mmap, "MADV_DONTNEED"):
                 buf.madvise(_mmap.MADV_DONTNEED)
@@ -611,20 +592,38 @@ class ShardedGraph:
         """Vectorized membership ``out[i] = (u[i], v[i]) in E``.
 
         Queries are grouped by the shard owning ``u`` and answered by a
-        binary search over that shard's sorted global edge keys — the
-        sharded twin of :meth:`repro.graph.Graph.has_edges`.
+        lockstep binary search for ``v`` over ``u``'s sorted row,
+        addressed through the global row offsets as in
+        :meth:`neighbor_at`: no per-shard key table is built, and only
+        the probed neighbor ids are read.
         """
         u, v = np.broadcast_arrays(np.asarray(u, dtype=np.int64),
                                    np.asarray(v, dtype=np.int64))
-        keys = (u * np.int64(self.num_nodes) + v).ravel()
-        hit = np.zeros(keys.size, dtype=bool)
-        if keys.size:
-            for shard, pos in self._by_shard(u.ravel()):
-                table = shard.edge_keys
-                found = np.searchsorted(table, keys[pos])
-                inside = found < table.size
-                hit[pos[inside]] = table[found[inside]] == keys[pos[inside]]
-        return hit.reshape(u.shape)
+        shape = u.shape
+        u, v = u.ravel(), v.ravel()
+        hit = np.zeros(u.size, dtype=bool)
+        if u.size:
+            row_start = self._indptr[u]
+            row_size = self._indptr[u + 1] - row_start
+            for shard, pos in self._by_shard(u):
+                indices = shard.indices
+                lo = row_start[pos] - self._slot_base[shard.shard_id]
+                size = row_size[pos]
+                end = lo + size
+                target = v[pos]
+                last = indices.size - 1
+                # Lower bound of ``target`` in each row: every round at
+                # least halves each row's open range.
+                for _ in range(int(size.max()).bit_length()):
+                    half = size >> 1
+                    mid = lo + half
+                    less = (indices[np.minimum(mid, last)] < target) \
+                        & (size > 0)
+                    lo = np.where(less, mid + 1, lo)
+                    size = np.where(less, size - half - 1, half)
+                inside = lo < end
+                hit[pos[inside]] = indices[lo[inside]] == target[inside]
+        return hit.reshape(shape)
 
     # -- engines / conversion ------------------------------------------
     def walk_engine(self):

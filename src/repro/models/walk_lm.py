@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import (Embedding, LayerNorm, Linear, Module, Tensor, WalkDecoder,
+from ..nn import (Embedding, LayerKVCache, LayerNorm, Linear, Module, Tensor,
                   causal_mask, no_grad, sinusoidal_positions)
 from ..nn.attention import TransformerBlock
+from ..nn.backend import DECODE_KERNEL
 from ..nn.tensor import sequence_log_likelihood
 
 __all__ = ["TransformerWalkModel"]
@@ -56,6 +57,16 @@ class TransformerWalkModel(Module):
         super().astype(dtype)
         self._positions = self._positions.astype(dtype)
         return self
+
+    # ------------------------------------------------------------------
+    def new_caches(self, rows: int) -> list[LayerKVCache]:
+        """One empty :class:`LayerKVCache` of ``rows`` rows per block,
+        sized for a prompt and its whole walk (``max_length + 1``
+        positions), in the parameters' dtype."""
+        return [LayerKVCache(rows, block.attn.num_heads,
+                             self._positions.shape[0], block.attn.head_dim,
+                             self.embed.weight.data.dtype)
+                for block in self.blocks]
 
     # ------------------------------------------------------------------
     def forward(self, tokens: np.ndarray) -> Tensor:
@@ -147,6 +158,8 @@ class TransformerWalkModel(Module):
         :meth:`sample_reference` and the serving engine's ``submit``
         all call it, so they reject the same arguments alike.
         """
+        if num_walks < 1:
+            raise ValueError("num_walks must be >= 1")
         if length < 1:
             raise ValueError("length must be >= 1")
         if length > self.max_length:
@@ -191,28 +204,33 @@ class TransformerWalkModel(Module):
         ``starts`` optionally pins the first node of each walk, which the
         FairGen assembler uses to give protected nodes walk coverage.
 
-        Decoding is incremental: one :meth:`WalkDecoder.prefill` pass
-        over the prompt, then one single-token :meth:`WalkDecoder.step`
-        per sampled position against the per-layer KV caches — O(T)
-        attention per step instead of the O(T^2) full-prefix recompute of
-        :meth:`sample_reference`, and no autograd bookkeeping at all.
-        Each prefill/step is a single whole-step call of the one decode
-        kernel, :meth:`~repro.nn.backend.Backend.decode_step`.  RNG
+        Decoding is incremental, on one KV cache per block
+        (:meth:`new_caches`): a prefill runs the whole prompt under its
+        causal mask, then each sampled position is one single-token step
+        against the cached keys/values — O(T) attention per step instead
+        of the O(T^2) full-prefix recompute of :meth:`sample_reference`,
+        and no autograd bookkeeping at all.  Prefill and steps are the
+        same whole-step call of the one decode kernel,
+        :meth:`~repro.nn.backend.Backend.decode_step`, with the walks as
+        its single row group; it reads the live parameters.  RNG
         consumption is identical to the reference, so seeded outputs
         match it.
         """
         tokens = self._sampling_prompt(num_walks, length, temperature, starts)
         if tokens.shape[1] >= length + 1:
             return tokens[:, 1:]
-        decoder = WalkDecoder(self)
-        logits = decoder.prefill(tokens)
+        caches = self.new_caches(num_walks)
+        groups = [(0, num_walks)]
+        logits = DECODE_KERNEL.decode_step(
+            self, caches, tokens, groups, mask=causal_mask(tokens.shape[1]))
         while True:
             next_ids = self._sample_step(logits, temperature,
                                          self.num_nodes, rng)
             tokens = np.concatenate([tokens, next_ids[:, None]], axis=1)
             if tokens.shape[1] >= length + 1:
                 return tokens[:, 1:]
-            logits = decoder.step(next_ids)
+            logits = DECODE_KERNEL.decode_step(self, caches,
+                                               next_ids[:, None], groups)
 
     def sample_reference(self, num_walks: int, length: int,
                          rng: np.random.Generator, temperature: float = 1.0,

@@ -6,7 +6,6 @@ from .layers import (Dropout, Embedding, LayerNorm, Linear, MLP, Module,
                      Parameter, Sequential)
 from .attention import (LayerKVCache, MultiHeadSelfAttention,
                         TransformerBlock, causal_mask, sinusoidal_positions)
-from .inference import WalkDecoder
 from .rnn import LSTM, LSTMCell
 from .optim import Adam, Optimizer, SGD, clip_grad_norm
 from .serialization import load_state, save_state
@@ -18,7 +17,7 @@ __all__ = [
     "Module", "Parameter", "Linear", "Embedding", "LayerNorm", "Dropout",
     "Sequential", "MLP",
     "MultiHeadSelfAttention", "TransformerBlock", "causal_mask",
-    "sinusoidal_positions", "LayerKVCache", "WalkDecoder",
+    "sinusoidal_positions", "LayerKVCache",
     "LSTM", "LSTMCell",
     "Optimizer", "SGD", "Adam", "clip_grad_norm",
     "save_state", "load_state",

@@ -5,10 +5,12 @@ Transformer (Section II-B, M1, Eq. 4): the generator ``g_theta`` is an
 autoregressive language model over node-id sequences (random walks).
 
 Sampling decodes incrementally against a :class:`LayerKVCache` per
-block.  The cache keeps one row per walk with its own length and is
-written one row group at a time (rows sharing a length), which is the
-one decode mode of both the standalone decoder (one group) and the
-serving engine (one group per request).
+block (``TransformerWalkModel.new_caches``).  The cache keeps one row
+per walk with its own length and is written one row group at a time
+(rows sharing a length) by :meth:`repro.nn.backend.Backend.decode_step`:
+one group for ``TransformerWalkModel.sample``, one group per request
+for the serving engine.  Only keys and values are cached; the kernel
+reads the parameters off the model at every step.
 """
 
 from __future__ import annotations

@@ -14,12 +14,15 @@ run one forward per op.  The backward halves live with the ops in
 (embed + positions, every block's layer-norm/QKV/cached-attention/
 out-proj/FFN, final norm, vocabulary head) in one mode: the batch is a
 list of ``(row0, row1)`` row groups whose rows share a length, and
-each row's position is its KV-cache length.  The single-session
-:class:`~repro.nn.inference.WalkDecoder` passes one group, the
-continuous-batching serving engine one group per request.  There is
-one decode kernel, and both callers reach it through the module-level
-:data:`DECODE_KERNEL` instance, looking the method up at every call so
-a per-method wrapper (a profiler's, a test's) sees every decode.
+each row's position is its KV-cache length.  It reads the parameters
+straight off the walk LM at every call, so there is no weight snapshot
+to go stale.  :meth:`TransformerWalkModel.sample` passes one group,
+the continuous-batching serving engine one group per request; both
+prefill with the same call (plus the prompt's causal mask) on the
+model's fresh ``new_caches``.  There is one decode kernel, and both
+callers reach it through the module-level :data:`DECODE_KERNEL`
+instance, looking the method up at every call so a per-method wrapper
+(a profiler's, a test's) sees every decode.
 """
 
 from __future__ import annotations
@@ -187,10 +190,22 @@ def scatter_rows(rows: np.ndarray, values: np.ndarray, num_rows: int, *,
 # ----------------------------------------------------------------------
 # Decode kernel
 # ----------------------------------------------------------------------
+def _norm(x: np.ndarray, norm) -> np.ndarray:
+    """:func:`layer_norm` with a :class:`~repro.nn.LayerNorm`'s live
+    parameters."""
+    return layer_norm(x, norm.gamma.data, norm.beta.data, norm.eps)
+
+
+def _affine(x: np.ndarray, layer) -> np.ndarray:
+    """:func:`linear` with a :class:`~repro.nn.Linear`'s live
+    parameters."""
+    return linear(x, layer.weight.data, layer.bias.data)
+
+
 class Backend:
     """The decode kernel: one shared-kernel call per primitive."""
 
-    def decode_step(self, weights, caches, tokens: np.ndarray, groups, *,
+    def decode_step(self, model, caches, tokens: np.ndarray, groups, *,
                     mask: np.ndarray | None = None) -> np.ndarray:
         """Advance one whole transformer decode step in a single call.
 
@@ -198,22 +213,24 @@ class Backend:
         QKV projections / KV-cached attention / output projection /
         feed-forward, then the final norm and the vocabulary head —
         one shared kernel call per primitive, in the order of the
-        training forward.
+        training forward.  Plain ndarrays throughout: no
+        :class:`~repro.nn.Tensor`, no graph, and no dropout (the
+        training path applies it only under autograd anyway).
 
         Parameters
         ----------
-        weights:
-            A :class:`repro.nn.inference._WalkWeights`-shaped object
-            (duck-typed to avoid a circular import): ``embed``,
-            ``positions``, ``blocks`` (each with ``norm1``/``norm2``/
-            ``q``/``k``/``v``/``out``/``ff_in``/``ff_out`` parameter
-            tuples plus ``num_heads``/``head_dim``/``dim``),
-            ``final_norm`` and ``head``.
+        model:
+            The :class:`~repro.models.walk_lm.TransformerWalkModel`
+            (duck-typed to avoid a circular import).  Its embedding,
+            position table, blocks, final norm and head are read at
+            every call, so a step always runs the live parameters — a
+            ``load_state_dict`` between two steps takes effect at the
+            next one.
         caches:
-            One :class:`~repro.nn.attention.LayerKVCache` per block,
-            holding the ``B`` rows of ``tokens``; mutated — the step's
-            keys/values are appended.  Each row's position is its
-            ``caches[0].row_lengths`` entry.
+            One :class:`~repro.nn.attention.LayerKVCache` per block
+            (``model.new_caches(B)``), holding the ``B`` rows of
+            ``tokens``; mutated — the step's keys/values are appended.
+            Each row's position is its ``caches[0].row_lengths`` entry.
         tokens:
             ``(B, L)`` int64 input ids (``L > 1`` for a prefill,
             ``L == 1`` on decode steps).
@@ -239,18 +256,19 @@ class Backend:
         """
         batch, length = tokens.shape
         pos = caches[0].row_lengths[:, None] + np.arange(length)
-        h = weights.embed[tokens] + weights.positions[pos]
-        scale = 1.0 / math.sqrt(weights.blocks[0].head_dim)
-        for blk, cache in zip(weights.blocks, caches):
-            x = layer_norm(h, *blk.norm1)
+        h = model.embed.weight.data[tokens] + model._positions[pos]
+        for block, cache in zip(model.blocks, caches):
+            attn = block.attn
+            x = _norm(h, block.norm1)
 
             def split(t: np.ndarray) -> np.ndarray:
-                return t.reshape(batch, length, blk.num_heads,
-                                 blk.head_dim).transpose(0, 2, 1, 3)
+                return t.reshape(batch, length, attn.num_heads,
+                                 attn.head_dim).transpose(0, 2, 1, 3)
 
-            q = split(linear(x, *blk.q))
-            k = split(linear(x, *blk.k))
-            v = split(linear(x, *blk.v))
+            q = split(_affine(x, attn.q_proj))
+            k = split(_affine(x, attn.k_proj))
+            v = split(_affine(x, attn.v_proj))
+            scale = 1.0 / math.sqrt(attn.head_dim)
             context = np.empty_like(q)
             for row0, row1 in groups:
                 k_g, v_g = cache.append(k[row0:row1], v[row0:row1],
@@ -260,16 +278,15 @@ class Backend:
                     scores = scores + mask
                 np.matmul(softmax(scores), v_g, out=context[row0:row1])
             merged = context.transpose(0, 2, 1, 3).reshape(batch, length,
-                                                           blk.dim)
-            h = h + linear(merged, *blk.out)
-            x2 = layer_norm(h, *blk.norm2)
-            hidden = gelu(linear(x2, *blk.ff_in))
-            h = h + linear(hidden, *blk.ff_out)
-        out = layer_norm(h[:, -1, :], *weights.final_norm)
+                                                           attn.dim)
+            h = h + _affine(merged, attn.out_proj)
+            hidden = gelu(_affine(_norm(h, block.norm2), block.ff_in))
+            h = h + _affine(hidden, block.ff_out)
+        out = _norm(h[:, -1, :], model.final_norm)
         # The head GEMM's shape must match standalone decode exactly
         # (BLAS accumulation order is only guaranteed per identical
         # call), so it runs per group, never over the batch.
-        head_w, head_b = weights.head
+        head_w, head_b = model.head.weight.data, model.head.bias.data
         logits = np.empty((batch, head_w.shape[1]), dtype=out.dtype)
         for row0, row1 in groups:
             rows = logits[row0:row1]

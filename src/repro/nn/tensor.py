@@ -195,7 +195,7 @@ class Tensor:
         tensor is constructed bare — no parent tuple, no backward
         function, no graph — so bulk sampling does not pay autograd
         bookkeeping.  (The heavy decode loop goes further and bypasses
-        ``Tensor`` entirely via :mod:`repro.nn.inference`.)
+        ``Tensor`` entirely via :meth:`repro.nn.backend.Backend.decode_step`.)
         """
         if not is_grad_enabled():
             return Tensor(data)

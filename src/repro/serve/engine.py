@@ -10,10 +10,11 @@ layer) unamortised — every request pays them alone.
 walk lengths into one decode batch, the trick production LLM servers
 use:
 
-* each request is prefilled in isolation through an ordinary
-  :class:`~repro.nn.inference.WalkDecoder`, then its per-layer KV rows
-  are transplanted into the shared batch caches
-  (:meth:`~repro.nn.attention.LayerKVCache.append_cache`);
+* each request is prefilled in isolation, exactly as ``sample``
+  prefills — one :meth:`~repro.nn.backend.Backend.decode_step` call
+  under the prompt's causal mask on the model's fresh ``new_caches`` —
+  then its per-layer KV rows are transplanted into the shared batch
+  caches (:meth:`~repro.nn.attention.LayerKVCache.append_cache`);
 * every engine step advances **all** resident walks by one token in a
   single forward — ONE :meth:`~repro.nn.backend.Backend.decode_step`
   call with one ``(row0, row1)`` row group per request, the same kernel
@@ -52,8 +53,8 @@ from collections import deque
 
 import numpy as np
 
+from ..nn.attention import causal_mask
 from ..nn.backend import DECODE_KERNEL
-from ..nn.inference import WalkDecoder, _WalkWeights
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry
 
@@ -71,15 +72,14 @@ class WalkTicket:
     decoding runs to completion; its walks are simply discarded).
     """
 
-    __slots__ = ("n_walks", "length", "_done", "_walks", "_error",
-                 "cancelled", "submitted_at", "finished_at")
+    __slots__ = ("n_walks", "length", "_done", "_walks", "cancelled",
+                 "submitted_at", "finished_at")
 
     def __init__(self, n_walks: int, length: int) -> None:
         self.n_walks = n_walks
         self.length = length
         self._done = threading.Event()
         self._walks: np.ndarray | None = None
-        self._error: BaseException | None = None
         self.cancelled = False
         self.submitted_at = time.perf_counter()
         self.finished_at: float | None = None
@@ -90,11 +90,6 @@ class WalkTicket:
 
     def _finish(self, walks: np.ndarray) -> None:
         self._walks = walks
-        self.finished_at = time.perf_counter()
-        self._done.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
         self.finished_at = time.perf_counter()
         self._done.set()
 
@@ -116,8 +111,6 @@ class WalkTicket:
             raise TimeoutError(
                 f"walk request ({self.n_walks}x{self.length}) not decoded "
                 f"within {timeout:g}s")
-        if self._error is not None:
-            raise self._error
         return self._walks
 
 
@@ -243,8 +236,10 @@ class ContinuousBatcher:
     ----------
     model:
         A (fitted, ``eval()``-mode) :class:`TransformerWalkModel`.  The
-        engine views its parameter arrays; it must not outlive an
-        in-place parameter update.
+        engine reads the model's live parameters at each step, so a
+        ``load_state_dict`` (or any parameter update) takes effect at
+        the next prefill or step; requests decoding across the update
+        mix the two weight sets.
     max_walks:
         Upper bound on resident walk rows.  Requests whose walks do not
         fit wait in the admission deque and are swapped in as running
@@ -262,11 +257,10 @@ class ContinuousBatcher:
         if max_walks < 1:
             raise ValueError("max_walks must be >= 1")
         self._model = model
-        self._weights = _WalkWeights(model)
         self.max_walks = max_walks
         self._pending: deque[tuple] = deque()
         self._active: list[_ActiveRequest] = []
-        self._caches = self._weights.new_caches(0)
+        self._caches = model.new_caches(0)
         self.stats = EngineStats(registry, name)
 
     # ------------------------------------------------------------------
@@ -282,8 +276,6 @@ class ContinuousBatcher:
         API-level errors surface to the caller (synchronously, exactly as
         ``sample`` raises them), not inside the decode loop.
         """
-        if n_walks < 1:
-            raise ValueError("n_walks must be >= 1")
         if n_walks > self.max_walks:
             raise ValueError(f"n_walks {n_walks} exceeds the engine's "
                              f"max_walks {self.max_walks}; chunk the "
@@ -341,8 +333,10 @@ class ContinuousBatcher:
                 self.stats.note("completed")
                 continue
             with trace.span("serve.prefill", walks=n, length=length):
-                decoder = WalkDecoder(model)
-                logits = decoder.prefill(tokens)
+                caches = model.new_caches(n)
+                logits = DECODE_KERNEL.decode_step(
+                    model, caches, tokens, [(0, n)],
+                    mask=causal_mask(tokens.shape[1]))
                 next_ids = model._sample_step(logits, temperature,
                                               model.num_nodes, rng)
             tokens = np.concatenate([tokens, next_ids[:, None]], axis=1)
@@ -350,7 +344,7 @@ class ContinuousBatcher:
                 ticket._finish(tokens[:, 1:])
                 self.stats.note("completed")
                 continue
-            for batch_cache, donor in zip(self._caches, decoder.caches):
+            for batch_cache, donor in zip(self._caches, caches):
                 batch_cache.append_cache(donor)
             self._active.append(_ActiveRequest(ticket, n, length,
                                                temperature, rng, tokens,
@@ -429,7 +423,7 @@ class ContinuousBatcher:
         with trace.span("serve.decode_step", rows=tokens.shape[0],
                         groups=len(groups)):
             return DECODE_KERNEL.decode_step(
-                self._weights, self._caches, tokens, groups)
+                self._model, self._caches, tokens, groups)
 
     # ------------------------------------------------------------------
     # Driving loops

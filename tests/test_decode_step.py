@@ -4,7 +4,7 @@
 training modules' ``cache=`` arm) byte for byte for both of its
 callers:
 
-* one row group, prefill then steps (the :class:`WalkDecoder` path),
+* one row group, prefill then steps (``TransformerWalkModel.sample``),
 * several row groups in one single-token step (the batcher steady
   state), each equal to its group decoded alone.
 
@@ -19,9 +19,8 @@ import numpy as np
 import pytest
 
 from repro.models.walk_lm import TransformerWalkModel
-from repro.nn import Backend, Tensor, WalkDecoder, causal_mask, no_grad
+from repro.nn import Backend, Tensor, causal_mask, no_grad
 from repro.nn.backend import DECODE_KERNEL
-from repro.nn.inference import _WalkWeights
 from repro.serve.engine import ContinuousBatcher
 
 
@@ -37,7 +36,7 @@ def model():
 def _tensor_decoder(model, rows):
     """Per-op reference: the training modules, one Tensor op per call,
     decoding against KV caches (the ``cache=`` arm of attention)."""
-    caches = _WalkWeights(model).new_caches(rows)
+    caches = model.new_caches(rows)
     decoded = 0
 
     def forward(tokens, mask):
@@ -64,14 +63,17 @@ class TestUniformParity:
         prompt = rng.integers(0, 40, size=(5, 4))
 
         ref = _tensor_decoder(model, 5)
-        decoder = WalkDecoder(model)
-        np.testing.assert_array_equal(decoder.prefill(prompt),
-                                      ref(prompt, causal_mask(4)))
+        caches = model.new_caches(5)
+        np.testing.assert_array_equal(
+            DECODE_KERNEL.decode_step(model, caches, prompt, [(0, 5)],
+                                      mask=causal_mask(4)),
+            ref(prompt, causal_mask(4)))
 
         for _ in range(6):
-            ids = rng.integers(0, 40, size=5)
-            np.testing.assert_array_equal(decoder.step(ids),
-                                          ref(ids[:, None], None))
+            ids = rng.integers(0, 40, size=(5, 1))
+            np.testing.assert_array_equal(
+                DECODE_KERNEL.decode_step(model, caches, ids, [(0, 5)]),
+                ref(ids, None))
 
     def test_sampled_walks_match_reference_oracle(self, model):
         walks = model.sample(6, 10, np.random.default_rng(5))
@@ -86,29 +88,31 @@ class TestUniformParity:
 class TestRaggedParity:
     def test_single_token_groups_match_uniform_per_request(self, model):
         """A coalesced two-group step equals each request decoded alone."""
-        weights = _WalkWeights(model)
         rng = np.random.default_rng(21)
 
         # Two requests at different walk lengths, prefilled in isolation.
         prompts = [rng.integers(0, 40, size=(3, 2)),
                    rng.integers(0, 40, size=(2, 5))]
-        decoders = []
+        solo_caches = []
         for p in prompts:
-            d = WalkDecoder(model)
-            d.prefill(p)
-            decoders.append(d)
+            solo_caches.append(model.new_caches(p.shape[0]))
+            DECODE_KERNEL.decode_step(model, solo_caches[-1], p,
+                                      [(0, p.shape[0])],
+                                      mask=causal_mask(p.shape[1]))
 
-        caches = weights.new_caches(0)
-        for cache, d0, d1 in zip(caches, decoders[0].caches,
-                                 decoders[1].caches):
+        caches = model.new_caches(0)
+        for cache, d0, d1 in zip(caches, *solo_caches):
             cache.append_cache(d0)
             cache.append_cache(d1)
 
-        ids = rng.integers(0, 40, size=5)
+        ids = rng.integers(0, 40, size=(5, 1))
         grouped = DECODE_KERNEL.decode_step(
-            weights, caches, ids[:, None], [(0, 3), (3, 5)])
-        solo = np.concatenate([decoders[0].step(ids[:3]),
-                               decoders[1].step(ids[3:])])
+            model, caches, ids, [(0, 3), (3, 5)])
+        solo = np.concatenate([
+            DECODE_KERNEL.decode_step(model, solo_caches[0], ids[:3],
+                                      [(0, 3)]),
+            DECODE_KERNEL.decode_step(model, solo_caches[1], ids[3:],
+                                      [(0, 2)])])
         np.testing.assert_array_equal(grouped, solo)
         np.testing.assert_array_equal(caches[0].row_lengths,
                                       [3, 3, 3, 6, 6])
@@ -149,22 +153,21 @@ class TestKernelLookup:
 # ----------------------------------------------------------------------
 class TestNoInputMutation:
     def test_decode_step_does_not_mutate_inputs(self, model):
-        weights = _WalkWeights(model)
         rng = np.random.default_rng(13)
         tokens = rng.integers(0, 40, size=(3, 4))
         tokens_copy = tokens.copy()
         mask = causal_mask(4)
         mask_copy = mask.copy()
-        param_copies = [(blk.q[0].copy(), blk.ff_in[0].copy())
-                        for blk in weights.blocks]
-        embed_copy = weights.embed.copy()
+        state_copy = model.state_dict()  # copies
+        positions_copy = model._positions.copy()
 
-        DECODE_KERNEL.decode_step(weights, weights.new_caches(3), tokens,
+        DECODE_KERNEL.decode_step(model, model.new_caches(3), tokens,
                                   [(0, 3)], mask=mask)
 
         np.testing.assert_array_equal(tokens, tokens_copy)
         np.testing.assert_array_equal(mask, mask_copy)
-        np.testing.assert_array_equal(weights.embed, embed_copy)
-        for blk, (q_w, ff_w) in zip(weights.blocks, param_copies):
-            np.testing.assert_array_equal(blk.q[0], q_w)
-            np.testing.assert_array_equal(blk.ff_in[0], ff_w)
+        np.testing.assert_array_equal(model._positions, positions_copy)
+        state = model.state_dict()
+        assert state.keys() == state_copy.keys()
+        for name, value in state_copy.items():
+            np.testing.assert_array_equal(state[name], value)

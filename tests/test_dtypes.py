@@ -13,8 +13,8 @@ import numpy as np
 from repro.core.discriminator import FairDiscriminator
 from repro.embedding.word2vec import SkipGramModel
 from repro.models.walk_lm import TransformerWalkModel
-from repro.nn import Adam, Tensor, WalkDecoder
-from repro.nn.backend import Backend
+from repro.nn import Adam, Tensor, causal_mask
+from repro.nn.backend import DECODE_KERNEL, Backend
 from repro.nn.gradcheck import check_gradients
 from repro.nn.tensor import attention
 from repro.serve import ContinuousBatcher
@@ -69,8 +69,10 @@ def test_walk_lm_float32_end_to_end_rest_float64(monkeypatch):
     # two requests of different lengths.
     made.clear()
     model.sample(5, 8, rng)
-    decoder = WalkDecoder(model)
-    decoder.prefill(np.full((3, 2), model.start_token))
+    caches = model.new_caches(3)
+    DECODE_KERNEL.decode_step(model, caches,
+                              np.full((3, 2), model.start_token), [(0, 3)],
+                              mask=causal_mask(2))
     engine = ContinuousBatcher(model, max_walks=16)
     engine.submit(3, 8, np.random.default_rng(1))
     engine.submit(2, 5, np.random.default_rng(2),
@@ -79,7 +81,7 @@ def test_walk_lm_float32_end_to_end_rest_float64(monkeypatch):
     assert not made
     assert len(logits) == 8 + 1 + 2 + 1
     assert {out.dtype for out in logits} == {F32}
-    caches = decoder.caches + engine._caches
+    caches += engine._caches
     assert {buf.dtype for c in caches for buf in (c._k, c._v)} == {F32}
 
     # Everything else stays float64: the discriminator, SGNS, gradchecks.

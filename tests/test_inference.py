@@ -1,10 +1,11 @@
 """Tests for the KV-cached incremental decoding subsystem.
 
 Covers the three layers of the inference path: the per-layer KV cache in
-``MultiHeadSelfAttention``/``TransformerBlock``, the grad-free
-``WalkDecoder``, and the rewritten ``TransformerWalkModel.sample`` —
-whose seeded output must be byte-identical to ``sample_reference``, the
-slow path that recomputes the full prefix every step.
+``MultiHeadSelfAttention``/``TransformerBlock``, the grad-free decode
+kernel ``Backend.decode_step`` on the model's own ``new_caches``, and
+``TransformerWalkModel.sample`` — whose seeded output must be
+byte-identical to ``sample_reference``, the slow path that recomputes the
+full prefix every step.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 
 from repro.models.walk_lm import TransformerWalkModel
-from repro.nn import LayerKVCache, Tensor, WalkDecoder, causal_mask, no_grad
+from repro.nn import LayerKVCache, Tensor, causal_mask, no_grad
 from repro.nn.attention import MultiHeadSelfAttention, TransformerBlock
+from repro.nn.backend import DECODE_KERNEL
+from repro.serve import ContinuousBatcher
 
 
 @pytest.fixture
@@ -113,46 +116,46 @@ class TestLayerKVCache:
             attn(x, causal_mask(2), cache=_cache(1, 2))
 
 
-class TestWalkDecoder:
+def _decode(model, caches, tokens, mask=None):
+    """One decode-kernel call with the whole batch as one row group."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    return DECODE_KERNEL.decode_step(model, caches, tokens,
+                                     [(0, tokens.shape[0])], mask=mask)
+
+
+class TestDecodeKernel:
     def test_prefill_then_steps_match_forward_logits(self, model):
         tokens = np.array([[30, 3, 7, 1, 12], [30, 9, 9, 2, 0]])
         # The float32 production model: a whole-prompt prefill runs the
         # forward's floats exactly.
         want = model.forward(tokens).numpy()[:, -1, :]
-        got = WalkDecoder(model).prefill(tokens)
+        got = _decode(model, model.new_caches(2), tokens, causal_mask(5))
         assert got.dtype == np.float32
         assert np.array_equal(got, want)
         # Steps reshape the GEMMs: float64 tolerance, on a float64 copy.
         model = copy.deepcopy(model).astype(np.float64)
         want = model.forward(tokens).numpy()[:, -1, :]
 
-        decoder = WalkDecoder(model)
-        got = decoder.prefill(tokens[:, :2])
+        caches = model.new_caches(2)
+        got = _decode(model, caches, tokens[:, :2], causal_mask(2))
         for t in range(2, tokens.shape[1]):
-            got = decoder.step(tokens[:, t])
+            got = _decode(model, caches, tokens[:, t:t + 1])
         np.testing.assert_allclose(got, want, atol=1e-12)
-        assert decoder.length == tokens.shape[1]
-
-    def test_step_before_prefill_rejected(self, model):
-        with pytest.raises(RuntimeError, match="prefill"):
-            WalkDecoder(model).step(np.array([1]))
-
-    def test_double_prefill_rejected(self, model):
-        decoder = WalkDecoder(model)
-        decoder.prefill(np.array([[30]]))
-        with pytest.raises(RuntimeError, match="first"):
-            decoder.prefill(np.array([[30]]))
+        np.testing.assert_array_equal(caches[0].row_lengths,
+                                      [tokens.shape[1]] * 2)
 
     def test_decoding_past_maximum_rejected(self, model):
-        decoder = WalkDecoder(model)
-        decoder.prefill(np.full((1, model.max_length + 1), model.start_token))
-        with pytest.raises(ValueError, match="maximum"):
-            decoder.step(np.array([0]))
+        caches = model.new_caches(1)
+        length = model.max_length + 1
+        _decode(model, caches, np.full((1, length), model.start_token),
+                causal_mask(length))
+        with pytest.raises(IndexError, match="out of bounds"):
+            _decode(model, caches, np.array([[0]]))
 
     def test_no_autograd_state_allocated(self, model):
         """Decoding is raw ndarrays: no graph even with grad enabled."""
-        decoder = WalkDecoder(model)
-        out = decoder.prefill(np.array([[30, 2]]))
+        out = _decode(model, model.new_caches(1), np.array([[30, 2]]),
+                      causal_mask(2))
         assert isinstance(out, np.ndarray)
         assert all(p.grad is None for p in model.parameters())
 
@@ -321,27 +324,13 @@ class TestLayerKVCacheRowOps:
         np.testing.assert_array_equal(k_rows, k)
 
 
-class TestWalkDecoderBatchGuards:
-    """The decode batch is frozen at prefill (serving engines, not the
-    decoder, handle growing/shrinking walk populations)."""
+class TestSamplingGuards:
+    """``_sampling_prompt`` is the one home of the sampling checks, so
+    standalone and served sampling reject a bad request alike."""
 
-    def test_step_batch_mismatch_raises_clear_error(self, model):
-        decoder = WalkDecoder(model)
-        decoder.prefill(np.full((3, 1), model.start_token))
-        assert decoder.batch_size == 3
-        with pytest.raises(ValueError, match="frozen at prefill"):
-            decoder.step(np.array([1, 2]))
-        with pytest.raises(ValueError, match="frozen at prefill"):
-            decoder.step(np.array([1, 2, 3, 4]))
-
-    def test_empty_batch_prefill_rejected(self, model):
-        with pytest.raises(ValueError, match="non-empty"):
-            WalkDecoder(model).prefill(np.empty((0, 1), dtype=np.int64))
-
-    def test_empty_prompt_prefill_rejected(self, model):
-        with pytest.raises(ValueError, match="non-empty"):
-            WalkDecoder(model).prefill(np.empty((2, 0), dtype=np.int64))
-
-    def test_one_dimensional_prompt_rejected(self, model):
-        with pytest.raises(ValueError, match=r"\(B, T\)"):
-            WalkDecoder(model).prefill(np.array([model.start_token]))
+    def test_zero_walks_rejected(self, model):
+        engine = ContinuousBatcher(model, max_walks=8)
+        for call in (model.sample, model.sample_reference, engine.submit):
+            with pytest.raises(ValueError, match="num_walks must be >= 1"):
+                call(0, 5, np.random.default_rng(0))
+        assert engine.pending_count == 0

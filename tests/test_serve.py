@@ -79,6 +79,23 @@ class TestContinuousBatcher:
             ticket.result(), walk_model.sample(5, 12,
                                                np.random.default_rng(42)))
 
+    def test_serves_weights_loaded_after_construction(self):
+        """The engine decodes with the model's live parameters, so a
+        ``load_state_dict`` after the engine was built is what it
+        serves."""
+        def build(seed):
+            return TransformerWalkModel(num_nodes=23, dim=32, num_heads=4,
+                                        num_layers=2, max_length=40,
+                                        rng=np.random.default_rng(seed))
+
+        model = build(7)
+        engine = ContinuousBatcher(model, max_walks=32)
+        model.load_state_dict(build(8).state_dict())
+        ticket = engine.submit(5, 12, np.random.default_rng(42))
+        engine.drain()
+        np.testing.assert_array_equal(
+            ticket.result(), model.sample(5, 12, np.random.default_rng(42)))
+
     def test_coalesced_mixed_lengths_stay_byte_identical(self, walk_model):
         engine = ContinuousBatcher(walk_model, max_walks=64)
         specs = [(4, 9), (3, 17), (6, 30), (2, 12), (5, 25)]

@@ -174,13 +174,20 @@ class TestShardedGraph:
         sharded.shard(7)  # hot shard: no new load
         assert sharded.shard_loads == loads
 
-    def test_eviction_drops_edge_keys(self, chord_graph, tmp_path):
+    def test_has_edges_enters_each_owner_shard_once(self, chord_graph,
+                                                    tmp_path):
+        """Membership reads ``u``'s row in place: one entry per owning
+        shard per call, even when only one shard may stay resident."""
         sharded = ingest_graph(chord_graph, tmp_path / "s", num_shards=4)
         sharded.max_resident = 1
-        first = sharded.shard(0)
-        first.edge_keys  # materialise the lazy table
-        sharded.shard(1)  # evicts shard 0
-        assert first._edge_keys is None
+        rng = np.random.default_rng(9)
+        u = rng.integers(400, size=500)
+        v = rng.integers(400, size=500)
+        loads = sharded.shard_loads
+        got = sharded.has_edges(u, v)
+        assert sharded.shard_loads - loads == \
+            np.unique(sharded.shard_of(u)).size
+        np.testing.assert_array_equal(got, chord_graph.has_edges(u, v))
 
     def test_neighbors_match_graph(self, chord_graph, sharded4):
         for node in [0, 7, 123, 399]:
