@@ -14,8 +14,9 @@ Public API overview
 ``repro.nn``        — the NumPy autograd substrate everything trains on.
 ``repro.obs``       — observability: metrics registry (Prometheus /
                       JSON snapshots) + Chrome-trace span tracing.
-``repro.train``     — the shared Trainer loop: callbacks, grad clipping,
-                      loss-history contract and checkpoint/resume.
+``repro.train``     — the shared Trainer loop: one epoch body per task,
+                      grad clipping, loss-history contract and
+                      checkpoint/resume.
 ``repro.registry``  — the model registry: every generator under a
                       canonical name with paper/bench/smoke profiles.
 ``repro.experiments`` — the spec-driven experiment API

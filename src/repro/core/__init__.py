@@ -7,9 +7,8 @@ from .fairness import (cost_sensitive_weights, group_class_means,
                        parity_loss, statistical_parity_gap)
 from .self_paced import SelfPacedState
 from .fairgen import FairGen, make_fairgen_variant
-from .serialization import (can_serialize, load_fairgen, load_graph,
-                            load_model, save_fairgen, save_graph,
-                            save_model)
+from .serialization import (can_serialize, load_graph, load_model,
+                            save_graph, save_model)
 
 __all__ = [
     "FairGenConfig",
@@ -19,6 +18,6 @@ __all__ = [
     "statistical_parity_gap",
     "SelfPacedState",
     "FairGen", "make_fairgen_variant",
-    "save_fairgen", "load_fairgen", "save_graph", "load_graph",
+    "save_graph", "load_graph",
     "save_model", "load_model", "can_serialize",
 ]

@@ -32,7 +32,7 @@ from ..models.base import (GraphGenerativeModel, assemble_from_scores,
                            extract_state, prefix_state)
 from ..models.walk_lm import TransformerWalkModel
 from ..nn import Adam, Tensor
-from ..train import TrainCallback, Trainer, train_step
+from ..train import Trainer, train_step
 from .config import FairGenConfig
 from .context_sampling import ContextSampler
 from .discriminator import FairDiscriminator
@@ -44,14 +44,12 @@ __all__ = ["FairGen", "make_fairgen_variant"]
 class _FairGenCycleTask:
     """Trainer task for Algorithm 1: one epoch = one self-paced cycle.
 
-    The epoch body covers steps 4-6 (generator update from the pools,
-    then pool refresh); steps 7-11 — the curriculum and discriminator
-    phase — live in the :class:`SelfPacedCurriculum` callback, which
-    runs in ``on_epoch_end`` so its work is covered by the cycle's
-    checkpoint.  The task also owns everything a mid-fit checkpoint has
-    to carry beyond module parameters: the walk pools, the self-paced
-    vectors/threshold, and the (pseudo-)augmented labeled set currently
-    installed in the context sampler.
+    The epoch body is the whole cycle: steps 4-6 (generator update from
+    the pools, then pool refresh) followed by steps 7-11, the curriculum
+    and discriminator phase.  The task also owns everything a mid-fit
+    checkpoint has to carry beyond module parameters: the walk pools,
+    the self-paced vectors/threshold, and the (pseudo-)augmented labeled
+    set currently installed in the context sampler.
     """
 
     def __init__(self, owner: "FairGen", gen_opt: Adam,
@@ -92,7 +90,7 @@ class _FairGenCycleTask:
         self.aug_classes = np.asarray(extra["aug_classes"], dtype=np.int64)
         self.owner.sampler.update_labels(self.aug_nodes, self.aug_classes)
 
-    # -- epoch body: Algorithm 1 steps 4-6 ------------------------------
+    # -- epoch body: Algorithm 1 steps 4-11 -----------------------------
     def epoch(self, state, rng) -> dict[str, float]:
         owner, cfg = self.owner, self.owner.config
         gen_loss = owner._train_generator(self.gen_opt, self.pos_pool,
@@ -103,40 +101,35 @@ class _FairGenCycleTask:
                                            cfg.walk_length, rng)
         self.neg_pool = owner._cap_pool(
             np.concatenate([self.neg_pool, generated]))
-        return {"cycle": float(state.epoch), "generator_loss": gen_loss}
+        return {"cycle": float(state.epoch), "generator_loss": gen_loss,
+                **self._curriculum_step(state.epoch, rng)}
 
+    def _curriculum_step(self, cycle: int,
+                         rng: np.random.Generator) -> dict[str, float]:
+        """Steps 7-11: grow ``lambda``, re-solve the self-paced vectors,
+        harvest confident pseudo labels and take ``T1`` discriminator
+        steps.
 
-class SelfPacedCurriculum(TrainCallback):
-    """Algorithm 1 steps 7-11 as a Trainer callback.
-
-    Runs after each cycle's generator phase: grows ``lambda``, re-solves
-    the self-paced vectors, harvests confident pseudo labels and takes
-    ``T1`` discriminator steps.  One *grad-free* scoring pass
-    (:meth:`FairDiscriminator.predict_log_proba`) is shared by the Eq. 14
-    vector update and the pseudo-label selection — the full-batch
-    forward over all ``n`` nodes happens once per cycle, with no
-    autograd graph built.
-    """
-
-    def __init__(self, task: _FairGenCycleTask):
-        self.task = task
-
-    def on_epoch_end(self, trainer, state, record) -> None:
-        task, owner = self.task, self.task.owner
-        cfg, rng = owner.config, trainer.rng
+        One *grad-free* scoring pass
+        (:meth:`FairDiscriminator.predict_log_proba`) is shared by the
+        Eq. 14 vector update and the pseudo-label selection — the
+        full-batch forward over all ``n`` nodes happens once per cycle,
+        with no autograd graph built.
+        """
+        owner = self.owner
+        cfg = owner.config
         num_pseudo = 0
         if cfg.use_self_paced:
             owner.self_paced.augment_lambda()
             log_probs = owner.discriminator.predict_log_proba()
             owner.self_paced.update(
-                log_probs,
-                max_per_class=cfg.pseudo_label_cap * (state.epoch + 1))
+                log_probs, max_per_class=cfg.pseudo_label_cap * (cycle + 1))
             aug_nodes, aug_classes = owner.self_paced.pseudo_labels(log_probs)
-            num_pseudo = aug_nodes.size - task.labeled_nodes.size
+            num_pseudo = aug_nodes.size - self.labeled_nodes.size
             owner.sampler.update_labels(aug_nodes, aug_classes)
-            task.aug_nodes, task.aug_classes = aug_nodes, aug_classes
+            self.aug_nodes, self.aug_classes = aug_nodes, aug_classes
         else:
-            aug_nodes, aug_classes = task.labeled_nodes, task.labeled_classes
+            aug_nodes, aug_classes = self.labeled_nodes, self.labeled_classes
 
         sp_nodes, sp_classes = owner.self_paced.selected_pairs()
         last_disc: dict[str, float] = {}
@@ -146,11 +139,9 @@ class SelfPacedCurriculum(TrainCallback):
             last_disc = owner.discriminator.train_step(
                 aug_nodes[idx], aug_classes[idx], sp_nodes, sp_classes)
 
-        record.update({
-            "lambda": owner.self_paced.lambda_value,
-            "num_pseudo_labels": float(num_pseudo),
-            **{f"disc_{k}": v for k, v in last_disc.items()},
-        })
+        return {"lambda": owner.self_paced.lambda_value,
+                "num_pseudo_labels": float(num_pseudo),
+                **{f"disc_{k}": v for k, v in last_disc.items()}}
 
 
 class FairGen(GraphGenerativeModel):
@@ -282,13 +273,12 @@ class FairGen(GraphGenerativeModel):
                                 cfg.walk_length, rng)
 
         # Steps 3-11 run through the shared Trainer: the task's epoch is
-        # the generator phase (steps 4-6), the curriculum callback the
+        # one whole cycle — the generator phase (steps 4-6), then the
         # self-paced + discriminator phase (steps 7-11).
         cycles = cfg.self_paced_cycles if cfg.use_self_paced else 1
         task = _FairGenCycleTask(self, gen_opt, labeled_nodes,
                                  labeled_classes, pos_pool, neg_pool)
         state = Trainer(task, epochs=cycles,
-                        callbacks=[SelfPacedCurriculum(task)],
                         control=self.train_control).fit(rng)
         self.history = list(state.history)
         return self

@@ -15,9 +15,6 @@ Two artifact families live here:
   reloading is for inference, not for resuming training).  This is how
   the Runner's artifact cache satisfies ``need_model=True`` with zero
   refits and ships fitted models across worker processes.
-
-:func:`save_fairgen` / :func:`load_fairgen` survive as FairGen-typed
-wrappers over the generic pair.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from ..models import (BAModel, ERModel, GAEModel,
 from .fairgen import FairGen
 
 __all__ = ["save_graph", "load_graph", "save_model", "load_model",
-           "can_serialize", "save_fairgen", "load_fairgen"]
+           "can_serialize"]
 
 
 def save_graph(graph: Graph, path: str | os.PathLike) -> None:
@@ -208,30 +205,19 @@ def load_model(path: str | os.PathLike, graph: Graph, *,
     model can generate and score but any attempt to train it raises.
     Compressed archives fall back to a normal in-memory load.
     """
-    mapped = _mmap_npz(path) if mmap else None
-    if mapped is not None:
-        if "format" not in mapped or "header_json" not in mapped:
-            raise ValueError(f"{path} is not a model archive")
-        fmt = np.asarray(mapped["format"]).tobytes().decode()
-        if fmt != MODEL_FORMAT:
-            raise ValueError(f"{path}: unsupported model archive "
-                             f"format {fmt!r}")
-        header = json.loads(
-            np.asarray(mapped["header_json"]).tobytes().decode())
-        state = {name.removeprefix("state/"): value
-                 for name, value in mapped.items()
-                 if name.startswith("state/")}
-    else:
+    members = _mmap_npz(path) if mmap else None
+    if members is None:
         with np.load(path) as archive:
-            if "format" not in archive or "header_json" not in archive:
-                raise ValueError(f"{path} is not a model archive")
-            fmt = archive["format"].tobytes().decode()
-            if fmt != MODEL_FORMAT:
-                raise ValueError(f"{path}: unsupported model archive "
-                                 f"format {fmt!r}")
-            header = json.loads(archive["header_json"].tobytes().decode())
-            state = {name.removeprefix("state/"): archive[name]
-                     for name in archive.files if name.startswith("state/")}
+            members = {name: archive[name] for name in archive.files}
+    if "format" not in members or "header_json" not in members:
+        raise ValueError(f"{path} is not a model archive")
+    fmt = np.asarray(members["format"]).tobytes().decode()
+    if fmt != MODEL_FORMAT:
+        raise ValueError(f"{path}: unsupported model archive "
+                         f"format {fmt!r}")
+    header = json.loads(np.asarray(members["header_json"]).tobytes().decode())
+    state = {name.removeprefix("state/"): value
+             for name, value in members.items() if name.startswith("state/")}
 
     cls = _MODEL_CLASSES.get(header["class"])
     if cls is None:
@@ -245,20 +231,4 @@ def load_model(path: str | os.PathLike, graph: Graph, *,
     model.name = header["name"]
     model._fitted_graph = graph
     model.load_state_dict(state)
-    return model
-
-
-def save_fairgen(model: FairGen, path: str | os.PathLike) -> None:
-    """Serialise a fitted FairGen (wrapper over :func:`save_model`)."""
-    if model.generator is None or model.discriminator is None:
-        raise ValueError("only fitted models can be saved")
-    save_model(model, path)
-
-
-def load_fairgen(path: str | os.PathLike, graph: Graph) -> FairGen:
-    """Restore a FairGen saved by :func:`save_fairgen` for inference."""
-    model = load_model(path, graph)
-    if not isinstance(model, FairGen):
-        raise ValueError(f"{path} holds a {type(model).__name__}, "
-                         "not a FairGen")
     return model

@@ -155,8 +155,9 @@ class TransformerWalkModel(Module):
         """Validate sampling arguments and build the prompt tokens.
 
         The one home of these checks: :meth:`sample`,
-        :meth:`sample_reference` and the serving engine's ``submit``
-        all call it, so they reject the same arguments alike.
+        :meth:`sample_reference`, :meth:`sample_chunked` and the serving
+        engine's ``submit`` and ``serve_walks`` all call it, so they
+        reject the same arguments alike.
         """
         if num_walks < 1:
             raise ValueError("num_walks must be >= 1")
@@ -263,6 +264,8 @@ class TransformerWalkModel(Module):
         Each chunk decodes through :meth:`sample`, i.e. one whole-step
         :meth:`~repro.nn.backend.Backend.decode_step` call per token.
         """
+        # Check the whole request before starts_fn or any chunk draws.
+        self._sampling_prompt(num_walks, length, temperature, None)
         chunks = []
         remaining = num_walks
         while remaining > 0:

@@ -11,8 +11,8 @@ Two stdlib-only pillars shared by every layer of the stack:
   enabled via ``REPRO_TRACE=<path>`` or ``repro --trace <path>``; a
   strict no-op when disabled.
 
-Instrumentation is wired through the Trainer (``MetricsCallback``),
-the Runner artifact cache, the walk engines, the sweep scheduler, and
+Instrumentation is wired through ``Trainer.fit`` (its per-epoch and
+per-fit ``train_*`` series), the Runner artifact cache, the walk engines, the sweep scheduler, and
 the serve daemon (``GET /metrics``).  It never touches RNG streams:
 fitted artifacts are byte-identical with tracing on or off.
 """

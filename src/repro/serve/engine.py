@@ -456,9 +456,8 @@ def serve_walks(engine: ContinuousBatcher, n_walks: int, length: int,
         raise ValueError("pass starts or starts_fn, not both")
     if starts is not None:
         starts = np.asarray(starts, dtype=np.int64).reshape(-1)
-        if starts.shape[0] != n_walks:
-            raise ValueError(f"starts has {starts.shape[0]} entries for "
-                             f"{n_walks} walks")
+    # Check the whole request before starts_fn or any chunk draws.
+    engine._model._sampling_prompt(n_walks, length, temperature, starts)
     chunks: list[np.ndarray] = []
     done = 0
     while done < n_walks:

@@ -4,17 +4,17 @@
 Algorithm 1 cycle loop, NetGAN's WGAN iterations, GraphRNN's sequence
 epochs, GAE's full-batch steps and TagGen's walk-corpus epochs) with a
 single :class:`Trainer` that owns batching helpers, optimizer stepping,
-gradient clipping, callbacks and the uniform loss-history contract —
-and, through :class:`TrainState` checkpoints, gives every fit
-byte-identical interrupt/resume semantics that the experiment Runner
-and the distributed sweep scheduler exploit (``<key>.ckpt.npz`` in the
-artifact cache, written on the worker's heartbeat cadence).
+gradient clipping and the uniform loss-history contract.  Each task's
+epoch is the whole loop body; ``Trainer.fit`` commits its record, times
+it into the metrics registry and, through :class:`TrainState`
+checkpoints, gives every fit byte-identical interrupt/resume semantics
+that the experiment Runner and the distributed sweep scheduler exploit
+(``<key>.ckpt.npz`` in the artifact cache, written on the worker's
+heartbeat cadence).
 """
 
-from .trainer import (CHECKPOINT_FORMAT, MetricsCallback, TrainCallback,
-                      TrainControl, Trainer, TrainState, minibatches,
-                      train_step)
+from .trainer import (CHECKPOINT_FORMAT, TrainControl, Trainer, TrainState,
+                      minibatches, train_step)
 
-__all__ = ["Trainer", "TrainState", "TrainControl", "TrainCallback",
-           "MetricsCallback", "minibatches", "train_step",
-           "CHECKPOINT_FORMAT"]
+__all__ = ["Trainer", "TrainState", "TrainControl", "minibatches",
+           "train_step", "CHECKPOINT_FORMAT"]

@@ -1,4 +1,4 @@
-"""The shared training loop: ``Trainer`` + ``TrainState`` + callbacks.
+"""The shared training loop: ``Trainer`` + ``TrainState``.
 
 Before this module every trainable model (FairGen, NetGAN, GraphRNN,
 GAE, TagGen) re-implemented the same loop by hand: batching, optimizer
@@ -19,9 +19,11 @@ A *task* is any object implementing:
     The named optimizers (their moment buffers checkpoint too, so a
     resumed Adam continues exactly where it stopped).
 ``epoch(state, rng) -> float | dict``
-    One training epoch / cycle / iteration.  The return value is the
-    epoch's loss record; ``Trainer`` appends it to ``state.history`` —
-    the uniform loss-history contract every model now shares.
+    One training epoch / cycle / iteration — the whole body, including
+    any per-epoch phase after the main update (FairGen's epoch holds
+    Algorithm 1 steps 4-11).  The return value is the epoch's loss
+    record; ``Trainer`` appends it to ``state.history`` — the uniform
+    loss-history contract every model now shares.
 
 and optionally:
 
@@ -39,13 +41,15 @@ the same spec finds the file, restores everything and continues from
 the next epoch; because the RNG state is part of the snapshot, the
 resumed fit is byte-identical to an uninterrupted one.
 
-Epoch callbacks
----------------
-``TrainCallback`` hooks run inside the loop.  ``on_epoch_end`` fires
-*before* the record is committed to history (and may mutate it) — this
-is where FairGen's self-paced curriculum phase lives.  ``on_epoch_commit``
-fires after the history append and any checkpoint write, which makes it
-the injection point for interruption in the resume tests.
+One loop
+--------
+``Trainer.fit`` is the one place an epoch is committed: it runs the
+task's epoch, appends the record to history, advances ``state.epoch``,
+writes any due checkpoint, and counts and times the epoch and the fit
+in the process-wide metrics registry (``train_epochs_total``,
+``train_fits_total``, ``train_epoch_seconds``, ``train_fit_seconds``,
+each labelled ``task=<task class>``).  The series are purely
+observational — they consume no RNG and touch no record.
 """
 
 from __future__ import annotations
@@ -55,17 +59,16 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from ..nn import Module, Optimizer, clip_grad_norm
 from ..obs import trace
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import get_registry
 
-__all__ = ["TrainCallback", "TrainControl", "TrainState", "Trainer",
-           "MetricsCallback", "minibatches", "train_step",
-           "CHECKPOINT_FORMAT"]
+__all__ = ["TrainControl", "TrainState", "Trainer", "minibatches",
+           "train_step", "CHECKPOINT_FORMAT"]
 
 #: bump when the on-disk checkpoint layout changes incompatibly
 #: (v2: the walk LM's parameters and Adam moments are float32, so a v1
@@ -119,92 +122,6 @@ def _steps_counter():
     return _STEPS_COUNTER
 
 
-# ----------------------------------------------------------------------
-# Callbacks
-# ----------------------------------------------------------------------
-class TrainCallback:
-    """No-op base; override the hooks you need."""
-
-    def on_fit_start(self, trainer: "Trainer", state: "TrainState") -> None:
-        """After a possible checkpoint restore, before the first epoch."""
-
-    def on_epoch_start(self, trainer: "Trainer",
-                       state: "TrainState") -> None:
-        """Before the task's epoch body runs."""
-
-    def on_epoch_end(self, trainer: "Trainer", state: "TrainState",
-                     record) -> None:
-        """After the epoch body, before the record is committed.
-
-        ``record`` is the task's return value; a dict record may be
-        mutated in place (FairGen's curriculum phase extends it here).
-        Everything done in this hook is covered by the epoch's
-        checkpoint.
-        """
-
-    def on_epoch_commit(self, trainer: "Trainer",
-                        state: "TrainState") -> None:
-        """After the record is in history and any checkpoint is written."""
-
-    def on_fit_end(self, trainer: "Trainer", state: "TrainState") -> None:
-        """After the last epoch (not reached when a hook raises)."""
-
-
-class MetricsCallback(TrainCallback):
-    """Epoch/fit timings and counters into a metrics registry.
-
-    Installed on every :class:`Trainer` by default (pass an explicit
-    instance to direct the series at an injectable registry instead of
-    the process-wide default).  Records, labeled by task class name:
-
-    * ``train_epochs_total`` / ``train_fits_total`` counters,
-    * ``train_epoch_seconds`` / ``train_fit_seconds`` histograms.
-
-    Purely observational: consumes no RNG, mutates no record — fitted
-    artifacts stay byte-identical with or without it.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 task_name: str | None = None):
-        registry = registry if registry is not None else get_registry()
-        self._task = task_name
-        self._epochs = registry.counter(
-            "train_epochs_total", "Completed training epochs")
-        self._fits = registry.counter(
-            "train_fits_total", "Completed Trainer fits")
-        self._epoch_seconds = registry.histogram(
-            "train_epoch_seconds", "Wall-clock seconds per training epoch")
-        self._fit_seconds = registry.histogram(
-            "train_fit_seconds", "Wall-clock seconds per complete fit")
-        self._t_epoch = 0.0
-        self._t_fit = 0.0
-
-    def _task_label(self, trainer: "Trainer") -> str:
-        if self._task is None:
-            self._task = type(trainer.task).__name__
-        return self._task
-
-    def on_fit_start(self, trainer: "Trainer", state: "TrainState") -> None:
-        self._t_fit = time.perf_counter()
-
-    def on_epoch_start(self, trainer: "Trainer",
-                       state: "TrainState") -> None:
-        self._t_epoch = time.perf_counter()
-
-    def on_epoch_end(self, trainer: "Trainer", state: "TrainState",
-                     record) -> None:
-        task = self._task_label(trainer)
-        self._epochs.inc(task=task)
-        self._epoch_seconds.observe(
-            time.perf_counter() - self._t_epoch, task=task)
-
-    def on_fit_end(self, trainer: "Trainer", state: "TrainState") -> None:
-        task = self._task_label(trainer)
-        self._fits.inc(task=task)
-        self._fit_seconds.observe(
-            time.perf_counter() - self._t_fit, task=task)
-
-
 @dataclass
 class TrainControl:
     """External control of a fit: checkpoint cadence and resume.
@@ -222,13 +139,9 @@ class TrainControl:
     #: The scheduler's Worker sets its heartbeat interval here, so a
     #: SIGKILLed fit loses at most one lease period of work.
     min_save_interval: float = 0.0
-    #: load ``checkpoint_path`` when it exists and matches ``tag``
-    resume: bool = True
     #: invalidation stamp (the Runner passes its resolved-params stamp);
     #: a checkpoint written under a different tag is ignored
     tag: str | None = None
-    #: extra callbacks appended after the trainer's own
-    callbacks: Sequence[TrainCallback] = ()
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +288,7 @@ class TrainState:
 # The Trainer
 # ----------------------------------------------------------------------
 class Trainer:
-    """Drives a task's epochs with callbacks and checkpoint/resume.
+    """Drives a task's epochs with checkpoint/resume and fit telemetry.
 
     Parameters
     ----------
@@ -385,88 +298,73 @@ class Trainer:
     epochs:
         Total epoch count of a complete fit.  A resumed fit continues
         from the checkpoint's epoch up to this total.
-    callbacks:
-        :class:`TrainCallback` hooks, run in order (control callbacks
-        run after these).
     control:
         Optional :class:`TrainControl` for checkpointing/resume.
     """
 
     def __init__(self, task, *, epochs: int,
-                 callbacks: Sequence[TrainCallback] = (),
                  control: TrainControl | None = None):
         if epochs < 0:
             raise ValueError("epochs must be >= 0")
         self.task = task
         self.epochs = epochs
         self.control = control
-        self.callbacks: list[TrainCallback] = list(callbacks)
-        if control is not None:
-            self.callbacks.extend(control.callbacks)
-        # Default telemetry; appended last so epoch timings cover the
-        # other callbacks' epoch-end work (e.g. curriculum phases).
-        if not any(isinstance(cb, MetricsCallback) for cb in self.callbacks):
-            self.callbacks.append(MetricsCallback())
-        #: the RNG of the running fit (callbacks may consume it — the
-        #: curriculum phase draws its discriminator batches from here)
-        self.rng: np.random.Generator | None = None
 
     # ------------------------------------------------------------------
-    def fit(self, rng: np.random.Generator, *,
-            state: TrainState | None = None) -> TrainState:
+    def fit(self, rng: np.random.Generator) -> TrainState:
         """Run (or resume) the loop; returns the final state.
 
-        When ``state`` is omitted and the control names an existing,
-        tag-matching checkpoint, training resumes from it: parameters,
-        optimizer moments, task extras and ``rng`` are restored in
-        place, and only the remaining epochs run.
+        When the control names an existing, tag-matching checkpoint,
+        training resumes from it: parameters, optimizer moments, task
+        extras and ``rng`` are restored in place, and only the remaining
+        epochs run.
         """
         control = self.control
-        if state is None:
-            state = self._resume_state(rng) or TrainState()
-        self.rng = rng
+        state = self._resume_state(rng) or TrainState()
         path = (Path(control.checkpoint_path)
                 if control is not None and control.checkpoint_path is not None
                 else None)
         last_save = time.monotonic()
         task_name = type(self.task).__name__
-        try:
-            with trace.span("train.fit", task=task_name,
-                            epochs=self.epochs) as fit_span:
-                for cb in self.callbacks:
-                    cb.on_fit_start(self, state)
-                while state.epoch < self.epochs:
-                    with trace.span("train.epoch", task=task_name,
-                                    epoch=state.epoch):
-                        for cb in self.callbacks:
-                            cb.on_epoch_start(self, state)
-                        record = self.task.epoch(state, rng)
-                        for cb in self.callbacks:
-                            cb.on_epoch_end(self, state, record)
-                        state.history.append(record)
-                        state.epoch += 1
-                    if path is not None and (
-                            control.min_save_interval <= 0.0
-                            or time.monotonic() - last_save
-                            >= control.min_save_interval):
-                        with trace.span("train.checkpoint", task=task_name):
-                            state.save(path, self.task, rng, tag=control.tag)
-                        last_save = time.monotonic()
-                    for cb in self.callbacks:
-                        cb.on_epoch_commit(self, state)
-                for cb in self.callbacks:
-                    cb.on_fit_end(self, state)
-                fit_span.set(final_epoch=state.epoch)
-        finally:
-            self.rng = None
+        registry = get_registry()
+        epochs_total = registry.counter(
+            "train_epochs_total", "Completed training epochs")
+        fits_total = registry.counter(
+            "train_fits_total", "Completed Trainer fits")
+        epoch_seconds = registry.histogram(
+            "train_epoch_seconds", "Wall-clock seconds per training epoch")
+        fit_seconds = registry.histogram(
+            "train_fit_seconds", "Wall-clock seconds per complete fit")
+        with trace.span("train.fit", task=task_name,
+                        epochs=self.epochs) as fit_span:
+            t_fit = time.perf_counter()
+            while state.epoch < self.epochs:
+                with trace.span("train.epoch", task=task_name,
+                                epoch=state.epoch):
+                    t_epoch = time.perf_counter()
+                    record = self.task.epoch(state, rng)
+                    epochs_total.inc(task=task_name)
+                    epoch_seconds.observe(time.perf_counter() - t_epoch,
+                                          task=task_name)
+                    state.history.append(record)
+                    state.epoch += 1
+                if path is not None and (
+                        control.min_save_interval <= 0.0
+                        or time.monotonic() - last_save
+                        >= control.min_save_interval):
+                    with trace.span("train.checkpoint", task=task_name):
+                        state.save(path, self.task, rng, tag=control.tag)
+                    last_save = time.monotonic()
+            fits_total.inc(task=task_name)
+            fit_seconds.observe(time.perf_counter() - t_fit, task=task_name)
+            fit_span.set(final_epoch=state.epoch)
         return state
 
     # ------------------------------------------------------------------
     def _resume_state(self, rng: np.random.Generator) -> TrainState | None:
         """Load + apply the control's checkpoint, if one is usable."""
         control = self.control
-        if (control is None or control.checkpoint_path is None
-                or not control.resume):
+        if control is None or control.checkpoint_path is None:
             return None
         state = TrainState.load(control.checkpoint_path)
         if state is None:

@@ -43,10 +43,18 @@ def parity_supervision(labels: np.ndarray):
 
 
 def build_models():
-    """The five trainable models under small-but-real budgets."""
+    """The five trainable models (plus FairGen without its self-paced
+    curriculum) under small-but-real budgets."""
     from repro.core import FairGenConfig
     from repro.core.fairgen import FairGen
     from repro.models import GAEModel, GraphRNN, NetGAN, TagGen
+
+    def fairgen(**variant):
+        return FairGen(FairGenConfig(
+            walk_length=8, walks_per_cycle=32, self_paced_cycles=3,
+            generator_steps_per_cycle=2, generator_batch=16, model_dim=16,
+            num_layers=1, feature_dim=16, batch_iterations=2,
+            batch_size=32, generation_walk_factor=6, **variant))
 
     return {
         "taggen": lambda: TagGen(epochs=3, walks_per_epoch=48, batch_size=16,
@@ -57,11 +65,8 @@ def build_models():
                                      hidden_dim=16, max_bandwidth=32),
         "netgan": lambda: NetGAN(iterations=3, batch_size=12, walk_length=6,
                                  hidden_dim=16, node_dim=8, critic_steps=2),
-        "fairgen": lambda: FairGen(FairGenConfig(
-            walk_length=8, walks_per_cycle=32, self_paced_cycles=3,
-            generator_steps_per_cycle=2, generator_batch=16, model_dim=16,
-            num_layers=1, feature_dim=16, batch_iterations=2,
-            batch_size=32, generation_walk_factor=6)),
+        "fairgen": fairgen,
+        "fairgen-wo-spl": lambda: fairgen(use_self_paced=False),
     }
 
 
@@ -87,7 +92,7 @@ def fit_model(name: str):
     graph, labels, protected = parity_graph()
     model = build_models()[name]()
     rng = np.random.default_rng(FIT_SEED)
-    if name == "fairgen":
+    if name.startswith("fairgen"):
         nodes, classes = parity_supervision(labels)
         model.fit(graph, rng, labeled_nodes=nodes, labeled_classes=classes,
                   protected_mask=protected,

@@ -19,7 +19,7 @@ from repro.models.walk_lm import TransformerWalkModel
 from repro.nn import LayerKVCache, Tensor, causal_mask, no_grad
 from repro.nn.attention import MultiHeadSelfAttention, TransformerBlock
 from repro.nn.backend import DECODE_KERNEL
-from repro.serve import ContinuousBatcher
+from repro.serve import ContinuousBatcher, serve_walks
 
 
 @pytest.fixture
@@ -333,4 +333,18 @@ class TestSamplingGuards:
         for call in (model.sample, model.sample_reference, engine.submit):
             with pytest.raises(ValueError, match="num_walks must be >= 1"):
                 call(0, 5, np.random.default_rng(0))
+        assert engine.pending_count == 0
+
+        # The chunked front doors reject the request before their chunk
+        # loops call ``starts_fn`` or draw from the RNG.
+        def starts_fn(take, rng):
+            raise AssertionError("starts_fn ran for a rejected request")
+
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for call in (model.sample_chunked,
+                     lambda *args, **kw: serve_walks(engine, *args, **kw)):
+            with pytest.raises(ValueError, match="num_walks must be >= 1"):
+                call(0, 5, rng, starts_fn=starts_fn)
+        assert rng.bit_generator.state == before
         assert engine.pending_count == 0

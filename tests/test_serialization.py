@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (FairGen, FairGenConfig, load_fairgen, load_model,
-                        save_fairgen, save_model)
+from repro.core import FairGen, FairGenConfig, load_model, save_model
 from repro.experiments import Supervision
 from repro.graph import planted_protected_graph
 from repro.nn import MLP, Tensor, load_state, save_state
@@ -61,8 +60,8 @@ class TestFairGenSerialization:
     def test_roundtrip_generates_identically(self, trained, tmp_path):
         model, graph = trained
         path = tmp_path / "fairgen.npz"
-        save_fairgen(model, path)
-        restored = load_fairgen(path, graph)
+        save_model(model, path)
+        restored = load_model(path, graph)
         a = model.generate(np.random.default_rng(3))
         b = restored.generate(np.random.default_rng(3))
         assert a == b
@@ -70,30 +69,30 @@ class TestFairGenSerialization:
     def test_roundtrip_preserves_discriminator(self, trained, tmp_path):
         model, graph = trained
         path = tmp_path / "fairgen.npz"
-        save_fairgen(model, path)
-        restored = load_fairgen(path, graph)
+        save_model(model, path)
+        restored = load_model(path, graph)
         np.testing.assert_allclose(model.discriminator.predict_proba(),
                                    restored.discriminator.predict_proba())
 
     def test_unfitted_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            save_fairgen(FairGen(), tmp_path / "x.npz")
+            save_model(FairGen(), tmp_path / "x.npz")
 
     def test_wrong_graph_rejected(self, trained, tmp_path):
         model, _ = trained
         path = tmp_path / "fairgen.npz"
-        save_fairgen(model, path)
+        save_model(model, path)
         from repro.graph import erdos_renyi
 
         other = erdos_renyi(10, 0.3, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            load_fairgen(path, other)
+            load_model(path, other)
 
     def test_config_round_trips(self, trained, tmp_path):
         model, graph = trained
         path = tmp_path / "fairgen.npz"
-        save_fairgen(model, path)
-        restored = load_fairgen(path, graph)
+        save_model(model, path)
+        restored = load_model(path, graph)
         assert restored.config == model.config
 
 
@@ -167,15 +166,6 @@ class TestModelZooSerialization:
         np.savez_compressed(path, something=np.arange(3))
         with pytest.raises(ValueError, match="not a model archive"):
             load_model(path, graph)
-
-    def test_fairgen_typed_loader_rejects_other_classes(self, fit_setting,
-                                                        tmp_path):
-        graph, _ = fit_setting
-        model = create_model("er").fit(graph, np.random.default_rng(0))
-        path = tmp_path / "er.npz"
-        save_model(model, path)
-        with pytest.raises(ValueError, match="not a FairGen"):
-            load_fairgen(path, graph)
 
 
 class TestMmapLoading:

@@ -14,8 +14,8 @@ import pytest
 
 from repro.experiments import ExperimentSpec, Runner, Worker
 from repro.nn import Adam, Linear, Parameter, SGD, Tensor
-from repro.train import (TrainCallback, TrainControl, Trainer, TrainState,
-                         minibatches, train_step)
+from repro.train import (TrainControl, Trainer, TrainState, minibatches,
+                         train_step)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -71,35 +71,16 @@ class _ToyTask:
                           loss_fn)
 
 
-class _Recorder(TrainCallback):
-    def __init__(self):
-        self.events: list[str] = []
+def _interrupt_after(monkeypatch, k: int) -> None:
+    """Raise once epoch ``k`` is committed and its checkpoint written."""
+    save = TrainState.save
 
-    def on_fit_start(self, trainer, state):
-        self.events.append(f"fit_start@{state.epoch}")
-
-    def on_epoch_start(self, trainer, state):
-        self.events.append(f"start@{state.epoch}")
-
-    def on_epoch_end(self, trainer, state, record):
-        self.events.append(f"end@{state.epoch}")
-
-    def on_epoch_commit(self, trainer, state):
-        self.events.append(f"commit@{state.epoch}")
-
-    def on_fit_end(self, trainer, state):
-        self.events.append(f"fit_end@{state.epoch}")
-
-
-class _InterruptAfter(TrainCallback):
-    """Raise after epoch ``k`` has been committed (checkpoint written)."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def on_epoch_commit(self, trainer, state):
-        if state.epoch >= self.k:
+    def save_then_interrupt(self, *args, **kwargs):
+        save(self, *args, **kwargs)
+        if self.epoch >= k:
             raise RuntimeError("interrupted for the resume test")
+
+    monkeypatch.setattr(TrainState, "save", save_then_interrupt)
 
 
 # ----------------------------------------------------------------------
@@ -162,47 +143,6 @@ class TestTrainerLoop:
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError):
             Trainer(_ToyTask(), epochs=-1)
-
-    def test_callback_hook_order(self):
-        recorder = _Recorder()
-        Trainer(_ToyTask(), epochs=2,
-                callbacks=[recorder]).fit(np.random.default_rng(1))
-        assert recorder.events == [
-            "fit_start@0", "start@0", "end@0", "commit@1",
-            "start@1", "end@1", "commit@2", "fit_end@2"]
-
-    def test_on_epoch_end_mutates_record_before_commit(self):
-        class Enricher(TrainCallback):
-            def on_epoch_end(self, trainer, state, record):
-                record["extra"] = 42.0
-
-        class DictTask(_ToyTask):
-            def epoch(self, state, rng):
-                return {"loss": super().epoch(state, rng)}
-
-        state = Trainer(DictTask(), epochs=2,
-                        callbacks=[Enricher()]).fit(np.random.default_rng(1))
-        assert all(r["extra"] == 42.0 for r in state.history)
-
-    def test_control_callbacks_run_after_trainer_callbacks(self):
-        first, second = _Recorder(), _Recorder()
-        Trainer(_ToyTask(), epochs=1, callbacks=[first],
-                control=TrainControl(callbacks=(second,))
-                ).fit(np.random.default_rng(1))
-        assert first.events == second.events != []
-
-    def test_trainer_rng_available_to_callbacks_during_fit(self):
-        seen = []
-
-        class Peek(TrainCallback):
-            def on_epoch_end(self, trainer, state, record):
-                seen.append(trainer.rng)
-
-        trainer = Trainer(_ToyTask(), epochs=1, callbacks=[Peek()])
-        rng = np.random.default_rng(1)
-        trainer.fit(rng)
-        assert seen == [rng]
-        assert trainer.rng is None  # released after the fit
 
 
 # ----------------------------------------------------------------------
@@ -365,18 +305,6 @@ class TestCheckpointArchive:
         np.testing.assert_array_equal(
             resumed.second.weight.data, reference.second.weight.data)
 
-    def test_resume_false_trains_from_scratch(self, tmp_path):
-        path = tmp_path / "toy.ckpt.npz"
-        Trainer(_ToyTask(), epochs=3,
-                control=TrainControl(checkpoint_path=path)).fit(
-            np.random.default_rng(5))
-        task = _ToyTask()
-        Trainer(task, epochs=3,
-                control=TrainControl(checkpoint_path=path,
-                                     resume=False)).fit(
-            np.random.default_rng(5))
-        assert len(task.noise_seen) == 3
-
     def test_time_based_interval_skips_fast_epochs(self, tmp_path):
         path = tmp_path / "toy.ckpt.npz"
         control = TrainControl(checkpoint_path=path,
@@ -416,7 +344,7 @@ class TestInterruptResume:
         model = parity.build_models()[name]()
         model.train_control = control
         rng = np.random.default_rng(parity.FIT_SEED)
-        if name == "fairgen":
+        if name.startswith("fairgen"):
             nodes, classes = parity.parity_supervision(labels)
             model.fit(graph, rng, labeled_nodes=nodes,
                       labeled_classes=classes, protected_mask=protected,
@@ -434,7 +362,7 @@ class TestInterruptResume:
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_interrupted_then_resumed_fit_is_byte_identical(
-            self, name, tmp_path):
+            self, name, tmp_path, monkeypatch):
         """Interrupt at epoch 1, resume, compare against uninterrupted.
 
         Fitted parameters, the loss history AND the caller's RNG state
@@ -447,10 +375,11 @@ class TestInterruptResume:
 
         ref_model, ref_rng = self._fit(name, graph, labels, protected)
 
-        with pytest.raises(RuntimeError, match="interrupted"):
+        with monkeypatch.context() as patch, \
+                pytest.raises(RuntimeError, match="interrupted"):
+            _interrupt_after(patch, 1)
             self._fit(name, graph, labels, protected,
-                      TrainControl(checkpoint_path=ckpt,
-                                   callbacks=(_InterruptAfter(1),)))
+                      TrainControl(checkpoint_path=ckpt))
         assert ckpt.exists()
 
         resumed_model, resumed_rng = self._fit(
@@ -537,7 +466,7 @@ class TestGradFreeScoring:
 class TestRunnerResume:
     SPEC = ExperimentSpec(model="gae", dataset="EMAIL", profile="smoke")
 
-    def _partial_fit(self, runner: Runner, k: int = 2) -> Path:
+    def _partial_fit(self, runner: Runner, monkeypatch, k: int = 2) -> Path:
         """Run the spec's fit but interrupt it after ``k`` epochs."""
         from repro.registry import get_entry
 
@@ -545,8 +474,9 @@ class TestRunnerResume:
         entry = get_entry(spec.model)
         model = entry.build(spec.profile, spec.override_dict)
         runner._install_train_control(spec, model)
-        model.train_control.callbacks = (_InterruptAfter(k),)
-        with pytest.raises(RuntimeError, match="interrupted"):
+        with monkeypatch.context() as patch, \
+                pytest.raises(RuntimeError, match="interrupted"):
+            _interrupt_after(patch, k)
             model.fit(runner.dataset(spec.dataset).graph, spec.rng(stream=0))
         ckpt = runner.checkpoint_path(spec)
         assert ckpt.exists()
@@ -561,7 +491,7 @@ class TestRunnerResume:
 
         resumed_runner = Runner(cache_dir=tmp_path / "resumed",
                                 checkpoint_interval=0.0)
-        ckpt = self._partial_fit(resumed_runner, k=2)
+        ckpt = self._partial_fit(resumed_runner, monkeypatch, k=2)
 
         calls = []
         original_epoch = gae_module._GAETask.epoch
@@ -588,7 +518,7 @@ class TestRunnerResume:
 
         runner = Runner(cache_dir=tmp_path / "cache",
                         checkpoint_interval=0.0)
-        self._partial_fit(runner, k=2)
+        self._partial_fit(runner, monkeypatch, k=2)
 
         # A Runner whose resolved supervision settings differ writes a
         # different stamp, so the checkpoint must be ignored.
