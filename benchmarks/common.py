@@ -83,17 +83,10 @@ def record(filename: str, name: str, payload: dict) -> None:
     """Merge-update entry ``name`` of ``.bench/<filename>``.
 
     The file maps benchmark name -> latest result, so each smoke test
-    refreshes its own entry without clobbering the others.  (A legacy
-    single-benchmark flat file is rewrapped under its ``benchmark`` key
-    on first contact.)
+    refreshes its own entry without clobbering the others.
     """
     path = BENCH_DIR / filename
-    existing: dict = {}
-    if path.exists():
-        existing = json.loads(path.read_text())
-        if "benchmark" in existing:  # legacy flat layout
-            legacy = dict(existing)
-            existing = {legacy.pop("benchmark"): legacy}
+    existing = json.loads(path.read_text()) if path.exists() else {}
     existing[name] = payload
     BENCH_DIR.mkdir(exist_ok=True)
     path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")

@@ -14,10 +14,6 @@ Commands
 ``serve``      long-lived generation daemon over the artifact cache:
                continuous-batching walk decode, model LRU, bounded
                admission queue (see README "Serving")
-``ingest``     shard an edge-list file or graph archive into an
-               out-of-core shard directory (see README "Sharded graphs")
-``graph``      shard-directory utilities; ``graph stats <dir>`` prints
-               the manifest summary without loading any shard
 ``trace``      trace-file utilities; ``trace summarize <file>`` prints
                a per-span wall/self-time table of a Chrome-trace JSONL
                produced with ``--trace`` / ``REPRO_TRACE``
@@ -213,33 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-request decode deadline in seconds")
     srv.add_argument("--verbose", action="store_true",
                      help="log every HTTP request")
-
-    ing = sub.add_parser(
-        "ingest", help="shard an edge list into an out-of-core graph "
-                       "directory (bounded-memory streaming ingest)")
-    ing.add_argument("source",
-                     help="whitespace edge-list file ('u v' per line, "
-                          "'#' comments) or a graph-csr .npz archive")
-    ing.add_argument("out_dir", help="shard directory to create")
-    ing.add_argument("--num-shards", type=int, default=None,
-                     help="node-range shard count (default: 1)")
-    ing.add_argument("--nodes-per-shard", type=int, default=None,
-                     help="alternative sizing: nodes per shard")
-    ing.add_argument("--num-nodes", type=int, default=None,
-                     help="node-id space size for edge-list input "
-                          "(default: max id + 1, found by one extra "
-                          "streaming pass)")
-    ing.add_argument("--overwrite", action="store_true",
-                     help="replace a completed shard directory at "
-                          "out_dir (interrupted ingests never need this)")
-
-    grf = sub.add_parser("graph", help="shard-directory utilities")
-    grf_sub = grf.add_subparsers(dest="graph_command", required=True)
-    gst = grf_sub.add_parser(
-        "stats", help="print a shard directory's manifest summary "
-                      "(nodes, edges, shards, degree histogram) without "
-                      "loading any shard resident")
-    gst.add_argument("shard_dir")
 
     trc = sub.add_parser("trace", help="Chrome-trace file utilities")
     trc_sub = trc.add_subparsers(dest="trace_command", required=True)
@@ -680,27 +649,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    from .graph.sharded import ingest_edge_file
-
-    if args.num_shards is not None and args.nodes_per_shard is not None:
-        raise SystemExit("pass --num-shards or --nodes-per-shard, "
-                         "not both")
-    try:
-        sharded = ingest_edge_file(
-            args.source, args.out_dir, num_nodes=args.num_nodes,
-            num_shards=args.num_shards,
-            nodes_per_shard=args.nodes_per_shard,
-            overwrite=args.overwrite)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(str(exc)) from exc
-    stats = sharded.stats()
-    print(f"ingested {stats['num_edges']} edges over "
-          f"{stats['num_nodes']} nodes into {stats['num_shards']} "
-          f"shard(s) at {stats['path']}")
-    return 0
-
-
 def _cmd_trace(args) -> int:
     from .obs.trace import render_summary, summarize_trace
 
@@ -719,30 +667,6 @@ def _cmd_trace(args) -> int:
     raise SystemExit(f"unknown trace command {args.trace_command!r}")
 
 
-def _cmd_graph(args) -> int:
-    from .graph.sharded import ShardedGraph
-
-    try:
-        sharded = ShardedGraph(args.shard_dir)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(str(exc)) from exc
-    stats = sharded.stats()
-    print(f"shard directory {stats['path']}")
-    print(f"  nodes:  {stats['num_nodes']}")
-    print(f"  edges:  {stats['num_edges']}")
-    print(f"  shards: {stats['num_shards']}")
-    print(f"  max degree: {stats['max_degree']}")
-    rows = [[i, f"[{stats['shard_starts'][i]}, "
-                f"{stats['shard_starts'][i + 1]})", edges]
-            for i, edges in enumerate(stats["shard_edges"])]
-    print(format_table(["shard", "node range", "edge slots"], rows))
-    hist = stats["degree_histogram"]
-    print(format_table(["degree", "nodes"],
-                       [[b, c] for b, c in zip(hist["bins"],
-                                               hist["counts"])]))
-    return 0
-
-
 _COMMANDS = {
     "datasets": _cmd_datasets,
     "models": _cmd_models,
@@ -752,8 +676,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "worker": _cmd_worker,
     "serve": _cmd_serve,
-    "ingest": _cmd_ingest,
-    "graph": _cmd_graph,
     "trace": _cmd_trace,
 }
 

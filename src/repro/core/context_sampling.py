@@ -55,14 +55,9 @@ class ContextSampler:
         if labeled_nodes.shape != labeled_classes.shape:
             raise ValueError("labeled nodes/classes shape mismatch")
         self._class_starts.clear()
-        # Diffusion cores need the dense-ish lazy transition matrix; an
-        # out-of-core ShardedGraph does not expose it, so label-guided
-        # starts fall back to all labeled members there (the Lemma 2.1
-        # stay-probability guarantee is a refinement, not a requirement).
-        has_cores = hasattr(self.graph, "transition_matrix")
         for cls in np.unique(labeled_classes):
             members = labeled_nodes[labeled_classes == cls]
-            if has_cores and members.size >= 2:
+            if members.size >= 2:
                 core = diffusion_core(self.graph, members, self.delta,
                                       self.diffusion_steps)
             else:

@@ -128,11 +128,9 @@ def _npz_member_layout(
 ) -> dict[str, tuple[int, np.dtype, tuple]] | None:
     """``{name: (data_offset, dtype, shape)}`` of an uncompressed npz.
 
-    The layout is all a reader needs to map (or re-map) the archive's
-    members without re-parsing the zip — the sharded graph store caches
-    it per shard so LRU re-entry of an evicted shard costs one ``mmap``
-    instead of a zip walk.  Returns ``None`` when the archive cannot be
-    mapped (compressed members, object or Fortran-order arrays).
+    The layout is all a reader needs to map the archive's members in
+    place.  Returns ``None`` when the archive cannot be mapped
+    (compressed members, object or Fortran-order arrays).
     """
     import zipfile
 

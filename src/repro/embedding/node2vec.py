@@ -52,11 +52,7 @@ def node2vec_embedding(graph, config: Node2VecConfig,
 
     Every node seeds ``walks_per_node`` walks so even low-degree nodes get
     coverage (this matters for the protected group).  The whole walk corpus
-    is drawn in one batched call on the graph's walk engine; ``graph``
-    may be an in-memory :class:`~repro.graph.Graph` or an out-of-core
-    :class:`~repro.graph.sharded.ShardedGraph` — the pipeline only needs
-    ``num_nodes`` and bulk walks, so embedding scales with the sharded
-    store's resident-memory bound rather than the full CSR.
+    is drawn in one batched call on the graph's walk engine.
     """
     starts = np.repeat(np.arange(graph.num_nodes), config.walks_per_node)
     with trace.span("embedding.walks", walks=int(starts.size),

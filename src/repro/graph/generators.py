@@ -10,8 +10,6 @@ These serve three roles in the reproduction:
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -25,7 +23,6 @@ __all__ = [
     "watts_strogatz",
     "configuration_model",
     "kronecker_graph",
-    "synthetic_edge_stream",
     "ring_of_chords",
 ]
 
@@ -242,45 +239,25 @@ def configuration_model(degree_sequence, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(degrees.size, edges)
 
 
-def synthetic_edge_stream(num_nodes: int, num_chords: int, seed: int,
-                          chunk_edges: int = 1 << 17,
-                          ) -> Iterator[np.ndarray]:
-    """Stream a million-edge-scale benchmark graph without building it.
+def ring_of_chords(num_nodes: int, num_chords: int, seed: int) -> Graph:
+    """A ring plus random chords: a connected benchmark graph of any size.
 
-    The graph is a ring (``i — (i+1) mod n``, so it is connected and
-    every node has degree >= 2) plus ``num_chords`` random chords drawn
-    uniformly over node pairs (duplicates and self-pairs are tolerated —
-    the sharded ingester deduplicates, exactly like
-    :meth:`Graph.from_edges`).  Edges are yielded in ``(k, 2)`` chunks so
-    peak memory is O(chunk), letting benchmarks drive the out-of-core
-    ingest path at sizes no in-memory generator here could reach.
-
-    Deterministic for a given ``(num_nodes, num_chords, seed,
-    chunk_edges)``; :func:`ring_of_chords` materialises the identical
-    graph in memory for parity checks at small sizes.
+    The ring (``i — (i+1) mod n``) makes the graph connected with every
+    degree >= 2; ``num_chords`` chords are drawn uniformly over node pairs
+    (self-pairs are dropped, duplicates merge in :meth:`Graph.from_edges`).
+    Deterministic for a given ``(num_nodes, num_chords, seed)``.
     """
     if num_nodes < 3:
         raise ValueError("num_nodes must be >= 3")
     if num_chords < 0:
         raise ValueError("num_chords must be non-negative")
     rng = np.random.default_rng(seed)
-    ids = np.arange(num_nodes, dtype=np.int64)
-    for start in range(0, num_nodes, chunk_edges):
-        ring = ids[start:start + chunk_edges]
-        yield np.column_stack([ring, (ring + 1) % num_nodes])
-    for start in range(0, num_chords, chunk_edges):
-        k = min(chunk_edges, num_chords - start)
-        yield rng.integers(num_nodes, size=(k, 2), dtype=np.int64)
-
-
-def ring_of_chords(num_nodes: int, num_chords: int, seed: int,
-                   chunk_edges: int = 1 << 17) -> Graph:
-    """In-memory twin of :func:`synthetic_edge_stream` (same edge set)."""
-    chunks = list(synthetic_edge_stream(num_nodes, num_chords, seed,
-                                        chunk_edges))
-    edges = np.concatenate(chunks)
+    ring = np.arange(num_nodes, dtype=np.int64)
+    edges = np.concatenate([
+        np.column_stack([ring, (ring + 1) % num_nodes]),
+        rng.integers(num_nodes, size=(num_chords, 2), dtype=np.int64)])
     edges = edges[edges[:, 0] != edges[:, 1]]
-    return Graph.from_edges(num_nodes, [tuple(e) for e in edges])
+    return Graph.from_edges(num_nodes, edges)
 
 
 def kronecker_graph(initiator: np.ndarray, power: int,

@@ -89,12 +89,6 @@ def sample_walks(graph, num_walks: int, length: int,
     lock-step on the graph's cached :class:`~repro.graph.walk_engine.WalkEngine`
     rather than one at a time through :func:`node2vec_walk`.
 
-    ``graph`` may be an in-memory :class:`~repro.graph.Graph` or an
-    out-of-core :class:`~repro.graph.sharded.ShardedGraph`; both return a
-    :class:`~repro.graph.walk_engine.WalkEngine` from ``walk_engine()``,
-    so every walk-based pipeline stage routed through this function scales
-    past resident memory transparently, and the walks are byte-identical
-    across the two graph kinds under any shard count and any ``p``/``q``.
     Explicit ``starts`` must be integer node ids in ``[0, num_nodes)``.
     """
     return graph.walk_engine().walks(num_walks, length, rng,

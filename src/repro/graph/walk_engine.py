@@ -1,4 +1,4 @@
-"""Batched random-walk engine over any graph that exposes the walk seam.
+"""Batched random-walk engine over a :class:`~repro.graph.Graph`.
 
 The scalar walkers in :mod:`repro.graph.random_walk` advance one walk one
 step at a time, which makes Python-loop overhead the dominant cost of every
@@ -23,11 +23,9 @@ vectorized NumPy primitives:
 ``degrees``, ``neighbor_at(nodes, offsets)`` (the ``offsets[i]``-th sorted
 neighbor of ``nodes[i]``), ``has_edges(u, v)`` and, in the scalar test
 reference only, ``neighbors(node)``.  :class:`~repro.graph.Graph` answers
-from its CSR arrays, :class:`~repro.graph.sharded.ShardedGraph` shard by
-shard.  Every draw is one vectorized call over the whole frontier in walk
-order whose arguments depend only on degrees and the seam's answers, so a
-``ShardedGraph`` walks byte-identically to its in-memory twin under any
-shard count and any ``p``/``q``.
+from its CSR arrays, hiding the lazily built int64 CSR copy and edge-key
+table.  Every draw is one vectorized call over the whole frontier in walk
+order whose arguments depend only on degrees and the seam's answers.
 
 The scalar :func:`repro.graph.random_walk.node2vec_walk` and
 :func:`repro.graph.random_walk.uniform_random_walk` remain as reference
@@ -44,7 +42,6 @@ from ..obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import Graph
-    from .sharded import ShardedGraph
 
 __all__ = ["WalkEngine"]
 
@@ -53,15 +50,14 @@ class WalkEngine:
     """Vectorized multi-walk sampler bound to one (immutable) graph.
 
     Construction is cheap — the engine copies only the degree vector — so
-    :meth:`Graph.walk_engine` and :meth:`ShardedGraph.walk_engine` cache
-    one instance per graph.
+    :meth:`Graph.walk_engine` caches one instance per graph.
     """
 
-    def __init__(self, graph: "Graph | ShardedGraph",
+    def __init__(self, graph: "Graph",
                  max_rejection_rounds: int = 50):
         self.graph = graph
         self.num_nodes = graph.num_nodes
-        self.degrees = np.asarray(graph.degrees).astype(np.int64)
+        self.degrees = graph.degrees.astype(np.int64)
         self.max_rejection_rounds = max_rejection_rounds
         self._cumulative_degrees: np.ndarray | None = None
 
@@ -289,7 +285,7 @@ class WalkEngine:
         one ``rng.random(n)``), so seeded outputs must match exactly.
         """
         for i in pending:
-            nbrs = np.asarray(self.graph.neighbors(int(cur[i])))
+            nbrs = self.graph.neighbors(int(cur[i]))
             weights = np.where(
                 nbrs == prev[i], inv_p,
                 np.where(self.graph.has_edges(nbrs,

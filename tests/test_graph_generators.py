@@ -1,12 +1,16 @@
-"""Tests for the synthetic graph generators (ER, BA, SBM, planted)."""
+"""Tests for the synthetic graph generators (ER, BA, SBM, planted,
+ring of chords)."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from repro.graph import (barabasi_albert, erdos_renyi,
-                         planted_protected_graph, stochastic_block_model)
+from repro.graph import (barabasi_albert, connected_components, erdos_renyi,
+                         planted_protected_graph, ring_of_chords,
+                         stochastic_block_model)
 from repro.graph import metrics as gm
 
 
@@ -140,3 +144,23 @@ class TestPlantedProtected:
     def test_protected_under_represented(self, rng):
         g, _, protected = planted_protected_graph(100, 10, rng)
         assert protected.sum() < (~protected).sum() / 5
+
+
+class TestRingOfChords:
+    def test_connected_ring_plus_chords(self):
+        g = ring_of_chords(200, 300, seed=5)
+        assert g.degrees.min() >= 2
+        assert np.unique(connected_components(g)).size == 1
+        assert all(g.has_edge(i, (i + 1) % 200) for i in range(200))
+
+    def test_edge_set_pinned(self):
+        edges = ring_of_chords(200, 300, seed=5).edges().astype(np.int64)
+        digest = hashlib.sha256(edges.tobytes()).hexdigest()[:16]
+        assert edges.shape == (495, 2)
+        assert digest == "04fbd5d5eb37e3e0"
+
+    def test_invalid_params(self):
+        with pytest.raises(ValueError, match="num_nodes"):
+            ring_of_chords(2, 0, seed=0)
+        with pytest.raises(ValueError, match="num_chords"):
+            ring_of_chords(10, -1, seed=0)

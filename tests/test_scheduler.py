@@ -58,6 +58,29 @@ def _victim_worker_main(queue_dir: str, cache_dir: str) -> None:
     worker.run()
 
 
+class _Clock:
+    """Stands in for the scheduler module's ``time``: ``time()`` reads a
+    counter the test moves forward with ``advance``."""
+
+    def __init__(self) -> None:
+        self.now = 1_000_000.0
+
+    def time(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch) -> _Clock:
+    from repro.experiments import scheduler
+
+    fake = _Clock()
+    monkeypatch.setattr(scheduler, "time", fake)
+    return fake
+
+
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -140,13 +163,13 @@ class TestJobQueue:
         assert lease["worker"] == "w1"
         assert lease["attempt"] == 1
 
-    def test_heartbeat_advances_lease(self, tmp_path):
+    def test_heartbeat_advances_lease(self, tmp_path, clock):
         queue = JobQueue(tmp_path)
         queue.submit([_spec()])
         job = queue.claim("w1")
         lease_path = tmp_path / "leases" / f"{job.id}.json"
         before = json.loads(lease_path.read_text())["heartbeat_at"]
-        time.sleep(0.02)
+        clock.advance(0.02)
         assert queue.heartbeat(job.id, "w1")
         after = json.loads(lease_path.read_text())["heartbeat_at"]
         assert after > before
@@ -204,11 +227,11 @@ class TestJobQueue:
         assert queue.recover() == []
         assert queue.counts()["claimed"] == 1
 
-    def test_recover_requeues_expired_lease(self, tmp_path):
+    def test_recover_requeues_expired_lease(self, tmp_path, clock):
         queue = JobQueue(tmp_path, lease_timeout=0.05, max_retries=2)
         queue.submit([_spec()])
         job = queue.claim("w1")
-        time.sleep(0.1)
+        clock.advance(0.1)
         assert queue.recover() == [job.id]
         assert queue.counts()["pending"] == 1
         retry = queue.claim("w2")
@@ -216,11 +239,11 @@ class TestJobQueue:
         # The original worker's lease is gone: its completion is dropped.
         assert not queue.complete(job.id, "w1", {})
 
-    def test_recover_fails_job_out_of_retry_budget(self, tmp_path):
+    def test_recover_fails_job_out_of_retry_budget(self, tmp_path, clock):
         queue = JobQueue(tmp_path, lease_timeout=0.05, max_retries=0)
         queue.submit([_spec()])
         job = queue.claim("w1")
-        time.sleep(0.1)
+        clock.advance(0.1)
         assert queue.recover() == []
         payload = queue.payload(job.id)
         assert payload["state"] == "failed"
@@ -343,11 +366,12 @@ class TestQueueStatus:
         assert dead["note"] == "ValueError: boom goes the dataset"
         assert dead["retries"] == 1
 
-    def test_status_flags_expired_leases_without_recovering(self, tmp_path):
+    def test_status_flags_expired_leases_without_recovering(self, tmp_path,
+                                                             clock):
         queue = JobQueue(tmp_path, lease_timeout=0.05)
         queue.submit([_spec()])
         job = queue.claim("w")
-        time.sleep(0.1)
+        clock.advance(0.1)
         snapshot = queue.status()
         [row] = [j for j in snapshot["jobs"] if j["state"] == "claimed"]
         assert row["note"] == "lease expired"

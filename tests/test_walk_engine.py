@@ -253,3 +253,12 @@ class TestSampleWalksIntegration:
         starts = np.array([1, 5, 7])
         walks = sample_walks(two_cliques_graph, 3, 4, rng, starts=starts)
         np.testing.assert_array_equal(walks[:, 0], starts)
+
+    def test_out_of_range_starts_rejected(self):
+        graph = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3)])
+        rng = np.random.default_rng(0)
+        for starts in ([-1, 0], [0, 6], [1.7, 2.2]):
+            for p, q in [(1.0, 1.0), (0.5, 2.0)]:
+                with pytest.raises(ValueError, match="node ids"):
+                    sample_walks(graph, 2, 5, rng,
+                                 starts=np.array(starts), p=p, q=q)
