@@ -6,7 +6,10 @@ share one ``predict_log_proba`` pass).  That pass runs under
 ``no_grad()`` — identical floats, but no autograd graph kept alive, which
 the smoke gates by the pass's ``tracemalloc`` peak and times ungated.
 Another smoke records FairGen's float32 generator
-step against a float64 copy of the model, ungated.  The smoke subset
+step against a float64 copy of the model, ungated.  Two SGNS smokes gate
+its per-``train()`` workspace against the expression-form oracle (minor
+page faults, byte-identical vectors) and its float32 vectors against the
+oracle run in float64 (max |delta| <= 1e-5).  The smoke subset
 gates CI and merge-updates the trajectory into ``.bench/BENCH_train.json``
 (see :func:`common.record`):
 
@@ -318,6 +321,24 @@ def _reference_sgns_train(model, walks: np.ndarray, window: int,
     return history
 
 
+#: the SGNS smokes' corpus: 6 walks of length 10 per node of a 300-node
+#: planted-partition graph, and the ``train()`` arguments
+SGNS_NODES, SGNS_DIM = 300, 32
+SGNS_KWARGS = dict(window=4, epochs=2, negatives=5, lr=0.05,
+                   batch_size=2048)
+
+
+def _sgns_smoke_walks() -> np.ndarray:
+    from repro.graph import planted_protected_graph, sample_walks
+
+    graph, _, _ = planted_protected_graph(SGNS_NODES - 60, 60,
+                                          np.random.default_rng(5),
+                                          p_in=0.05, p_out=0.01)
+    starts = np.repeat(np.arange(SGNS_NODES), 6)
+    return sample_walks(graph, starts.size, 10, np.random.default_rng(6),
+                        starts=starts)
+
+
 @pytest.mark.smoke
 def test_training_smoke_sgns_workspace():
     """CI gate on SGNS's per-``train()`` workspace.
@@ -333,17 +354,9 @@ def test_training_smoke_sgns_workspace():
     import resource
 
     from repro.embedding import SkipGramModel, walks_to_pairs
-    from repro.graph import planted_protected_graph, sample_walks
 
-    num_nodes, dim = 300, 32
-    kwargs = dict(window=4, epochs=2, negatives=5, lr=0.05,
-                  batch_size=2048)
-    graph, _, _ = planted_protected_graph(num_nodes - 60, 60,
-                                          np.random.default_rng(5),
-                                          p_in=0.05, p_out=0.01)
-    starts = np.repeat(np.arange(num_nodes), 6)
-    walks = sample_walks(graph, starts.size, 10, np.random.default_rng(6),
-                         starts=starts)
+    num_nodes, dim, kwargs = SGNS_NODES, SGNS_DIM, SGNS_KWARGS
+    walks = _sgns_smoke_walks()
 
     def run(train):
         rng = np.random.default_rng(8)
@@ -395,6 +408,52 @@ def test_training_smoke_sgns_workspace():
     assert faults["workspace"] * 10 <= faults["oracle"], (
         f"workspace SGNS took {faults['workspace']} minor faults per "
         f"train(), more than 1/10 of the oracle's {faults['oracle']}")
+
+
+@pytest.mark.smoke
+def test_training_smoke_sgns_float32_tracks_float64():
+    """CI gate on SGNS's float32 precision, counted, not timed.
+
+    Trains the float32 workspace SGNS on the workspace smoke's corpus,
+    and the expression-form oracle on a float64 copy of the same initial
+    table and RNG; the negative draws do not depend on the table's
+    dtype, so both runs see the same batches and negatives.  The trained
+    vectors must agree to 1e-5 (node2vec on BLOG measured 9.6e-7).
+    """
+    import copy
+
+    from repro.embedding import SkipGramModel
+
+    walks = _sgns_smoke_walks()
+    model32 = SkipGramModel(SGNS_NODES, SGNS_DIM, np.random.default_rng(8))
+    model64 = copy.deepcopy(model32)
+    model64._table = model64._table.astype(np.float64)
+    history32 = model32.train(walks, **SGNS_KWARGS)
+    history64 = _reference_sgns_train(model64, walks, **SGNS_KWARGS)
+
+    assert model32.vectors.dtype == np.float32
+    assert model64.vectors.dtype == np.float64
+    assert (model32._rng.bit_generator.state
+            == model64._rng.bit_generator.state)
+    vector_drift = float(np.abs(model32.vectors - model64.vectors).max())
+    output_drift = float(np.abs(model32.out_vectors
+                                - model64.out_vectors).max())
+    loss_drift = float(np.abs(np.subtract(history32, history64)).max())
+    scale = float(np.abs(model64.vectors).max())
+    print(f"\n\nTraining smoke — SGNS float32 vs float64: max |delta| "
+          f"{vector_drift:.2e} on vectors up to {scale:.3f}, "
+          f"{output_drift:.2e} on the output matrix, {loss_drift:.2e} "
+          f"on the loss history")
+    record("BENCH_train.json", "training_sgns_float32_smoke", {
+        "num_nodes": SGNS_NODES,
+        "dim": SGNS_DIM,
+        "max_abs_vector_drift": vector_drift,
+        "max_abs_output_drift": output_drift,
+        "max_abs_loss_drift": loss_drift,
+        "max_abs_vector": round(scale, 4),
+    })
+    assert vector_drift <= 1e-5, (
+        f"float32 SGNS vectors drift {vector_drift:.2e} from float64")
 
 
 def test_scoring_cost_scales_linearly_with_nodes(benchmark):

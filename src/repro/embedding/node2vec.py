@@ -52,7 +52,8 @@ def node2vec_embedding(graph, config: Node2VecConfig,
 
     Every node seeds ``walks_per_node`` walks so even low-degree nodes get
     coverage (this matters for the protected group).  The whole walk corpus
-    is drawn in one batched call on the graph's walk engine.
+    is drawn in one batched call on the graph's walk engine.  SGNS trains
+    in float32; the vectors are returned as float64.
     """
     starts = np.repeat(np.arange(graph.num_nodes), config.walks_per_node)
     with trace.span("embedding.walks", walks=int(starts.size),
@@ -62,4 +63,4 @@ def node2vec_embedding(graph, config: Node2VecConfig,
     model = SkipGramModel(graph.num_nodes, config.dim, rng)
     model.train(walks, window=config.window, epochs=config.epochs,
                 negatives=config.negatives, lr=config.lr)
-    return model.vectors.copy()
+    return model.vectors.astype(np.float64)

@@ -7,6 +7,12 @@ routing through the autograd engine) while keeping the exact objective:
 
 ``L = -log sigma(u_c . v_w) - sum_k log sigma(-u_nk . v_w)``
 
+SGNS trains in float32, as the word2vec reference code does: the table,
+the workspace, the gradients and the loss scratch.  Only the
+negative-sampling uniforms are float64 (see below).
+:func:`~repro.embedding.node2vec_embedding` hands its vectors out as
+float64.
+
 Workspace and bit-identity contract.  One ``train()`` call allocates a
 :class:`_Workspace` sized for ``min(batch_size, len(pairs))`` pairs, and
 every step writes into slices of it through ``np.take(..., out=)``, ufunc
@@ -19,14 +25,15 @@ expression form, in the same order and with the same reductions::
     grad_v = g_pos * u_pos + (g_neg * u_neg).sum(1)
     grad_u_pos, grad_u_neg = g_pos * v, g_neg * v
 
-and applies all three gradients with one ``bincount`` scatter over the
-stacked in- and out-rows, in which each row still sums its contributions in
-index order.  Negatives are drawn from a noise CDF computed once per
-``train()`` (:func:`noise_cdf`, :func:`draw_negatives`): the same
+and applies all three gradients with one scatter over the stacked in- and
+out-rows (:func:`~repro.nn.backend.scatter_rows`, a CSR indicator
+product), in which each row still sums its contributions in index order.
+Negatives are drawn from a noise CDF computed once per ``train()``
+(:func:`noise_cdf`, :func:`draw_negatives`): the same
 ``cumsum``/``random``/``searchsorted`` sequence that
 ``Generator.choice(n, size, p=noise)`` runs, so the draws and the RNG
-stream are those of ``choice``.  The trained vectors and loss history are
-byte-identical to the expression form.
+stream are those of ``choice``, whatever the table's dtype.  The trained
+vectors and loss history are byte-identical to the expression form.
 """
 
 from __future__ import annotations
@@ -102,20 +109,30 @@ class _Workspace:
     grad_u_neg]`` that the one scatter reads, row-aligned with the table
     rows in ``rows``.  Before the gradients land in it, its blocks are the
     scratch space of the ``(b, d)`` and ``(b, k, d)`` products, and the
-    ``grad_u_pos`` block holds the gathered ``u_pos``.
+    ``grad_u_pos`` block holds the gathered ``u_pos``.  Every float buffer
+    is float32 but ``uniform``, which ``Generator.random`` fills in
+    float64.
+
+    ``grads``, ``v`` and ``u_neg`` share one allocation (~3.4 MB at 2048
+    pairs): freeing it raises glibc malloc's heap-trim threshold to twice
+    its size.  As separate float32 buffers they left that threshold low
+    enough that each later FairGen generator step re-faulted its heap
+    top (~320k minor faults, ~1.5 s more on a BLOG fit).
     """
 
     def __init__(self, rows: int, negatives: int, dim: int):
         stacked = (negatives + 2) * rows
         self.rows = np.empty(stacked, dtype=np.int64)
-        self.bins = np.empty((stacked, dim), dtype=np.int64)
-        self.grads = np.empty((stacked, dim))
-        self.v = np.empty((rows, dim))
-        self.u_neg = np.empty((rows * negatives, dim))
-        self.pos = np.empty(rows)
-        self.neg = np.empty(rows * negatives)
+        slab = np.empty((stacked + rows + rows * negatives, dim),
+                        dtype=np.float32)
+        self.grads = slab[:stacked]
+        self.v = slab[stacked:stacked + rows]
+        self.u_neg = slab[stacked + rows:]
+        self.pos = np.empty(rows, dtype=np.float32)
+        self.neg = np.empty(rows * negatives, dtype=np.float32)
         self.uniform = np.empty(rows * negatives)
-        self.loss = np.empty(rows)
+        self.loss = np.empty(rows, dtype=np.float32)
+        self.log_neg = np.empty(rows * negatives, dtype=np.float32)
 
 
 class SkipGramModel:
@@ -130,7 +147,7 @@ class SkipGramModel:
         scale = 0.5 / dim
         # Input rows [0, n) and output rows [n, 2n) of one table, so a
         # step gathers and scatters both through one index array.
-        self._table = np.zeros((2 * num_nodes, dim))
+        self._table = np.zeros((2 * num_nodes, dim), dtype=np.float32)
         self._table[:num_nodes] = rng.uniform(-scale, scale,
                                               (num_nodes, dim))
 
@@ -210,7 +227,8 @@ class SkipGramModel:
 
         log_pos = np.log(np.add(pos_score, 1e-12, out=work.loss[:b]),
                          out=work.loss[:b]).mean()
-        log_neg = np.log(np.add(neg_score, 1e-12, out=uniform), out=uniform)
+        log_neg = work.log_neg[:b * k].reshape(b, k)
+        np.log(np.add(neg_score, 1e-12, out=log_neg), out=log_neg)
         loss = float(-(log_pos + np.sum(log_neg, axis=1,
                                         out=work.loss[:b]).mean()))
 
@@ -224,8 +242,10 @@ class SkipGramModel:
         # Rows repeat heavily inside a batch (hub nodes appear in many
         # pairs), so summed per-pair updates diverge while fully averaged
         # ones barely move.  Normalising by sqrt(count) keeps the update
-        # variance bounded yet lets frequent rows learn faster.
-        accum = scatter_rows(rows, grads, 2 * n, bins=work.bins[:(k + 2) * b])
+        # variance bounded yet lets frequent rows learn faster.  The
+        # int64 counts' sqrt is float64, so the update rounds into the
+        # float32 table once, as in the expression form.
+        accum = scatter_rows(rows, grads, 2 * n)
         counts = np.bincount(rows, minlength=2 * n)
         touched = counts > 0
         table[touched] -= lr * accum[touched] / np.sqrt(counts[touched])[:, None]

@@ -72,7 +72,9 @@ from .supervision import FEW_SHOT_PER_CLASS, Supervision
 __all__ = ["ExperimentSpec", "RunResult", "Runner"]
 
 #: bump when the cache layout or run semantics change incompatibly
-#: (v4: the walk LM of FairGen and TagGen trains and decodes in float32,
+#: (v5: SGNS trains in float32, which changes FairGen's node2vec
+#: features.
+#: v4: the walk LM of FairGen and TagGen trains and decodes in float32,
 #: so v3 float64 artifacts and their recorded metrics are refit.
 #: v3: FairGen's generator update fuses the pos/neg log-likelihood
 #: forwards, which reassociates weight-gradient reductions — ULP-level
@@ -80,7 +82,7 @@ __all__ = ["ExperimentSpec", "RunResult", "Runner"]
 #: longer reproducible by a cold run of the same spec.  v2: the walk
 #: engine's exact-fallback RNG consumption changed with the batched
 #: inverse-CDF draw)
-CACHE_FORMAT = "run-cache-v4"
+CACHE_FORMAT = "run-cache-v5"
 
 #: sampling budget for the average-shortest-path metric in run metrics
 _ASPL_SAMPLE = 120

@@ -51,10 +51,19 @@ class Graph:
     # ------------------------------------------------------------------
     @classmethod
     def from_edges(cls, num_nodes: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs (deduplicated)."""
-        edges = np.asarray(list(edges), dtype=np.int64)
+        """Build a graph from an iterable of (u, v) pairs (deduplicated).
+
+        An ``(m, 2)`` array is converted as it is; any other iterable is
+        listed first.
+        """
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edges = np.asarray(edges, dtype=np.int64)
         if edges.size == 0:
             return cls(sp.csr_matrix((num_nodes, num_nodes)))
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, an (m, 2) "
+                             f"array; got shape {edges.shape}")
         if edges.min() < 0 or edges.max() >= num_nodes:
             raise ValueError("edge endpoint out of range")
         rows = np.concatenate([edges[:, 0], edges[:, 1]])

@@ -31,7 +31,7 @@ Design notes
 * The training hot path runs through compound ops with closed-form
   vector-Jacobian products, one tape node each, in the style of
   autograd's primitives with hand-written VJPs: :func:`linear`,
-  :func:`layer_norm`, :func:`embedding` (a ``bincount`` scatter),
+  :func:`layer_norm`, :func:`embedding` (a sparse-product scatter),
   :func:`attention` (scores, mask, softmax, dropout and context),
   :func:`pick` (the gather behind the NLL losses) and
   :func:`sequence_log_likelihood` (the walk-LM head: affine map,
@@ -640,16 +640,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Rows ``weight[ids]``; the backward scatters with
-    :func:`~repro.nn.backend.scatter_rows`, bit-identical to the
-    ``np.add.at`` of the generic ``__getitem__`` path and cheaper."""
+    :func:`~repro.nn.backend.scatter_rows`, summing in float64, so a
+    float64 weight's gradient is bit-identical to the ``np.add.at`` of
+    the generic ``__getitem__`` path."""
     flat = ids.ravel()
 
     def backward(out: Tensor) -> None:
-        # ``bincount`` always sums in float64; the gradient takes the
-        # weight's dtype.
-        weight._accumulate(kernels.scatter_rows(
-            flat, out.grad.reshape(flat.size, -1), weight.shape[0])
-            .astype(weight.data.dtype, copy=False))
+        # The sum stays float64 for the float32 walk LM too: summing in
+        # float32 moved FairGen's FLICKR R+ outside its 3-seed spread.
+        # The gradient takes the weight's dtype.
+        grad = out.grad.reshape(flat.size, -1).astype(np.float64, copy=False)
+        weight._accumulate(kernels.scatter_rows(flat, grad, weight.shape[0])
+                           .astype(weight.data.dtype, copy=False))
 
     return weight._make(weight.data[ids], (weight,), backward)
 

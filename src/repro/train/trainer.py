@@ -71,9 +71,13 @@ __all__ = ["TrainControl", "TrainState", "Trainer", "minibatches",
            "train_step", "CHECKPOINT_FORMAT"]
 
 #: bump when the on-disk checkpoint layout changes incompatibly
-#: (v2: the walk LM's parameters and Adam moments are float32, so a v1
+#: (v3: SGNS trains in float32, so FairGen's node2vec features change; a
+#: v2 FairGen checkpoint holds a discriminator, its Adam moments and
+#: self-paced labels trained against the float64 features, and resuming
+#: one would finish a fit no cold run reproduces.
+#: v2: the walk LM's parameters and Adam moments are float32, so a v1
 #: float64 checkpoint would resume a fit no cold run reproduces)
-CHECKPOINT_FORMAT = "train-ckpt-v2"
+CHECKPOINT_FORMAT = "train-ckpt-v3"
 
 
 # ----------------------------------------------------------------------

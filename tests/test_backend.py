@@ -344,6 +344,55 @@ class TestSharedKernelIdentity:
         np.testing.assert_array_equal(x, snapshot)
 
 
+class TestScatterRows:
+    """``scatter_rows`` against its own oracle: ``np.add.at`` on a zeroed
+    array, byte for byte, in the values' dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows, num_rows", [
+        (np.array([3, 0, 3, 3, 5, 0, 3]), 8),  # repeats; 1, 2, 4, 6, 7 unhit
+        (np.array([], dtype=np.int64), 4),     # zero rows
+        (np.arange(6)[::-1], 6),               # every row once
+    ])
+    def test_matches_add_at(self, dtype, rows, num_rows):
+        rng = np.random.default_rng(14)
+        values = (rng.standard_normal((rows.size, 5)) * 3.0).astype(dtype)
+        expected = np.zeros((num_rows, 5), dtype=dtype)
+        np.add.at(expected, rows, values)
+        got = kernels.scatter_rows(rows, values, num_rows)
+        assert got.dtype == np.dtype(dtype)
+        assert got.shape == (num_rows, 5)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_at_the_sgns_and_walk_lm_shapes(self, dtype):
+        rng = np.random.default_rng(15)
+        for stacked, num_rows in ((14336, 648), (640, 326)):
+            rows = rng.integers(0, num_rows, stacked)
+            values = rng.standard_normal((stacked, 32)).astype(dtype)
+            expected = np.zeros((num_rows, 32), dtype=dtype)
+            np.add.at(expected, rows, values)
+            got = kernels.scatter_rows(rows, values, num_rows)
+            assert got.dtype == np.dtype(dtype)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embedding_backward_sums_in_float64(self, dtype):
+        """The embedding gradient is ``np.add.at``'s float64 sum, rounded
+        once to the weight's dtype (for float64, the indexing path's)."""
+        rng = np.random.default_rng(16)
+        ids = rng.integers(0, 7, (4, 6))
+        upstream = rng.standard_normal((4, 6, 3)).astype(dtype)
+        weight = Tensor(rng.standard_normal((7, 3)).astype(dtype),
+                        requires_grad=True)
+        embedding(weight, ids).backward(upstream)
+        expected = np.zeros((7, 3))
+        np.add.at(expected, ids.ravel(),
+                  upstream.reshape(-1, 3).astype(np.float64))
+        assert weight.grad.dtype == np.dtype(dtype)
+        assert weight.grad.tobytes() == expected.astype(dtype).tobytes()
+
+
 class TestInPlaceGelu:
     """The buffer-reusing GELU kernels reproduce their expression forms
     byte for byte and leave every input unchanged."""

@@ -1,9 +1,13 @@
-"""The dtype contract: the walk LM is float32 end to end, the rest float64.
+"""The dtype contract: the walk LM and SGNS are float32 end to end, the
+rest float64.
 
+SGNS trains a float32 table, and ``node2vec_embedding`` hands its vectors
+out as float64, so FairGen's features and the discriminator stay float64.
 NumPy's promotion rules (NEP 50) turn a float32 result back into float64
 the moment one NumPy float64 scalar or array joins an op, silently and
-without an error.  This test runs one FairGen-shaped generator step and
-the two decode paths, and checks the dtype of everything they make.
+without an error.  This test runs one FairGen-shaped generator step, the
+two decode paths and an SGNS fit, and checks the dtype of everything they
+make.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.discriminator import FairDiscriminator
+from repro.embedding import Node2VecConfig, node2vec_embedding
 from repro.embedding.word2vec import SkipGramModel
+from repro.graph import Graph
 from repro.models.walk_lm import TransformerWalkModel
 from repro.nn import Adam, Tensor, causal_mask
 from repro.nn.backend import DECODE_KERNEL, Backend
@@ -84,7 +90,16 @@ def test_walk_lm_float32_end_to_end_rest_float64(monkeypatch):
     caches += engine._caches
     assert {buf.dtype for c in caches for buf in (c._k, c._v)} == {F32}
 
-    # Everything else stays float64: the discriminator, SGNS, gradchecks.
+    # SGNS trains in float32; node2vec hands out float64 features.
+    sgns = SkipGramModel(24, 8, rng)
+    sgns.train(rng.integers(0, 24, (16, 8)), epochs=1)
+    assert sgns.vectors.dtype == F32 and sgns.out_vectors.dtype == F32
+    graph = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    features = node2vec_embedding(graph, Node2VecConfig(dim=4, epochs=1),
+                                  rng)
+    assert features.dtype == F64
+
+    # Everything else stays float64: the discriminator, gradchecks.
     made.clear()
     features = rng.standard_normal((24, 6))
     disc = FairDiscriminator(features, 2, np.arange(24) < 6, rng,
@@ -94,9 +109,6 @@ def test_walk_lm_float32_end_to_end_rest_float64(monkeypatch):
     assert disc.predict_log_proba().dtype == F64
     assert {p.data.dtype for p in disc.mlp.parameters()} == {F64}
     assert {buf.dtype for buf in disc.optimizer._m} == {F64}
-    sgns = SkipGramModel(24, 8, rng)
-    sgns.train(rng.integers(0, 24, (16, 8)), epochs=1)
-    assert sgns.vectors.dtype == F64
     leaves = [Tensor(rng.standard_normal((2, 2, 3, 4)), requires_grad=True)
               for _ in range(3)]
     check_gradients(lambda: attention(*leaves).sum(), leaves)

@@ -167,9 +167,9 @@ class TestNode2Vec:
     def test_blog_embedding_pinned(self, monkeypatch):
         """The node2vec features FairGen's discriminator reads on BLOG.
 
-        Both SHA-256 pins were generated before SGNS moved onto its
-        per-``train()`` workspace; any drift in the SGNS arithmetic or
-        in its RNG draws changes them.
+        Both SHA-256 pins were generated when SGNS moved to float32 (the
+        vectors are handed out as float64); any drift in the SGNS
+        arithmetic or in its RNG draws changes them.
         """
         import repro.embedding.node2vec as n2v
         histories = []
@@ -185,10 +185,10 @@ class TestNode2Vec:
                                      np.random.default_rng(0))
         assert vectors.shape == (324, 32)
         assert hashlib.sha256(vectors.tobytes()).hexdigest() == (
-            "e390b02b4a590e752828c93a89fea56b28501565b7cf189f118e9e970b60d7a0")
+            "d3a380a05821d8c30b99c5bf110fe21d6cabced7661a126a070b2fd25fe19030")
         history = np.asarray(histories[0], dtype=np.float64)
         assert hashlib.sha256(history.tobytes()).hexdigest() == (
-            "132812934e18c321a891596e3264adb2041a8d7c38981d9923d10db51354e7db")
+            "6ac6205206aa3d1964da94af0915964d64e288386d57b0c823f3c87cb1cdc0c8")
 
     def test_all_nodes_covered(self, rng):
         """Even an isolated-ish node gets a non-zero embedding update."""

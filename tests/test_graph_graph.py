@@ -18,6 +18,20 @@ class TestConstruction:
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
 
+    def test_from_edges_array_matches_list(self):
+        pairs = [(0, 1), (2, 1), (3, 0), (1, 0)]
+        from_array = Graph.from_edges(4, np.array(pairs))
+        from_list = Graph.from_edges(4, pairs)
+        assert (from_array.adjacency != from_list.adjacency).nnz == 0
+        assert from_array == from_list
+
+    @pytest.mark.parametrize("edges", [np.zeros((3, 3), dtype=np.int64),
+                                       np.arange(4),
+                                       [(0, 1, 2)]])
+    def test_from_edges_rejects_non_pairs(self, edges):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph.from_edges(4, edges)
+
     def test_self_loops_stripped(self):
         g = Graph(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]])))
         assert g.num_edges == 1
