@@ -1,4 +1,4 @@
-"""Distributed-sweep smoke benchmark: a two-worker fleet over a grid.
+"""Sweep smoke benchmark: two local workers drain a grid.
 
 Gates the scheduler subsystem on every CI pass at seconds scale: a
 smoke-profile grid of >= 4 specs is drained by two real worker
@@ -38,12 +38,12 @@ def test_sweep_smoke_two_workers_zero_duplicate_fits(tmp_path):
 
     assert not report.failures
     assert report.completed == len(specs)
-    # Exactly one fit per spec across the whole fleet: the atomic-rename
+    # Exactly one fit per spec across both workers: the atomic-rename
     # claim makes double execution impossible on the healthy path.
     assert len(report.fits) == len(specs)
     assert report.duplicate_fits == 0
 
-    # The distributed artifacts match a sequential baseline bit-for-bit.
+    # The swept artifacts match a sequential baseline bit-for-bit.
     sequential = Runner(cache_dir=tmp_path / "seq").run_many(
         specs, with_metrics=True)
     for got, want in zip(report.results, sequential):

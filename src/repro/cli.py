@@ -7,10 +7,8 @@ Commands
 ``generate``   fit a model on a dataset and report generation quality
 ``evaluate``   overall + protected discrepancy of a fitted model
 ``augment``    run the Figure 6 data-augmentation study
-``sweep``      submit a model×dataset×profile×seed grid to a job queue,
-               optionally self-hosting local workers; ``--status
-               <queue_dir>`` prints a read-only queue dashboard instead
-``worker``     drain a sweep queue (run one per core / per host)
+``sweep``      run a model×dataset×profile×seed grid through a job queue
+               drained by local worker processes
 ``serve``      long-lived generation daemon over the artifact cache:
                continuous-batching walk decode, model LRU, bounded
                admission queue (see README "Serving")
@@ -25,18 +23,15 @@ instrumentation is a no-op (see README "Observability").
 
 ``generate`` and ``evaluate`` also accept ``--server URL`` to route the
 request to a running ``repro serve`` daemon instead of executing
-locally.  Both ``serve`` and ``worker --keep-alive`` shut down
-gracefully on SIGTERM/SIGINT: in-flight work drains before exit.
+locally.  ``serve`` shuts down gracefully on SIGTERM/SIGINT: in-flight
+requests drain before exit.
 
 Every model run routes through the experiment API
 (:class:`repro.experiments.Runner`): models are built from the registry
 under a named hyperparameter profile (``--profile paper|bench|smoke``),
 unlabeled datasets receive surrogate supervision for label-aware models
 (disable with ``--no-surrogate-labels``), and ``--cache-dir`` enables the
-disk-backed artifact cache so repeated invocations skip fitting.  The
-``sweep``/``worker`` pair runs batches across a worker fleet: both sides
-only need to see the same ``--queue-dir`` and ``--cache-dir``, so a
-second machine pointing at a shared mount joins the fleet as-is.
+disk-backed artifact cache so repeated invocations skip fitting.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ import numpy as np
 from .data import (dataset_names, dataset_statistics, labeled_dataset_names,
                    load_dataset)
 from .eval import augmentation_study
-from .experiments import ExperimentSpec, JobQueue, QueueError, Runner, Worker
+from .experiments import ExperimentSpec, QueueError, Runner
 from .experiments import sweep as sweep_api
 from .graph.metrics import METRIC_NAMES
 from .registry import get_entry, model_names, profile_names
@@ -119,17 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser(
         "sweep", help="run a model/dataset/profile/seed grid through the "
-                      "distributed job queue (or --status to inspect one)")
-    swp.add_argument("--status", metavar="QUEUE_DIR", default=None,
-                     help="print a read-only dashboard of the queue "
-                          "(counts, lease ages, retries) and exit")
-    swp.add_argument("--queue-dir", default=None,
-                     help="job-queue directory shared by every worker")
-    swp.add_argument("--cache-dir", default=None,
-                     help="shared artifact cache where results land")
-    swp.add_argument("--model", action="append", default=None,
+                      "job queue with local worker processes")
+    swp.add_argument("--queue-dir", required=True,
+                     help="job-queue directory the workers drain")
+    swp.add_argument("--cache-dir", required=True,
+                     help="artifact cache where results land")
+    swp.add_argument("--model", action="append", required=True,
                      choices=MODEL_CHOICES, help="repeat for several models")
-    swp.add_argument("--dataset", action="append", default=None,
+    swp.add_argument("--dataset", action="append", required=True,
                      choices=dataset_names(), help="repeat for several "
                      "datasets")
     swp.add_argument("--profile", action="append", choices=profile_names(),
@@ -144,12 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "--set self_paced_cycles=[2,4] (a list sweeps "
                           "the axis)")
     swp.add_argument("--workers", type=int, default=2,
-                     help="local worker processes to self-host (0: submit "
-                          "and wait for external `repro worker` fleets)")
+                     help="local worker processes to drain the queue "
+                          "(at least 1)")
     swp.add_argument("--with-metrics", action="store_true",
                      help="compute the discrepancy scoreboard per spec")
-    swp.add_argument("--submit-only", action="store_true",
-                     help="enqueue the grid and exit without waiting")
     swp.add_argument("--lease-timeout", type=float, default=None,
                      help="seconds without heartbeat before a job is "
                           "requeued (recorded in the queue config)")
@@ -158,33 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--timeout", type=float, default=None,
                      help="give up if the sweep has not drained in time")
     swp.add_argument("--surrogate-labels", default=True,
-                     action=argparse.BooleanOptionalAction)
-
-    wrk = sub.add_parser(
-        "worker", help="drain jobs from a sweep queue until it is empty")
-    wrk.add_argument("queue_dir", help="job-queue directory to drain")
-    wrk.add_argument("--cache-dir", required=True,
-                     help="shared artifact cache where results land")
-    wrk.add_argument("--max-jobs", type=int, default=None,
-                     help="exit after executing this many jobs")
-    wrk.add_argument("--keep-alive", action="store_true",
-                     help="keep polling an empty queue instead of exiting "
-                          "(standing-fleet mode)")
-    wrk.add_argument("--poll", type=float, default=0.5,
-                     help="seconds between claim attempts when idle")
-    wrk.add_argument("--worker-id", default=None,
-                     help="override the autogenerated worker identity")
-    wrk.add_argument("--metrics-file", nargs="?", const="auto",
-                     default=None, metavar="PATH",
-                     help="periodically write a JSON metrics snapshot "
-                          "(job counts, queue depth, runner cache "
-                          "hits/misses); bare flag picks "
-                          "<queue_dir>/metrics/<worker_id>.json, which "
-                          "`repro sweep --status` aggregates")
-    wrk.add_argument("--metrics-interval", type=float, default=None,
-                     help="seconds between snapshots (default: the "
-                          "heartbeat interval)")
-    wrk.add_argument("--surrogate-labels", default=True,
                      action=argparse.BooleanOptionalAction)
 
     srv = sub.add_parser(
@@ -361,119 +324,7 @@ def _parse_override_axes(pairs: list[str]) -> dict[str, object]:
     return axes
 
 
-def _cmd_sweep_status(queue_dir: str) -> int:
-    """Read-only dashboard over a sweep queue's current state."""
-    from pathlib import Path
-
-    # Only accept a directory that already is a queue (every
-    # initialised queue carries a queue.json): constructing JobQueue on
-    # an arbitrary path would scaffold pending/claimed/... into it,
-    # silently converting a typo'd directory into a valid empty queue.
-    path = Path(queue_dir).expanduser()
-    if not path.is_dir() or not (path / "queue.json").exists():
-        raise SystemExit(f"no queue at {queue_dir}")
-    queue = JobQueue(queue_dir)
-    snapshot = queue.status()
-    counts = snapshot["counts"]
-    print(f"queue {queue.queue_dir} "
-          f"(lease timeout {queue.lease_timeout:g}s, "
-          f"max retries {queue.max_retries}):")
-    print("  " + "  ".join(f"{state}={count}"
-                           for state, count in counts.items()))
-    if not snapshot["jobs"]:
-        print("(no jobs)")
-        return 0
-    rows = []
-    for job in snapshot["jobs"]:
-        lease = ("-" if job["lease_age"] is None
-                 else f"{job['lease_age']:.1f}s")
-        rows.append([job["id"], job["state"], job["attempts"],
-                     job["retries"], job["worker"] or "-", lease,
-                     (job["note"] or "-")[:60]])
-    print(format_table(["job", "state", "attempts", "retries", "worker",
-                        "lease age", "note"], rows))
-    _print_fleet_metrics(path)
-    return 0
-
-
-def _snapshot_total(snap: dict, name: str) -> int:
-    """Sum a counter across its label series in one worker snapshot."""
-    entry = snap.get(name)
-    if not isinstance(entry, dict):
-        return 0
-    value = entry.get("value", 0)
-    if isinstance(value, dict):
-        return int(sum(v for v in value.values()
-                       if isinstance(v, (int, float))))
-    return int(value) if isinstance(value, (int, float)) else 0
-
-
-def _print_fleet_metrics(queue_path) -> None:
-    """Aggregate `repro worker --metrics-file` snapshots, if any exist.
-
-    Workers with the bare ``--metrics-file`` flag drop their registry
-    snapshots under ``<queue_dir>/metrics/``; this section turns them
-    into a fleet dashboard (per-worker claims/requeues plus the
-    registry-backed queue-depth gauge of the freshest snapshot).
-    """
-    import time as _time
-
-    metrics_dir = queue_path / "metrics"
-    if not metrics_dir.is_dir():
-        return
-    snapshots = []
-    for snap_path in sorted(metrics_dir.glob("*.json")):
-        try:
-            snap = json.loads(snap_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue  # a worker may be mid-write; skip, not crash
-        if isinstance(snap, dict):
-            snapshots.append(snap)
-    if not snapshots:
-        return
-    print()
-    print("fleet metrics (worker snapshots):")
-    rows = []
-    for snap in snapshots:
-        taken = snap.get("snapshot_unix_time")
-        age = (f"{max(_time.time() - taken, 0.0):.0f}s"
-               if isinstance(taken, (int, float)) else "-")
-        rows.append([snap.get("worker_id", "?"),
-                     _snapshot_total(snap, "worker_jobs_total"),
-                     _snapshot_total(snap, "jobqueue_claims_total"),
-                     _snapshot_total(snap, "jobqueue_requeues_total"),
-                     _snapshot_total(snap, "jobqueue_lease_expiries_total"),
-                     age])
-    print(format_table(["worker", "jobs", "claims", "requeues",
-                        "lease exp", "snapshot age"], rows))
-    freshest = max(snapshots,
-                   key=lambda s: s.get("snapshot_unix_time") or 0)
-    depth = freshest.get("jobqueue_depth", {})
-    if isinstance(depth, dict) and isinstance(depth.get("value"), dict):
-        states = {}
-        for label_key, value in depth["value"].items():
-            try:
-                state = json.loads(label_key).get("state", label_key)
-            except (json.JSONDecodeError, AttributeError):
-                state = label_key
-            states[state] = int(value)
-        if states:
-            print("queue depth (freshest snapshot): "
-                  + "  ".join(f"{state}={count}"
-                              for state, count in sorted(states.items())))
-
-
 def _cmd_sweep(args) -> int:
-    if args.status is not None:
-        return _cmd_sweep_status(args.status)
-    missing = [flag for flag, value in (("--queue-dir", args.queue_dir),
-                                        ("--cache-dir", args.cache_dir),
-                                        ("--model", args.model),
-                                        ("--dataset", args.dataset))
-               if not value]
-    if missing:
-        raise SystemExit("repro sweep requires " + ", ".join(missing)
-                         + " (or --status QUEUE_DIR to inspect a queue)")
     try:
         specs = sweep_api.grid(
             args.model, args.dataset,
@@ -482,17 +333,7 @@ def _cmd_sweep(args) -> int:
             overrides=_parse_override_axes(args.overrides))
     except (ValueError, KeyError) as exc:
         raise SystemExit(str(exc)) from exc
-    queue = JobQueue(args.queue_dir, lease_timeout=args.lease_timeout,
-                     max_retries=args.max_retries)
-    print(f"sweep: {len(specs)} spec(s) -> {queue.queue_dir}")
-    if args.submit_only:
-        queue.submit(specs, with_metrics=args.with_metrics)
-        counts = queue.counts()
-        print(f"submitted; queue now {counts} — drain with "
-              f"`repro worker {queue.queue_dir} "
-              f"--cache-dir {args.cache_dir}`")
-        return 0
-
+    print(f"sweep: {len(specs)} spec(s) -> {args.queue_dir}")
     total = len(specs)
     live = sys.stdout.isatty()
     last_counts: dict[str, int] = {}
@@ -599,29 +440,6 @@ def _install_drain_handler(on_signal) -> None:
     signal.signal(signal.SIGINT, handler)
 
 
-def _cmd_worker(args) -> int:
-    import threading
-
-    worker = Worker(args.queue_dir, args.cache_dir,
-                    worker_id=args.worker_id,
-                    allow_surrogate=args.surrogate_labels,
-                    metrics_file=args.metrics_file,
-                    metrics_interval=args.metrics_interval)
-    stop = threading.Event()
-
-    def on_signal(signum):
-        print(f"worker {worker.worker_id}: signal {signum}, finishing "
-              "current job then exiting", flush=True)
-        stop.set()
-
-    _install_drain_handler(on_signal)
-    stats = worker.run(max_jobs=args.max_jobs, keep_alive=args.keep_alive,
-                       poll_interval=args.poll, stop=stop)
-    print(f"worker {worker.worker_id}: {stats['completed']} completed, "
-          f"{stats['failed']} failed, {stats['lost']} lost")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import threading
 
@@ -674,7 +492,6 @@ _COMMANDS = {
     "evaluate": _cmd_evaluate,
     "augment": _cmd_augment,
     "sweep": _cmd_sweep,
-    "worker": _cmd_worker,
     "serve": _cmd_serve,
     "trace": _cmd_trace,
 }

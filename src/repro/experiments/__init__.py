@@ -20,15 +20,14 @@ processes, not just within one.
 For batches, :mod:`repro.experiments.sweep` expands parameter grids
 into deduplicated spec batches and :mod:`repro.experiments.scheduler`
 drains them through a filesystem-backed fault-tolerant job queue that
-any number of worker processes — local or on other hosts sharing the
-queue/cache directories — consume cooperatively::
+local worker processes consume cooperatively::
 
     from repro.experiments import sweep
 
     specs = sweep.grid(["fairgen", "taggen"], ["BLOG", "ACM"],
                        profiles="bench", seeds=range(3))
-    report = sweep.run_sweep(specs, "/shared/queue", "/shared/cache",
-                             workers=4, with_metrics=True)
+    report = sweep.run_sweep(specs, "runs/queue", "runs/cache",
+                             workers=2, with_metrics=True)
 """
 
 from ..registry import (ModelEntry, benchmark_model_names, create_model,
@@ -36,8 +35,7 @@ from ..registry import (ModelEntry, benchmark_model_names, create_model,
                         register_model)
 from . import sweep
 from .runner import ExperimentSpec, Runner, RunResult
-from .scheduler import (Job, JobQueue, LocalWorkerPool, QueueError, Worker,
-                        run_worker)
+from .scheduler import Job, JobQueue, LocalWorkerPool, QueueError, Worker
 from .supervision import FEW_SHOT_PER_CLASS, Supervision, few_shot_labels
 from .sweep import SweepReport, run_sweep
 
@@ -48,5 +46,5 @@ __all__ = [
     "model_names", "benchmark_model_names", "display_name",
     "profile_names",
     "Job", "JobQueue", "QueueError", "Worker", "LocalWorkerPool",
-    "run_worker", "sweep", "SweepReport", "run_sweep",
+    "sweep", "SweepReport", "run_sweep",
 ]

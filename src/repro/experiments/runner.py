@@ -307,8 +307,8 @@ class Runner:
                  with_metrics: bool = False) -> list[RunResult]:
         """Execute a batch of specs in order, one :meth:`run` each.
 
-        To spread a batch over worker processes or hosts, use
-        :func:`repro.experiments.sweep.run_sweep` with a shared
+        To spread a batch over local worker processes, use
+        :func:`repro.experiments.sweep.run_sweep` with the same
         ``cache_dir``; afterwards ``run`` or ``run_many`` on that cache
         replays every spec with zero fits, ``need_model=True`` included.
         """

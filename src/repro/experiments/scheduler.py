@@ -1,13 +1,12 @@
-"""Distributed sweep scheduler: a filesystem-backed, fault-tolerant
-job queue drained cooperatively by any number of worker processes.
+"""Sweep scheduler: a filesystem-backed, fault-tolerant job queue
+drained cooperatively by local worker processes.
 
-The queue needs nothing but a directory every worker can reach — a
-local path for in-host fleets, a shared mount for multi-host ones.  A
-second machine pointing at the same ``queue_dir`` + ``cache_dir`` just
-works: specs, graphs, metrics and fitted models all serialize through
-the Runner's npz+JSON artifact cache, so the queue only has to move
-*job descriptions*; results travel through the shared cache and a
-finished sweep is a warm cache replayable with zero refits.
+The queue is a directory; :func:`~repro.experiments.sweep.run_sweep`
+submits a batch and a :class:`LocalWorkerPool` drains it.  Specs,
+graphs, metrics and fitted models all serialize through the Runner's
+npz+JSON artifact cache, so the queue only moves *job descriptions*;
+results travel through the cache and a finished sweep is a warm cache
+replayable with zero refits.
 
 Queue directory layout
 ----------------------
@@ -33,14 +32,14 @@ Fault tolerance
 ---------------
 A claiming worker writes ``leases/<id>.json`` and re-stamps it every
 ``heartbeat_interval`` seconds from a background thread.  If a worker
-dies (crash, SIGKILL, lost host), its heartbeat stops; any worker's
+dies (crash, SIGKILL), its heartbeat stops; any worker's
 :meth:`JobQueue.recover` sweep then finds the stale lease, and either
 requeues the job (``claimed/`` → ``pending/``) or — once the job has
 been attempted ``max_retries + 1`` times — moves it to ``failed/``
 with the recorded reason.  A worker whose lease was revoked while it
 was still (slowly) running discovers this at completion time: the
 ownership check fails and its result is discarded — the artifacts it
-wrote to the shared cache are deterministic, so the retry produces the
+wrote to the cache are deterministic, so the retry produces the
 identical bytes anyway.
 
 ``fits.log`` receives one append per *actual* model fit (cache replays
@@ -60,15 +59,14 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry, get_registry
 from .runner import ExperimentSpec, Runner
 from .supervision import FEW_SHOT_PER_CLASS
 
-__all__ = ["Job", "JobQueue", "QueueError", "Worker", "LocalWorkerPool",
-           "run_worker"]
+__all__ = ["Job", "JobQueue", "QueueError", "Worker", "LocalWorkerPool"]
 
 #: bump when the on-disk queue layout changes incompatibly
 QUEUE_FORMAT = "sweep-queue-v1"
@@ -83,7 +81,7 @@ _STATES = ("pending", "claimed", "done", "failed")
 
 
 class QueueError(RuntimeError):
-    """A queue-level failure (failed jobs, dead worker fleet, ...)."""
+    """A queue-level failure (failed jobs, dead workers, ...)."""
 
 
 @dataclass(frozen=True)
@@ -109,20 +107,18 @@ def _spec_from_payload(payload: dict) -> ExperimentSpec:
 
 
 class JobQueue:
-    """Filesystem job queue shared by submitters and workers.
+    """Filesystem job queue shared by the submitter and its workers.
 
     Parameters
     ----------
     queue_dir:
-        Directory holding the queue (created on first use).  All
-        cooperating processes — local or on other hosts — must see the
-        same path contents.
+        Directory holding the queue (created on first use).
     lease_timeout:
         Seconds a claimed job may go without a heartbeat before any
         worker's :meth:`recover` sweep requeues it.  ``None`` reads the
         value recorded in ``queue.json`` (or the default for a fresh
         queue); passing a value records it for every later opener, so
-        the whole fleet agrees on expiry.
+        every worker agrees on expiry.
     max_retries:
         How many times an expired or crashed job is re-queued before it
         moves to ``failed/`` — a job is attempted at most
@@ -322,7 +318,7 @@ class JobQueue:
 
         Returns ``False`` when the caller no longer owns the job (its
         lease expired and the job was requeued) — the result is then
-        dropped; the shared artifact cache already holds the worker's
+        dropped; the artifact cache already holds the worker's
         (deterministic) outputs, so nothing is lost.
         """
         if self._owns_lease(job_id, worker_id) is None:
@@ -449,61 +445,9 @@ class JobQueue:
             self._m_depth.set(count, state=state)
         return counts
 
-    def status(self) -> dict:
-        """Read-only dashboard snapshot: state counts + per-job detail.
-
-        Performs no recovery and no writes, so it is safe to point at a
-        live queue from any host (``repro sweep --status <queue_dir>``).
-        Each job row carries its state, attempt/retry counters, the
-        owning worker and lease age for claimed jobs (flagged when the
-        lease has already expired), and the failure's final line for
-        terminally failed jobs.  Lease ages use this host's clock — the
-        same loose-synchronisation assumption the lease protocol itself
-        makes.
-        """
-        now = time.time()
-        jobs: list[dict] = []
-        for state in _STATES:
-            for job_id in self._job_ids(state):
-                payload = self._read_json(self._path(state, job_id)) or {}
-                entry = {"id": job_id, "state": state,
-                         "attempts": int(payload.get("attempts", 0)),
-                         "retries": len(payload.get("errors", [])),
-                         "worker": None, "lease_age": None, "note": ""}
-                if state == "claimed":
-                    lease = self._read_json(
-                        self.queue_dir / "leases" / f"{job_id}.json")
-                    if lease is not None:
-                        entry["worker"] = lease.get("worker")
-                        entry["lease_age"] = max(
-                            0.0, now - float(lease.get("heartbeat_at", now)))
-                        if entry["lease_age"] > self.lease_timeout:
-                            entry["note"] = "lease expired"
-                    else:
-                        entry["note"] = "no lease yet"
-                elif state == "done":
-                    entry["worker"] = payload.get("worker")
-                elif state == "failed":
-                    failure = str(payload.get("failure", "")).strip()
-                    if failure:
-                        entry["note"] = failure.splitlines()[-1]
-                jobs.append(entry)
-        # Counts derive from the rows just collected (not a second
-        # directory scan), so one snapshot can never disagree with
-        # itself while jobs move between states under it.
-        counts = {state: 0 for state in _STATES}
-        for job in jobs:
-            counts[job["state"]] += 1
-        return {"counts": counts, "jobs": jobs}
-
     def drained(self) -> bool:
         """True when no job is pending or claimed (done/failed only)."""
         return not self._job_ids("pending") and not self._job_ids("claimed")
-
-    def job_ids(self, state: str) -> list[str]:
-        if state not in _STATES:
-            raise ValueError(f"unknown state {state!r}; one of {_STATES}")
-        return self._job_ids(state)
 
     def payload(self, job_id: str) -> dict | None:
         """The job's JSON payload, wherever it currently lives."""
@@ -513,27 +457,6 @@ class JobQueue:
                 payload["state"] = state
                 return payload
         return None
-
-    def wait(self, *, poll: float = 0.5, timeout: float | None = None,
-             on_poll: Callable[[dict[str, int]], None] | None = None
-             ) -> dict[str, int]:
-        """Block until the queue drains, recovering expired leases.
-
-        ``on_poll`` receives the state counts once per cycle (progress
-        rendering hook).  Raises :class:`QueueError` on timeout.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            self.recover()
-            counts = self.counts()
-            if on_poll is not None:
-                on_poll(counts)
-            if not counts["pending"] and not counts["claimed"]:
-                return counts
-            if deadline is not None and time.monotonic() > deadline:
-                raise QueueError(f"queue {self.queue_dir} did not drain "
-                                 f"within {timeout:g}s: {counts}")
-            time.sleep(poll)
 
     # ------------------------------------------------------------------
     # Duplicate-fit audit trail
@@ -576,9 +499,7 @@ class Worker:
                  worker_id: str | None = None,
                  heartbeat_interval: float | None = None,
                  allow_surrogate: bool = True,
-                 few_shot_per_class: int = FEW_SHOT_PER_CLASS,
-                 metrics_file: str | os.PathLike | None = None,
-                 metrics_interval: float | None = None):
+                 few_shot_per_class: int = FEW_SHOT_PER_CLASS):
         self.queue = queue if isinstance(queue, JobQueue) else JobQueue(queue)
         if worker_id is None:
             worker_id = (f"{socket.gethostname()}-{os.getpid()}-"
@@ -587,31 +508,19 @@ class Worker:
         if heartbeat_interval is None:
             heartbeat_interval = max(self.queue.lease_timeout / 4.0, 0.05)
         self.heartbeat_interval = heartbeat_interval
-        # Fleet telemetry: merge-update a JSON snapshot of the queue's
-        # registry on the heartbeat cadence.  "auto" places it where
-        # `repro sweep --status` looks: <queue_dir>/metrics/<worker>.json.
-        if metrics_file == "auto":
-            metrics_file = (self.queue.queue_dir / "metrics"
-                            / f"{worker_id}.json")
-        self.metrics_file = (Path(metrics_file)
-                             if metrics_file is not None else None)
-        self.metrics_interval = (metrics_interval if metrics_interval
-                                 is not None else heartbeat_interval)
         self._m_jobs = self.queue.registry.counter(
             "worker_jobs_total", "Job attempts per outcome")
         # Checkpoint on the heartbeat cadence: a worker that dies mid-fit
-        # leaves a <key>.ckpt.npz in the shared cache at most one
-        # heartbeat old, so whoever re-claims the job after lease expiry
-        # resumes the fit from there instead of refitting from scratch.
+        # leaves a <key>.ckpt.npz in the cache at most one heartbeat old,
+        # so whoever re-claims the job after lease expiry resumes the
+        # fit from there instead of refitting from scratch.
         self.runner = Runner(cache_dir=cache_dir,
                              allow_surrogate=allow_surrogate,
                              few_shot_per_class=few_shot_per_class,
                              checkpoint_interval=heartbeat_interval)
 
     # ------------------------------------------------------------------
-    def run(self, *, max_jobs: int | None = None, keep_alive: bool = False,
-            poll_interval: float = 0.2,
-            stop: threading.Event | None = None) -> dict[str, int]:
+    def run(self, *, poll_interval: float = 0.2) -> dict[str, int]:
         """Drain the queue; returns per-outcome attempt counts.
 
         ``completed`` and ``failed`` (terminal) describe finished jobs;
@@ -619,57 +528,22 @@ class Worker:
         (possibly re-executed by this same worker); ``lost`` counts
         results discarded because the lease had expired under us.
 
-        Exits when the queue is drained (or after ``max_jobs`` jobs).
-        ``keep_alive`` keeps polling an empty queue instead — the mode a
-        standing multi-host fleet runs in, picking up work the moment a
-        submitter enqueues it.
-
-        ``stop`` is the graceful-shutdown channel: once set (e.g. by a
-        SIGTERM handler), the worker finishes the job it is executing —
-        its artifacts land and its lease completes normally — claims
-        nothing further, and returns.  Without it, terminating a
-        keep-alive worker means killing it mid-job and paying a lease
-        timeout before another worker can pick the job up.
+        Exits once the queue is drained.  While other workers still hold
+        claimed jobs, it polls every ``poll_interval`` seconds, so a job
+        whose lease expires is recovered and re-run here.
         """
         stats = {"completed": 0, "failed": 0, "requeued": 0, "lost": 0}
-        executed = 0
-        last_snapshot = 0.0
-        while max_jobs is None or executed < max_jobs:
-            if stop is not None and stop.is_set():
-                break
+        while True:
             self.queue.recover()
             job = self.queue.claim(self.worker_id)
-            if self.metrics_file is not None and (
-                    time.monotonic() - last_snapshot
-                    >= self.metrics_interval):
-                self.write_metrics_snapshot()
-                last_snapshot = time.monotonic()
             if job is None:
-                if self.queue.drained() and not keep_alive:
-                    break
-                if stop is not None:
-                    stop.wait(poll_interval)
-                else:
-                    time.sleep(poll_interval)
+                if self.queue.drained():
+                    return stats
+                time.sleep(poll_interval)
                 continue
-            executed += 1
             outcome = self._execute(job)
             stats[outcome] += 1
             self._m_jobs.inc(outcome=outcome)
-        if self.metrics_file is not None:
-            self.write_metrics_snapshot()
-        return stats
-
-    def write_metrics_snapshot(self) -> None:
-        """Merge-update this worker's registry snapshot on disk."""
-        if self.metrics_file is None:
-            return
-        self.queue.counts()  # refresh the queue-depth gauge first
-        try:
-            self.queue.registry.write_snapshot(
-                self.metrics_file, worker_id=self.worker_id)
-        except OSError:
-            pass  # telemetry must never take a worker down
 
     # ------------------------------------------------------------------
     def _execute(self, job: Job) -> str:
@@ -712,21 +586,8 @@ class Worker:
                 return  # lease revoked; completion will be discarded
 
 
-def run_worker(queue_dir: str | os.PathLike, cache_dir: str | os.PathLike,
-               **kwargs) -> dict[str, int]:
-    """Convenience entry point: construct a :class:`Worker` and drain.
-
-    ``kwargs`` split between the worker constructor and :meth:`Worker.run`
-    (``max_jobs``, ``keep_alive``, ``poll_interval``).
-    """
-    run_kwargs = {k: kwargs.pop(k) for k in
-                  ("max_jobs", "keep_alive", "poll_interval")
-                  if k in kwargs}
-    return Worker(queue_dir, cache_dir, **kwargs).run(**run_kwargs)
-
-
 # ----------------------------------------------------------------------
-# Local worker fleet
+# Local worker pool
 # ----------------------------------------------------------------------
 def _pool_worker_main(queue_dir: str, cache_dir: str, worker_id: str,
                       allow_surrogate: bool, few_shot_per_class: int,
@@ -741,10 +602,9 @@ def _pool_worker_main(queue_dir: str, cache_dir: str, worker_id: str,
 class LocalWorkerPool:
     """N local worker *processes* draining one queue.
 
-    The in-host analogue of pointing N machines at a shared queue
-    directory: each worker is a real OS process (so a crash or SIGKILL
-    only loses that worker's lease, never the fleet), and all of them
-    exit once the queue drains.
+    Each worker is a real OS process, so a crash or SIGKILL only loses
+    that worker's lease, never the sweep, and all of them exit once the
+    queue drains.
     """
 
     def __init__(self, queue_dir: str | os.PathLike,
@@ -790,21 +650,9 @@ class LocalWorkerPool:
     def alive_count(self) -> int:
         return sum(p.is_alive() for p in self.processes)
 
-    def join(self, timeout: float | None = None) -> None:
-        for proc in self.processes:
-            proc.join(timeout)
-
     def terminate(self) -> None:
         for proc in self.processes:
             if proc.is_alive():
                 proc.terminate()
-        self.join(timeout=5.0)
-
-    def __enter__(self) -> "LocalWorkerPool":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.join()
-        else:
-            self.terminate()
+        for proc in self.processes:
+            proc.join(5.0)

@@ -1,5 +1,5 @@
 """Sweep helpers: parameter grids → deduplicated spec batches → a
-scheduled multi-worker run.
+scheduled run on local worker processes.
 
 :func:`expand` is the general cartesian-product engine — every axis is
 a list of values, spec axes (``model`` / ``dataset`` / ``profile`` /
@@ -11,11 +11,9 @@ overrides).  Both return batches deduplicated by cache key, so aliases
 experiment twice.
 
 :func:`run_sweep` drives a whole sweep end to end: submit the batch to
-a :class:`~repro.experiments.scheduler.JobQueue`, optionally self-host
-N local worker processes, poll with recovery until the queue drains,
-and replay the results out of the shared artifact cache into a
-:class:`SweepReport`.  Workers on other hosts pointing at the same
-queue/cache directories participate transparently.
+a :class:`~repro.experiments.scheduler.JobQueue`, start N local worker
+processes, poll with recovery until the queue drains, and replay the
+results out of the artifact cache into a :class:`SweepReport`.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ def expand(axes: Mapping[str, object]) -> list[ExperimentSpec]:
 
     yields 2 × 1 × 3 × 2 = 12 specs (fewer if any collapse to the same
     cache key).  Specs are validated eagerly: unknown models or profiles
-    raise here, not minutes into a fleet run.
+    raise here, not minutes into a sweep.
     """
     for required in ("model", "dataset"):
         if required not in axes:
@@ -228,13 +226,10 @@ def run_sweep(specs: Iterable[ExperimentSpec],
               few_shot_per_class: int = FEW_SHOT_PER_CLASS,
               progress: Callable[[dict[str, int]], None] | None = None
               ) -> SweepReport:
-    """Submit a spec batch and drain it with a local worker fleet.
+    """Submit a spec batch and drain it with ``workers`` local processes.
 
-    With ``workers == 0`` nothing is self-hosted: the call submits and
-    then waits for external workers (``repro worker <queue_dir>`` on any
-    host sharing the directories) to drain the queue; ``workers < 0``
-    raises ``ValueError``.  ``progress`` receives the queue state counts
-    once per poll cycle.  The results carry no fitted models: workers
+    ``workers < 1`` raises ``ValueError`` before anything is enqueued.
+    ``progress`` receives the queue state counts once per poll cycle.  The results carry no fitted models: workers
     store each serialisable one in the cache, where :meth:`Runner.run`
     on the same ``cache_dir`` restores it with zero fits.
 
@@ -242,8 +237,8 @@ def run_sweep(specs: Iterable[ExperimentSpec],
     there rather than raised (call :meth:`SweepReport.raise_on_failure`
     for raising behaviour).
     """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     specs = list(specs)
     queue = JobQueue(queue_dir, lease_timeout=lease_timeout,
                      max_retries=max_retries)
@@ -253,11 +248,9 @@ def run_sweep(specs: Iterable[ExperimentSpec],
     # shorter than ``specs``; the report stays aligned regardless).
     job_ids = [spec.cache_key() for spec in specs]
 
-    pool = None
-    if workers > 0:
-        pool = LocalWorkerPool(queue_dir, cache_dir, workers,
-                               allow_surrogate=allow_surrogate,
-                               few_shot_per_class=few_shot_per_class).start()
+    pool = LocalWorkerPool(queue_dir, cache_dir, workers,
+                           allow_surrogate=allow_surrogate,
+                           few_shot_per_class=few_shot_per_class).start()
     try:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -267,9 +260,9 @@ def run_sweep(specs: Iterable[ExperimentSpec],
                 progress(counts)
             if not counts["pending"] and not counts["claimed"]:
                 break
-            if pool is not None and pool.alive_count() == 0:
+            if pool.alive_count() == 0:
                 # Workers only exit once the queue drains, so take a
-                # fresh snapshot before declaring the fleet dead — the
+                # fresh snapshot before declaring them dead — the
                 # final completion may have landed after the read above.
                 queue.recover()
                 if queue.drained():
@@ -283,10 +276,9 @@ def run_sweep(specs: Iterable[ExperimentSpec],
                                  f"{counts}")
             time.sleep(poll)
     finally:
-        if pool is not None:
-            pool.terminate()
+        pool.terminate()
 
-    # Replay everything out of the shared cache: zero fits here.
+    # Replay everything out of the cache: zero fits here.
     replay = Runner(cache_dir=cache_dir, allow_surrogate=allow_surrogate,
                     few_shot_per_class=few_shot_per_class)
     failures: dict[str, str] = {}

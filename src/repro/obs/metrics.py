@@ -21,10 +21,7 @@ Exporters:
 * :meth:`MetricsRegistry.render_prometheus` — Prometheus text
   exposition format (``# HELP``/``# TYPE`` plus ``_bucket``/``_sum``/
   ``_count`` series for histograms).
-* :meth:`MetricsRegistry.snapshot` — plain-dict snapshot, and
-  :meth:`MetricsRegistry.write_snapshot` which merge-updates a JSON
-  file atomically (tmp + rename), in the same style as the
-  ``BENCH_*.json`` artifacts.
+* :meth:`MetricsRegistry.snapshot` — plain-dict snapshot.
 
 All mutation is guarded by a per-registry lock, so concurrent
 increments from ThreadingHTTPServer handler threads, decode drivers,
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import os
 import re
 import threading
 import time
@@ -430,33 +426,6 @@ class MetricsRegistry:
                 "value": metric.snapshot_value(),
             }
         return out
-
-    def write_snapshot(self, path: str | os.PathLike, **extra: object) -> Dict[str, object]:
-        """Merge-update ``path`` with the current snapshot, atomically.
-
-        Existing top-level keys not present in this snapshot survive, so
-        multiple registries / repeated runs can share one file the same
-        way the BENCH_*.json artifacts do.  Returns the merged payload.
-        """
-        path = os.fspath(path)
-        existing: Dict[str, object] = {}
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            if isinstance(loaded, dict):
-                existing = loaded
-        except (OSError, ValueError):
-            existing = {}
-        existing.update(self.snapshot())
-        existing.update(extra)
-        existing["snapshot_unix_time"] = time.time()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(existing, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return existing
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()

@@ -8,7 +8,7 @@ gradient clipping and the uniform loss-history contract.  Each task's
 epoch is the whole loop body; ``Trainer.fit`` commits its record, times
 it into the metrics registry and, through :class:`TrainState`
 checkpoints, gives every fit byte-identical interrupt/resume semantics
-that the experiment Runner and the distributed sweep scheduler exploit
+that the experiment Runner and the sweep scheduler exploit
 (``<key>.ckpt.npz`` in the artifact cache, written on the worker's
 heartbeat cadence).
 """

@@ -2,9 +2,37 @@
 
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each ``repro`` command in README.md's fenced blocks.
+
+    Continued lines are joined, ``# ...`` comments stripped and leading
+    ``VAR=value`` assignments dropped; a command counts if what is left
+    starts with ``python -m repro`` or ``repro``.
+    """
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(),
+                        flags=re.M | re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and re.match(r"^[A-Za-z_][A-Za-z0-9_]*=", words[0]):
+                words.pop(0)
+            if words[:3] == ["python", "-m", "repro"]:
+                commands.append(words[3:])
+            elif words[:1] == ["repro"]:
+                commands.append(words[1:])
+    return commands
 
 
 class TestParser:
@@ -39,22 +67,22 @@ class TestParser:
         assert args.overrides == ["epochs=2"]
         assert args.workers == 2
 
-    def test_sweep_requires_queue_and_cache(self):
-        # Validation happens in the command (not argparse) so that
-        # --status can run without the grid arguments.
-        with pytest.raises(SystemExit, match="--queue-dir"):
+    def test_sweep_requires_queue_and_cache(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "--model", "er", "--dataset", "EMAIL"])
+        assert exc.value.code == 2
+        assert "--queue-dir" in capsys.readouterr().err
 
-    def test_sweep_status_flag_parses_alone(self):
-        args = build_parser().parse_args(["sweep", "--status", "qdir"])
-        assert args.status == "qdir"
-
-    def test_worker_args(self):
-        args = build_parser().parse_args(
-            ["worker", "queue", "--cache-dir", "c", "--max-jobs", "3"])
-        assert args.queue_dir == "queue"
-        assert args.max_jobs == 3
-        assert not args.keep_alive
+    def test_readme_commands_parse(self):
+        """Every ``repro`` command shown in README.md parses."""
+        commands = _readme_commands()
+        assert any(argv[0] == "sweep" for argv in commands)
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: "
+                            f"repro {shlex.join(argv)}")
 
 
 class TestCommands:
@@ -82,11 +110,12 @@ class TestCommands:
         assert "mean R+" in out
 
     def test_sweep_negative_workers_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="workers must be >= 0"):
+        with pytest.raises(SystemExit, match="workers must be >= 1"):
             main(["sweep", "--queue-dir", str(tmp_path / "q"),
                   "--cache-dir", str(tmp_path / "c"), "--model", "er",
                   "--dataset", "EMAIL", "--profile", "smoke",
                   "--workers", "-1"])
+        assert not (tmp_path / "q").exists()  # nothing was enqueued
 
     def test_fairgen_on_unlabeled_without_surrogate_fails_cleanly(self):
         # Surrogate supervision is on by default; opting out restores the

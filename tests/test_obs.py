@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.experiments import ExperimentSpec, JobQueue, Runner, Worker
+from repro.experiments import ExperimentSpec, JobQueue, Runner
 from repro.models.walk_lm import TransformerWalkModel
 from repro.obs import trace
 from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
@@ -191,20 +191,6 @@ class TestSnapshots:
         assert snap["h"]["value"]["count"] == 1
         assert "p50" in snap["h"]["value"]
 
-    def test_write_snapshot_merge_updates(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({"keep_me": 1}))
-        reg = MetricsRegistry()
-        reg.counter("c_total").inc()
-        merged = reg.write_snapshot(path, worker_id="w7")
-        on_disk = json.loads(path.read_text())
-        assert on_disk.keys() == merged.keys()
-        assert on_disk["keep_me"] == 1
-        assert on_disk["worker_id"] == "w7"
-        assert on_disk["c_total"]["value"] == 1
-        assert "snapshot_unix_time" in on_disk
-
-
 # ----------------------------------------------------------------------
 # Span tracing
 # ----------------------------------------------------------------------
@@ -379,45 +365,6 @@ class TestQueueMetrics:
         depth = reg.gauge("jobqueue_depth")
         assert depth.value(state="pending") == 1
         assert depth.value(state="done") == 1
-
-    def test_worker_metrics_file_auto_snapshot(self, tmp_path):
-        # A private registry: the exact counts below must not see jobs
-        # other tests ran through the process-global one.
-        queue = JobQueue(tmp_path / "q", registry=MetricsRegistry())
-        queue.submit([ExperimentSpec(model="er", dataset=SMALLEST,
-                                     profile="smoke")])
-        worker = Worker(queue, tmp_path / "cache", worker_id="w-obs",
-                        metrics_file="auto")
-        stats = worker.run(max_jobs=1)
-        assert stats["completed"] == 1
-        snap_path = tmp_path / "q" / "metrics" / "w-obs.json"
-        snap = json.loads(snap_path.read_text())
-        assert snap["worker_id"] == "w-obs"
-        assert snap["worker_jobs_total"]["value"] \
-            == {'{"outcome": "completed"}': 1.0}
-        assert snap["jobqueue_claims_total"]["value"] == 1
-
-    def test_sweep_status_prints_fleet_metrics(self, tmp_path, capsys):
-        queue = JobQueue(tmp_path / "q")
-        queue.submit([ExperimentSpec(model="er", dataset=SMALLEST,
-                                     profile="smoke")])
-        worker = Worker(queue, tmp_path / "cache", worker_id="w-obs",
-                        metrics_file="auto")
-        worker.run(max_jobs=1)
-        capsys.readouterr()
-        assert main(["sweep", "--status", str(tmp_path / "q")]) == 0
-        out = capsys.readouterr().out
-        assert "fleet metrics" in out
-        assert "w-obs" in out
-        assert "queue depth (freshest snapshot):" in out
-        assert "done=1" in out
-
-    def test_sweep_status_silent_without_snapshots(self, tmp_path, capsys):
-        JobQueue(tmp_path / "q")
-        capsys.readouterr()
-        assert main(["sweep", "--status", str(tmp_path / "q")]) == 0
-        assert "fleet metrics" not in capsys.readouterr().out
-
 
 # ----------------------------------------------------------------------
 # Serve-engine counters under concurrency (satellite: race regression)

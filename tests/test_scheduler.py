@@ -1,5 +1,5 @@
-"""Tests for the distributed sweep scheduler: queue protocol, workers,
-crash recovery, the local worker pool and the CLI front."""
+"""Tests for the sweep scheduler: queue protocol, workers, crash
+recovery, the local worker pool and the CLI front."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import (ExperimentSpec, JobQueue, LocalWorkerPool,
-                               QueueError, Runner, Worker)
+                               Runner, Worker)
 from repro.graph import Graph
 from repro.train import TrainState
 
@@ -255,12 +255,6 @@ class TestJobQueue:
         assert reopened.lease_timeout == 7.5
         assert reopened.max_retries == 5
 
-    def test_wait_times_out(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        queue.submit([_spec()])
-        with pytest.raises(QueueError, match="did not drain"):
-            queue.wait(poll=0.01, timeout=0.05)
-
     def test_fit_log_appends_and_parses(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.record_fit("job-a", "w1")
@@ -320,94 +314,9 @@ class TestWorker:
         assert stats["completed"] == 1 and stats["failed"] == 1
         assert queue.payload(good.cache_key())["state"] == "done"
 
-    def test_max_jobs_bounds_one_drain(self, tmp_path):
-        queue = JobQueue(tmp_path / "q")
-        queue.submit([_spec(seed=s) for s in range(3)])
-        stats = Worker(queue, tmp_path / "cache",
-                       worker_id="w1").run(max_jobs=2)
-        assert stats["completed"] == 2
-        assert queue.counts()["pending"] == 1
-
     def test_pool_requires_at_least_one_worker(self, tmp_path):
         with pytest.raises(ValueError):
             LocalWorkerPool(tmp_path / "q", tmp_path / "cache", 0)
-
-
-# ----------------------------------------------------------------------
-# Read-only status dashboard
-# ----------------------------------------------------------------------
-class TestQueueStatus:
-    def test_status_reports_pending_claimed_and_failed(self, tmp_path):
-        queue = JobQueue(tmp_path, lease_timeout=30.0, max_retries=0)
-        queue.submit([_spec(seed=s) for s in (0, 1, 2)])
-        claimed = queue.claim("worker-a")
-        failed = queue.claim("worker-a")
-        queue.fail(failed.id, "worker-a",
-                   "Traceback (most recent call last):\n"
-                   "ValueError: boom goes the dataset")
-
-        snapshot = queue.status()
-        assert snapshot["counts"] == {"pending": 1, "claimed": 1,
-                                      "done": 0, "failed": 1}
-        by_state = {}
-        for job in snapshot["jobs"]:
-            by_state.setdefault(job["state"], []).append(job)
-
-        [pending] = by_state["pending"]
-        assert pending["attempts"] == 0 and pending["worker"] is None
-
-        [running] = by_state["claimed"]
-        assert running["id"] == claimed.id
-        assert running["worker"] == "worker-a"
-        assert 0.0 <= running["lease_age"] < 30.0
-        assert running["note"] == ""
-
-        [dead] = by_state["failed"]
-        assert dead["note"] == "ValueError: boom goes the dataset"
-        assert dead["retries"] == 1
-
-    def test_status_flags_expired_leases_without_recovering(self, tmp_path,
-                                                             clock):
-        queue = JobQueue(tmp_path, lease_timeout=0.05)
-        queue.submit([_spec()])
-        job = queue.claim("w")
-        clock.advance(0.1)
-        snapshot = queue.status()
-        [row] = [j for j in snapshot["jobs"] if j["state"] == "claimed"]
-        assert row["note"] == "lease expired"
-        # Read-only: the job is still claimed, not requeued.
-        assert queue.counts()["claimed"] == 1
-        assert queue.payload(job.id)["state"] == "claimed"
-
-    def test_status_of_empty_queue(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        snapshot = queue.status()
-        assert snapshot["jobs"] == []
-        assert sum(snapshot["counts"].values()) == 0
-
-    def test_cli_sweep_status_renders_dashboard(self, tmp_path, capsys):
-        queue = JobQueue(tmp_path / "q")
-        queue.submit([_spec(seed=0), _spec(seed=1)])
-        queue.claim("cli-worker")
-        assert main(["sweep", "--status", os.fspath(tmp_path / "q")]) == 0
-        out = capsys.readouterr().out
-        assert "pending=1" in out and "claimed=1" in out
-        assert "cli-worker" in out
-
-    def test_cli_sweep_status_rejects_missing_queue(self, tmp_path):
-        with pytest.raises(SystemExit, match="no queue"):
-            main(["sweep", "--status", os.fspath(tmp_path / "nowhere")])
-
-    def test_cli_sweep_status_does_not_scaffold_non_queue_dirs(
-            self, tmp_path):
-        """--status on an arbitrary existing directory must refuse,
-        not silently convert it into a valid empty queue."""
-        innocent = tmp_path / "results"
-        innocent.mkdir()
-        (innocent / "data.txt").write_text("not a queue")
-        with pytest.raises(SystemExit, match="no queue"):
-            main(["sweep", "--status", os.fspath(innocent)])
-        assert sorted(p.name for p in innocent.iterdir()) == ["data.txt"]
 
 
 # ----------------------------------------------------------------------
@@ -490,16 +399,6 @@ class TestCrashRecovery:
 # CLI front
 # ----------------------------------------------------------------------
 class TestSchedulerCLI:
-    def test_worker_command_drains_queue(self, tmp_path, capsys):
-        queue = JobQueue(tmp_path / "q")
-        queue.submit([_spec(seed=s) for s in (0, 1)])
-        code = main(["worker", os.fspath(tmp_path / "q"),
-                     "--cache-dir", os.fspath(tmp_path / "cache"),
-                     "--worker-id", "cli-worker"])
-        assert code == 0
-        assert "2 completed" in capsys.readouterr().out
-        assert queue.drained()
-
     def test_sweep_command_end_to_end(self, tmp_path, capsys):
         code = main(["sweep",
                      "--queue-dir", os.fspath(tmp_path / "q"),
@@ -513,18 +412,6 @@ class TestSchedulerCLI:
         assert "4/4 completed" in out
         assert "0 duplicate fit(s)" in out
         assert "mean R" in out
-
-    def test_sweep_submit_only_then_worker(self, tmp_path, capsys):
-        queue_dir = os.fspath(tmp_path / "q")
-        cache_dir = os.fspath(tmp_path / "cache")
-        assert main(["sweep", "--queue-dir", queue_dir,
-                     "--cache-dir", cache_dir,
-                     "--model", "er", "--dataset", SMALLEST,
-                     "--profile", "smoke", "--submit-only"]) == 0
-        assert "submitted" in capsys.readouterr().out
-        assert JobQueue(queue_dir).counts()["pending"] == 1
-        assert main(["worker", queue_dir, "--cache-dir", cache_dir]) == 0
-        assert JobQueue(queue_dir).drained()
 
     def test_sweep_override_axis(self, tmp_path, capsys):
         code = main(["sweep",

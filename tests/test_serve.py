@@ -633,31 +633,3 @@ class TestGracefulShutdownSubprocess:
                 process.kill()
             process.wait()
             process.stdout.close()
-
-    def test_worker_keep_alive_sigterm_finishes_job(self, tmp_path):
-        from repro.experiments import JobQueue
-
-        queue_dir = tmp_path / "queue"
-        cache_dir = tmp_path / "cache"
-        queue = JobQueue(queue_dir)
-        spec = ExperimentSpec(model="er", dataset="EMAIL",
-                              profile="smoke")
-        queue.submit([spec])
-
-        process = _spawn(["worker", str(queue_dir),
-                          "--cache-dir", str(cache_dir), "--keep-alive"])
-        try:
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and not queue.drained():
-                time.sleep(0.1)
-            assert queue.drained(), "worker never finished the job"
-            # keep-alive: still polling — SIGTERM must end it cleanly
-            process.send_signal(signal.SIGTERM)
-            assert process.wait(timeout=30) == 0
-            output = process.stdout.read()
-            assert "1 completed" in output
-        finally:
-            if process.poll() is None:
-                process.kill()
-            process.wait()
-            process.stdout.close()

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentSpec, JobQueue, Runner
+from repro.experiments import ExperimentSpec, QueueError, Runner
 from repro.experiments.sweep import SweepReport, expand, grid, run_sweep
 
 SMALLEST = "EMAIL"
@@ -143,25 +143,47 @@ class TestRunSweep:
         with pytest.raises(Exception, match="NO-SUCH-DATASET"):
             report.raise_on_failure()
 
-    def test_workers_zero_with_external_worker(self, tmp_path):
-        """workers=0 submits and waits; an 'external' drain (here: a
-        pre-drained queue) satisfies it."""
-        from repro.experiments import Worker
-
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_negative_workers_rejected_before_submission(self, tmp_path,
+                                                         workers):
         specs = grid("er", SMALLEST, profiles="smoke")
-        queue = JobQueue(tmp_path / "q")
-        queue.submit(specs)
-        Worker(queue, tmp_path / "cache", worker_id="external").run()
-        report = run_sweep(specs, tmp_path / "q", tmp_path / "cache",
-                           workers=0, timeout=60)
-        assert report.completed == len(specs)
-
-    def test_negative_workers_rejected_before_submission(self, tmp_path):
-        specs = grid("er", SMALLEST, profiles="smoke")
-        with pytest.raises(ValueError, match="workers must be >= 0"):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
             run_sweep(specs, tmp_path / "q", tmp_path / "cache",
-                      workers=-1, timeout=2)
+                      workers=workers, timeout=2)
         assert not (tmp_path / "q").exists()  # nothing was enqueued
+
+    @pytest.mark.parametrize("alive, timeout, message", [
+        (0, 5, "all local sweep workers exited"),
+        (1, 0, "did not drain"),
+    ], ids=["workers-exited", "timed-out"])
+    def test_gives_up_and_terminates_the_pool(self, tmp_path, monkeypatch,
+                                              alive, timeout, message):
+        """The two give-up branches of the poll loop, reached without
+        starting a process: the pool stand-in never drains the queue."""
+        pools = []
+
+        class IdlePool:
+            def __init__(self, *args, **kwargs):
+                self.terminated = False
+                pools.append(self)
+
+            def start(self):
+                return self
+
+            def alive_count(self):
+                return alive
+
+            def terminate(self):
+                self.terminated = True
+
+        monkeypatch.setattr("repro.experiments.sweep.LocalWorkerPool",
+                            IdlePool)
+        specs = grid("er", SMALLEST, profiles="smoke")
+        with pytest.raises(QueueError, match=message):
+            run_sweep(specs, tmp_path / "q", tmp_path / "cache",
+                      workers=1, timeout=timeout, poll=0.0)
+        [pool] = pools
+        assert pool.terminated
 
     def test_report_alignment_with_duplicate_specs(self, tmp_path):
         spec = ExperimentSpec(model="er", dataset=SMALLEST,
