@@ -1,11 +1,10 @@
-"""Sweep smoke benchmark: two local workers drain a grid.
+"""Sweep smoke benchmark: a grid run two child processes at a time.
 
-Gates the scheduler subsystem on every CI pass at seconds scale: a
-smoke-profile grid of >= 4 specs is drained by two real worker
-processes through the filesystem job queue, and the run must finish
-with **zero duplicate fits** (the queue's ``fits.log`` audit trail is
-the counter) while producing artifacts identical to a sequential
-``run_many`` over the same specs:
+Gates the sweep scheduler on every CI pass at seconds scale: a
+smoke-profile grid of >= 4 specs runs in real child processes, at most
+two at once, and the run must finish with **zero duplicate fits** (the
+fits the children report are the counter) while producing artifacts
+identical to a sequential ``run_many`` over the same specs:
 
     pytest benchmarks/bench_sweep_scheduler.py -m smoke
 """
@@ -31,15 +30,14 @@ def test_sweep_smoke_two_workers_zero_duplicate_fits(tmp_path):
     assert len(specs) >= 4
 
     start = time.perf_counter()
-    report = run_sweep(specs, tmp_path / "queue", tmp_path / "cache",
-                       workers=2, with_metrics=True, lease_timeout=60.0,
-                       timeout=600)
+    report = run_sweep(specs, tmp_path / "cache", workers=2,
+                       with_metrics=True, timeout=600)
     elapsed = time.perf_counter() - start
 
     assert not report.failures
     assert report.completed == len(specs)
-    # Exactly one fit per spec across both workers: the atomic-rename
-    # claim makes double execution impossible on the healthy path.
+    # Exactly one fit per spec across all children: the parent hands
+    # each deduplicated job to one child at a time.
     assert len(report.fits) == len(specs)
     assert report.duplicate_fits == 0
 

@@ -142,8 +142,8 @@ def test_training_smoke_checkpoint_round_trip_is_cheap_and_exact():
     Saves and restores a real Trainer task (TagGen on a small graph)
     and asserts (a) the restored parameters are byte-identical and
     (b) one save+load round trip costs well under a second — the
-    budget that lets the scheduler's Worker checkpoint on every
-    heartbeat without denting fit throughput.
+    budget that lets a fit checkpoint on the Runner's interval without
+    denting fit throughput.
     """
     from repro.graph import planted_protected_graph
     from repro.models.taggen import TagGen, _TagGenTask

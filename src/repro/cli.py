@@ -7,8 +7,8 @@ Commands
 ``generate``   fit a model on a dataset and report generation quality
 ``evaluate``   overall + protected discrepancy of a fitted model
 ``augment``    run the Figure 6 data-augmentation study
-``sweep``      run a model×dataset×profile×seed grid through a job queue
-               drained by local worker processes
+``sweep``      run a model×dataset×profile×seed grid in local child
+               processes, one per job
 ``serve``      long-lived generation daemon over the artifact cache:
                continuous-batching walk decode, model LRU, bounded
                admission queue (see README "Serving")
@@ -113,10 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     aug.add_argument("--fraction", type=float, default=0.05)
 
     swp = sub.add_parser(
-        "sweep", help="run a model/dataset/profile/seed grid through the "
-                      "job queue with local worker processes")
-    swp.add_argument("--queue-dir", required=True,
-                     help="job-queue directory the workers drain")
+        "sweep", help="run a model/dataset/profile/seed grid in local "
+                      "child processes")
     swp.add_argument("--cache-dir", required=True,
                      help="artifact cache where results land")
     swp.add_argument("--model", action="append", required=True,
@@ -136,17 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "--set self_paced_cycles=[2,4] (a list sweeps "
                           "the axis)")
     swp.add_argument("--workers", type=int, default=2,
-                     help="local worker processes to drain the queue "
-                          "(at least 1)")
+                     help="child processes running at once (at least 1)")
     swp.add_argument("--with-metrics", action="store_true",
                      help="compute the discrepancy scoreboard per spec")
-    swp.add_argument("--lease-timeout", type=float, default=None,
-                     help="seconds without heartbeat before a job is "
-                          "requeued (recorded in the queue config)")
-    swp.add_argument("--max-retries", type=int, default=None,
-                     help="requeues per job before it fails terminally")
     swp.add_argument("--timeout", type=float, default=None,
-                     help="give up if the sweep has not drained in time")
+                     help="give up if the sweep has not finished in time")
     swp.add_argument("--surrogate-labels", default=True,
                      action=argparse.BooleanOptionalAction)
 
@@ -333,29 +325,26 @@ def _cmd_sweep(args) -> int:
             overrides=_parse_override_axes(args.overrides))
     except (ValueError, KeyError) as exc:
         raise SystemExit(str(exc)) from exc
-    print(f"sweep: {len(specs)} spec(s) -> {args.queue_dir}")
+    print(f"sweep: {len(specs)} spec(s) -> {args.cache_dir}")
     total = len(specs)
     live = sys.stdout.isatty()
     last_counts: dict[str, int] = {}
 
     def progress(counts: dict[str, int]) -> None:
         # A terminal gets a continuously refreshed \r line; a log file
-        # only gets a new line when the counts actually change (a long
-        # sweep polls several times a second).
+        # only gets a new line when the counts actually change.
         if not live and counts == last_counts:
             return
         last_counts.update(counts)
         line = (f"done {counts['done']}/{total}  "
-                f"pending={counts['pending']} running={counts['claimed']} "
+                f"pending={counts['pending']} running={counts['running']} "
                 f"failed={counts['failed']}")
         print(f"\r{line}", end="" if live else "\n", flush=True)
 
     try:
         report = sweep_api.run_sweep(
-            specs, args.queue_dir, args.cache_dir, workers=args.workers,
-            with_metrics=args.with_metrics,
-            lease_timeout=args.lease_timeout, max_retries=args.max_retries,
-            timeout=args.timeout, allow_surrogate=args.surrogate_labels,
+            specs, args.cache_dir, workers=args.workers,
+            with_metrics=args.with_metrics, timeout=args.timeout, allow_surrogate=args.surrogate_labels,
             progress=progress)
     except (QueueError, ValueError) as exc:
         print()

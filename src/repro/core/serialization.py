@@ -14,7 +14,7 @@ Two artifact families live here:
   ``propose_edges`` (optimizer and curriculum state are not preserved —
   reloading is for inference, not for resuming training).  This is how
   the Runner's artifact cache satisfies ``need_model=True`` with zero
-  refits and ships fitted models across worker processes.
+  refits and ships fitted models across processes.
 """
 
 from __future__ import annotations

@@ -18,16 +18,15 @@ replays the artifact from disk and performs zero model fitting — across
 processes, not just within one.
 
 For batches, :mod:`repro.experiments.sweep` expands parameter grids
-into deduplicated spec batches and :mod:`repro.experiments.scheduler`
-drains them through a filesystem-backed fault-tolerant job queue that
-local worker processes consume cooperatively::
+into deduplicated spec batches and runs them in local child processes,
+one per job, retrying a job whose child failed or died::
 
     from repro.experiments import sweep
 
     specs = sweep.grid(["fairgen", "taggen"], ["BLOG", "ACM"],
                        profiles="bench", seeds=range(3))
-    report = sweep.run_sweep(specs, "runs/queue", "runs/cache",
-                             workers=2, with_metrics=True)
+    report = sweep.run_sweep(specs, "runs/cache", workers=2,
+                             with_metrics=True)
 """
 
 from ..registry import (ModelEntry, benchmark_model_names, create_model,
@@ -35,9 +34,8 @@ from ..registry import (ModelEntry, benchmark_model_names, create_model,
                         register_model)
 from . import sweep
 from .runner import ExperimentSpec, Runner, RunResult
-from .scheduler import Job, JobQueue, LocalWorkerPool, QueueError, Worker
 from .supervision import FEW_SHOT_PER_CLASS, Supervision, few_shot_labels
-from .sweep import SweepReport, run_sweep
+from .sweep import QueueError, SweepReport, run_sweep
 
 __all__ = [
     "ExperimentSpec", "Runner", "RunResult",
@@ -45,6 +43,5 @@ __all__ = [
     "ModelEntry", "register_model", "get_entry", "create_model",
     "model_names", "benchmark_model_names", "display_name",
     "profile_names",
-    "Job", "JobQueue", "QueueError", "Worker", "LocalWorkerPool",
-    "sweep", "SweepReport", "run_sweep",
+    "sweep", "SweepReport", "run_sweep", "QueueError",
 ]

@@ -204,9 +204,9 @@ class Runner:
         Minimum seconds between mid-fit ``<key>.ckpt.npz`` checkpoint
         writes (requires a ``cache_dir``).  ``0`` checkpoints after
         every training epoch; fits shorter than the interval never pay
-        any checkpoint I/O.  The scheduler's Worker sets its heartbeat
-        interval here so a SIGKILLed fit resumes losing at most one
-        lease period of work.
+        any checkpoint I/O.  A fit that is killed and rerun (a sweep
+        retries its job) resumes from the last checkpoint, losing at
+        most one interval of work.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None,
@@ -307,7 +307,7 @@ class Runner:
                  with_metrics: bool = False) -> list[RunResult]:
         """Execute a batch of specs in order, one :meth:`run` each.
 
-        To spread a batch over local worker processes, use
+        To spread a batch over local child processes, use
         :func:`repro.experiments.sweep.run_sweep` with the same
         ``cache_dir``; afterwards ``run`` or ``run_many`` on that cache
         replays every spec with zero fits, ``need_model=True`` included.

@@ -1,5 +1,5 @@
-"""Sweep helpers: parameter grids → deduplicated spec batches → a
-scheduled run on local worker processes.
+"""Sweep helpers: parameter grids → deduplicated spec batches → a run
+on local child processes.
 
 :func:`expand` is the general cartesian-product engine — every axis is
 a list of values, spec axes (``model`` / ``dataset`` / ``profile`` /
@@ -7,31 +7,40 @@ a list of values, spec axes (``model`` / ``dataset`` / ``profile`` /
 becomes a hyperparameter override.  :func:`grid` is the benchmark-shaped
 front door (models × datasets × profiles × seeds with per-model
 overrides).  Both return batches deduplicated by cache key, so aliases
-(``"ER"`` vs ``"er"``) and repeated axis values cannot enqueue the same
+(``"ER"`` vs ``"er"``) and repeated axis values cannot run the same
 experiment twice.
 
-:func:`run_sweep` drives a whole sweep end to end: submit the batch to
-a :class:`~repro.experiments.scheduler.JobQueue`, start N local worker
-processes, poll with recovery until the queue drains, and replay the
-results out of the artifact cache into a :class:`SweepReport`.
+:func:`run_sweep` drives a whole sweep end to end: it runs each job in
+its own child process, at most ``workers`` at a time, retries a job
+whose child failed or died, and replays the results out of the artifact
+cache into a :class:`SweepReport`.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import time
+import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
+from multiprocessing.connection import wait
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..obs import trace
+from ..obs.metrics import get_registry
 from ..registry import get_entry
 from .runner import ExperimentSpec, Runner, RunResult
-from .scheduler import JobQueue, LocalWorkerPool, QueueError
 from .supervision import FEW_SHOT_PER_CLASS
 
-__all__ = ["expand", "grid", "run_sweep", "SweepReport"]
+__all__ = ["expand", "grid", "run_sweep", "SweepReport", "QueueError"]
+
+#: attempts per job before it fails terminally (a first try + 2 retries)
+MAX_ATTEMPTS = 3
 
 #: axes that map onto ExperimentSpec fields; all other axes are
 #: hyperparameter-override axes
@@ -127,6 +136,10 @@ def grid(models, datasets, *, profiles="paper", seeds=0,
 # ----------------------------------------------------------------------
 # Sweep orchestration
 # ----------------------------------------------------------------------
+class QueueError(RuntimeError):
+    """A sweep-level failure: failed jobs, or a sweep past its timeout."""
+
+
 @dataclass
 class SweepReport:
     """Outcome of one :func:`run_sweep` call.
@@ -139,9 +152,11 @@ class SweepReport:
     specs: list[ExperimentSpec]
     job_ids: list[str]
     results: list[RunResult | None]
-    #: job id → terminal failure message (worker traceback)
+    #: job id → terminal failure message (the last attempt's error)
     failures: dict[str, str] = field(default_factory=dict)
-    #: (job_id, worker_id) per actual model fit, from the queue's audit log
+    #: job id → error of each failed attempt, retried ones included
+    errors: dict[str, list[str]] = field(default_factory=dict)
+    #: (job_id, child pid) per model fit a child reported in this call
     fits: list[tuple[str, str]] = field(default_factory=list)
     seconds: float = 0.0
 
@@ -213,25 +228,86 @@ class SweepReport:
         return rows
 
 
+def _mp_context():
+    # fork starts a child in milliseconds where available; spawn is the
+    # portable fallback (and re-imports repro in each child).
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+
+
+def _run_job(conn, spec: ExperimentSpec, cache_dir: str, with_metrics: bool,
+             allow_surrogate: bool, few_shot_per_class: int,
+             attempt: int) -> None:
+    """Child entry point: run one spec, send one small report back."""
+    try:
+        with trace.span("sweep.job", job=spec.cache_key(), attempt=attempt):
+            result = Runner(cache_dir, allow_surrogate=allow_surrogate,
+                            few_shot_per_class=few_shot_per_class).run(
+                spec, with_metrics=with_metrics)
+        report = {"fitted": not result.from_cache}
+    except Exception:
+        report = {"error": traceback.format_exc()}
+    conn.send(report)
+    conn.close()
+    trace.disable()  # a child exits without atexit: flush its trace now
+
+
+def _death_note(exitcode: int) -> str:
+    """Why a child that never reported is gone."""
+    if exitcode < 0:
+        try:
+            name = signal.Signals(-exitcode).name
+        except ValueError:
+            name = f"signal {-exitcode}"
+        return f"sweep child was killed by {name} before reporting"
+    return f"sweep child exited with code {exitcode} before reporting"
+
+
+@dataclass
+class _Attempt:
+    """One running child: its job and its result pipe."""
+
+    job_id: str
+    process: multiprocessing.process.BaseProcess
+    #: read end of the child's one-way pipe; ``None`` once read
+    conn: object
+    report: dict | None = None
+
+    def read(self) -> None:
+        """Take the child's one message, or its EOF, and close the pipe."""
+        try:
+            self.report = self.conn.recv()
+        except EOFError:
+            pass  # the child died before sending
+        self.conn.close()
+        self.conn = None
+
+
 def run_sweep(specs: Iterable[ExperimentSpec],
-              queue_dir: str | os.PathLike,
               cache_dir: str | os.PathLike, *,
               workers: int = 2,
               with_metrics: bool = False,
-              lease_timeout: float | None = None,
-              max_retries: int | None = None,
-              poll: float = 0.25,
               timeout: float | None = None,
               allow_surrogate: bool = True,
               few_shot_per_class: int = FEW_SHOT_PER_CLASS,
               progress: Callable[[dict[str, int]], None] | None = None
               ) -> SweepReport:
-    """Submit a spec batch and drain it with ``workers`` local processes.
+    """Run a spec batch with at most ``workers`` child processes at once.
 
-    ``workers < 1`` raises ``ValueError`` before anything is enqueued.
-    ``progress`` receives the queue state counts once per poll cycle.  The results carry no fitted models: workers
-    store each serialisable one in the cache, where :meth:`Runner.run`
-    on the same ``cache_dir`` restores it with zero fits.
+    Specs are deduplicated by cache key and each job runs in a fresh
+    child process through a :class:`Runner` on ``cache_dir``.  A job
+    whose child raises, or dies without reporting (e.g. SIGKILL), is
+    retried up to :data:`MAX_ATTEMPTS` attempts in all; a retried fit
+    resumes from the mid-fit ``<key>.ckpt.npz`` in the cache.  The
+    results carry no fitted models: each serialisable one is stored in
+    the cache, where :meth:`Runner.run` on the same ``cache_dir``
+    restores it with zero fits.
+
+    ``workers < 1`` raises ``ValueError`` before any child starts.
+    ``progress`` receives ``pending``/``running``/``done``/``failed``
+    job counts as children start and finish.  Past ``timeout`` seconds
+    every child is killed and :class:`QueueError` raised.
 
     Returns a :class:`SweepReport`; terminal job failures are reported
     there rather than raised (call :meth:`SweepReport.raise_on_failure`
@@ -240,56 +316,95 @@ def run_sweep(specs: Iterable[ExperimentSpec],
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     specs = list(specs)
-    queue = JobQueue(queue_dir, lease_timeout=lease_timeout,
-                     max_retries=max_retries)
-    started = time.monotonic()
-    queue.submit(specs, with_metrics=with_metrics)
-    # Per-spec ids (submit deduplicates, so its return value can be
-    # shorter than ``specs``; the report stays aligned regardless).
     job_ids = [spec.cache_key() for spec in specs]
-
-    pool = LocalWorkerPool(queue_dir, cache_dir, workers,
-                           allow_surrogate=allow_surrogate,
-                           few_shot_per_class=few_shot_per_class).start()
+    jobs: dict[str, ExperimentSpec] = {}
+    for job_id, spec in zip(job_ids, specs):
+        jobs.setdefault(job_id, spec)
+    registry = get_registry()
+    m_attempts = registry.counter("sweep_attempts_total",
+                                  "Sweep job attempts per outcome")
+    m_fits = registry.counter("sweep_fits_total",
+                              "Model fits reported by sweep children")
+    ctx = _mp_context()
+    started = time.monotonic()
+    deadline = None if timeout is None else started + timeout
+    pending = deque(jobs)
+    running: list[_Attempt] = []
+    errors: dict[str, list[str]] = {}
+    failures: dict[str, str] = {}
+    fits: list[tuple[str, str]] = []
+    done = 0
     try:
-        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            queue.recover()
-            counts = queue.counts()
+            while pending and len(running) < workers:
+                job_id = pending.popleft()
+                number = len(errors.get(job_id, ())) + 1
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_run_job,
+                    args=(send, jobs[job_id], os.fspath(cache_dir),
+                          with_metrics, allow_surrogate, few_shot_per_class,
+                          number),
+                    daemon=True)
+                proc.start()
+                send.close()
+                running.append(_Attempt(job_id, proc, recv))
+            counts = {"pending": len(pending), "running": len(running),
+                      "done": done, "failed": len(failures)}
             if progress is not None:
                 progress(counts)
-            if not counts["pending"] and not counts["claimed"]:
+            if not running:
                 break
-            if pool.alive_count() == 0:
-                # Workers only exit once the queue drains, so take a
-                # fresh snapshot before declaring them dead — the
-                # final completion may have landed after the read above.
-                queue.recover()
-                if queue.drained():
-                    break
-                raise QueueError(
-                    "all local sweep workers exited but the queue is not "
-                    f"drained: {counts} — inspect "
-                    f"{os.fspath(queue_dir)}/failed/ and worker logs")
-            if deadline is not None and time.monotonic() > deadline:
-                raise QueueError(f"sweep did not drain within {timeout:g}s: "
-                                 f"{counts}")
-            time.sleep(poll)
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise QueueError(f"sweep did not drain within "
+                                     f"{timeout:g}s: {counts}")
+            # Read pipes as they fill, not only after exit: a child
+            # blocks in send() until a long traceback is drained.
+            ready = set(wait([a.process.sentinel for a in running]
+                             + [a.conn for a in running
+                                if a.conn is not None], remaining))
+            for attempt in list(running):
+                if attempt.conn is not None and attempt.conn in ready:
+                    attempt.read()
+                if attempt.process.sentinel not in ready:
+                    continue
+                running.remove(attempt)
+                attempt.process.join()
+                if attempt.conn is not None:
+                    attempt.read()
+                report = attempt.report or {
+                    "error": _death_note(attempt.process.exitcode)}
+                job_id = attempt.job_id
+                if "error" not in report:
+                    done += 1
+                    m_attempts.inc(outcome="completed")
+                    if report["fitted"]:
+                        fits.append((job_id, str(attempt.process.pid)))
+                        m_fits.inc()
+                    continue
+                errors.setdefault(job_id, []).append(report["error"])
+                if len(errors[job_id]) < MAX_ATTEMPTS:
+                    pending.append(job_id)
+                    m_attempts.inc(outcome="retried")
+                else:
+                    failures[job_id] = report["error"]
+                    m_attempts.inc(outcome="failed")
     finally:
-        pool.terminate()
+        for attempt in running:
+            attempt.process.kill()
+            attempt.process.join()
+            if attempt.conn is not None:
+                attempt.conn.close()
 
     # Replay everything out of the cache: zero fits here.
     replay = Runner(cache_dir=cache_dir, allow_surrogate=allow_surrogate,
                     few_shot_per_class=few_shot_per_class)
-    failures: dict[str, str] = {}
-    results: list[RunResult | None] = []
-    for spec, job_id in zip(specs, job_ids):
-        payload = queue.payload(job_id) or {}
-        if payload.get("state") == "failed":
-            failures[job_id] = str(payload.get("failure", "unknown failure"))
-            results.append(None)
-        else:
-            results.append(replay.run(spec, with_metrics=with_metrics))
+    results = [None if job_id in failures
+               else replay.run(spec, with_metrics=with_metrics)
+               for spec, job_id in zip(specs, job_ids)]
     return SweepReport(specs=specs, job_ids=job_ids, results=results,
-                       failures=failures, fits=queue.fit_log(),
+                       failures=failures, errors=errors, fits=fits,
                        seconds=time.monotonic() - started)

@@ -12,9 +12,10 @@ Two stdlib-only pillars shared by every layer of the stack:
   strict no-op when disabled.
 
 Instrumentation is wired through ``Trainer.fit`` (its per-epoch and
-per-fit ``train_*`` series), the Runner artifact cache, the walk engines, the sweep scheduler, and
-the serve daemon (``GET /metrics``).  It never touches RNG streams:
-fitted artifacts are byte-identical with tracing on or off.
+per-fit ``train_*`` series), the Runner artifact cache, the walk
+engines, ``run_sweep``'s per-attempt outcomes, and the serve daemon
+(``GET /metrics``).  It never touches RNG streams: fitted artifacts are
+byte-identical with tracing on or off.
 """
 
 from . import metrics, trace

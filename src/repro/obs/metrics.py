@@ -24,8 +24,8 @@ Exporters:
 * :meth:`MetricsRegistry.snapshot` — plain-dict snapshot.
 
 All mutation is guarded by a per-registry lock, so concurrent
-increments from ThreadingHTTPServer handler threads, decode drivers,
-and sweep workers are safe and exact.
+increments from ThreadingHTTPServer handler threads and decode
+drivers are safe and exact.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ trailing comma — exactly the "JSON Array Format" that Perfetto and
 ``chrome://tracing`` load directly (the closing ``]`` is optional by
 spec, and :func:`close` writes it anyway).
 
-Forked children (``LocalWorkerPool``) re-open their own trace file at
-``<path>.<pid>`` so two processes never interleave writes.
+Forked children (one per :func:`~repro.experiments.sweep.run_sweep`
+job) re-open their own trace file at ``<path>.<pid>`` so two processes
+never interleave writes.
 """
 
 from __future__ import annotations

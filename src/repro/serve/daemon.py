@@ -21,7 +21,7 @@ load plus a cold decode per call:
   requests drain through the still-running decode thread, and only then
   does the process exit (see :meth:`ServeDaemon.shutdown`).
 
-The server matches the scheduler's no-dependencies style: threaded
+The server keeps the repository's no-dependencies style: threaded
 ``http.server``, JSON bodies, nothing outside the standard library.
 """
 

@@ -8,9 +8,9 @@ gradient clipping and the uniform loss-history contract.  Each task's
 epoch is the whole loop body; ``Trainer.fit`` commits its record, times
 it into the metrics registry and, through :class:`TrainState`
 checkpoints, gives every fit byte-identical interrupt/resume semantics
-that the experiment Runner and the sweep scheduler exploit
-(``<key>.ckpt.npz`` in the artifact cache, written on the worker's
-heartbeat cadence).
+that the experiment Runner and a sweep's retries exploit
+(``<key>.ckpt.npz`` in the artifact cache, written at most every
+``Runner.checkpoint_interval`` seconds).
 """
 
 from .trainer import (CHECKPOINT_FORMAT, TrainControl, Trainer, TrainState,

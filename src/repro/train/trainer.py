@@ -140,8 +140,8 @@ class TrainControl:
     #: where the ``.ckpt.npz`` lives; ``None`` disables checkpointing
     checkpoint_path: str | os.PathLike | None = None
     #: minimum seconds between checkpoint writes (0 = every epoch).
-    #: The scheduler's Worker sets its heartbeat interval here, so a
-    #: SIGKILLed fit loses at most one lease period of work.
+    #: The Runner passes its ``checkpoint_interval`` here, so a
+    #: SIGKILLed fit loses at most one interval of work.
     min_save_interval: float = 0.0
     #: invalidation stamp (the Runner passes its resolved-params stamp);
     #: a checkpoint written under a different tag is ignored

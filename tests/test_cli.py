@@ -59,7 +59,7 @@ class TestParser:
 
     def test_sweep_accumulates_axes(self):
         args = build_parser().parse_args(
-            ["sweep", "--queue-dir", "q", "--cache-dir", "c",
+            ["sweep", "--cache-dir", "c",
              "--model", "er", "--model", "ba", "--dataset", "EMAIL",
              "--seed", "0", "--seed", "1", "--set", "epochs=2"])
         assert args.model == ["er", "ba"]
@@ -67,11 +67,11 @@ class TestParser:
         assert args.overrides == ["epochs=2"]
         assert args.workers == 2
 
-    def test_sweep_requires_queue_and_cache(self, capsys):
+    def test_sweep_requires_cache_dir(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--model", "er", "--dataset", "EMAIL"])
         assert exc.value.code == 2
-        assert "--queue-dir" in capsys.readouterr().err
+        assert "--cache-dir" in capsys.readouterr().err
 
     def test_readme_commands_parse(self):
         """Every ``repro`` command shown in README.md parses."""
@@ -111,11 +111,10 @@ class TestCommands:
 
     def test_sweep_negative_workers_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="workers must be >= 1"):
-            main(["sweep", "--queue-dir", str(tmp_path / "q"),
-                  "--cache-dir", str(tmp_path / "c"), "--model", "er",
-                  "--dataset", "EMAIL", "--profile", "smoke",
-                  "--workers", "-1"])
-        assert not (tmp_path / "q").exists()  # nothing was enqueued
+            main(["sweep", "--cache-dir", str(tmp_path / "c"),
+                  "--model", "er", "--dataset", "EMAIL", "--profile",
+                  "smoke", "--workers", "-1"])
+        assert not (tmp_path / "c").exists()  # nothing ran
 
     def test_fairgen_on_unlabeled_without_surrogate_fails_cleanly(self):
         # Surrogate supervision is on by default; opting out restores the

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.experiments import ExperimentSpec, JobQueue, Runner
+from repro.experiments import ExperimentSpec, Runner, run_sweep
 from repro.models.walk_lm import TransformerWalkModel
 from repro.obs import trace
 from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
@@ -349,22 +349,30 @@ class TestRunnerMetrics:
         assert plain == traced
 
 
-class TestQueueMetrics:
-    def test_jobqueue_counters_and_depth_gauge(self, tmp_path):
-        reg = MetricsRegistry()
-        queue = JobQueue(tmp_path / "q", registry=reg)
-        specs = [ExperimentSpec(model="er", dataset=SMALLEST,
-                                profile="smoke", seed=s) for s in (0, 1)]
-        queue.submit(specs)
-        assert reg.counter("jobqueue_submitted_total").value() == 2
-        job = queue.claim("w1")
-        assert reg.counter("jobqueue_claims_total").value() == 1
-        queue.complete(job.id, "w1")
-        assert reg.counter("jobqueue_completions_total").value() == 1
-        queue.counts()
-        depth = reg.gauge("jobqueue_depth")
-        assert depth.value(state="pending") == 1
-        assert depth.value(state="done") == 1
+class TestSweepMetrics:
+    def test_sweep_counts_attempt_outcomes_and_fits(self, tmp_path):
+        """``run_sweep`` counts into the parent's registry, so the counts
+        outlive the children that did the work."""
+        registry = get_registry()
+
+        def value(name: str, **labels) -> float:
+            metric = registry.get(name)
+            return metric.value(**labels) if metric is not None else 0.0
+
+        outcomes = ("completed", "retried", "failed")
+        before = {o: value("sweep_attempts_total", outcome=o)
+                  for o in outcomes}
+        fits_before = value("sweep_fits_total")
+        good = [ExperimentSpec(model="er", dataset=SMALLEST,
+                               profile="smoke", seed=s) for s in (0, 1)]
+        bad = ExperimentSpec(model="er", dataset="NO-SUCH-DATASET")
+        report = run_sweep([*good, bad], tmp_path / "cache", workers=2)
+        assert report.completed == 2
+        # The bad spec's three attempts: two retried, then a failure.
+        assert {o: value("sweep_attempts_total", outcome=o) - before[o]
+                for o in outcomes} == {"completed": 2, "retried": 2,
+                                       "failed": 1}
+        assert value("sweep_fits_total") - fits_before == 2
 
 # ----------------------------------------------------------------------
 # Serve-engine counters under concurrency (satellite: race regression)

@@ -4,14 +4,22 @@ end-to-end ``run_sweep`` orchestration."""
 from __future__ import annotations
 
 import json
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
 from repro.experiments import ExperimentSpec, QueueError, Runner
 from repro.experiments.sweep import SweepReport, expand, grid, run_sweep
+from repro.obs.metrics import get_registry
 
 SMALLEST = "EMAIL"
+
+#: tests that patch a child's code need it to inherit the parent's memory
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="patches reach a sweep child only through fork")
 
 
 # ----------------------------------------------------------------------
@@ -102,9 +110,8 @@ class TestRunSweep:
                      profiles="smoke")
         assert len(specs) >= 4
         progress_log = []
-        report = run_sweep(specs, tmp_path / "q", tmp_path / "cache",
-                           workers=2, with_metrics=True,
-                           lease_timeout=30.0, timeout=300,
+        report = run_sweep(specs, tmp_path / "cache", workers=2,
+                           with_metrics=True, timeout=300,
                            progress=progress_log.append)
         assert report.completed == len(specs)
         assert not report.failures
@@ -122,24 +129,90 @@ class TestRunSweep:
 
     def test_resubmitted_sweep_is_a_warm_replay(self, tmp_path):
         specs = grid(["er", "ba"], SMALLEST, profiles="smoke")
-        first = run_sweep(specs, tmp_path / "q", tmp_path / "cache",
-                          workers=1, timeout=300)
+        first = run_sweep(specs, tmp_path / "cache", workers=1,
+                          timeout=300)
         assert len(first.fits) == len(specs)
-        again = run_sweep(specs, tmp_path / "q", tmp_path / "cache",
-                          workers=1, timeout=300)
+        again = run_sweep(specs, tmp_path / "cache", workers=1,
+                          timeout=300)
         assert again.completed == len(specs)
-        assert len(again.fits) == len(specs)  # no new fits recorded
+        assert again.fits == []  # every child replayed the warm cache
         assert all(r.from_cache for r in again.results)
+
+    def test_each_cache_gets_its_own_fits(self, tmp_path):
+        """Two sweeps of one batch into two caches: each call's children
+        fit every spec, and the parent's replay fits nothing."""
+        specs = grid(["er", "ba"], SMALLEST, profiles="smoke",
+                     seeds=[0, 1])
+        parent_fits = get_registry().counter("runner_fits_total")
+        for cache in ("cacheA", "cacheB"):
+            before = parent_fits.total()
+            report = run_sweep(specs, tmp_path / cache, workers=2,
+                               timeout=300)
+            assert report.completed == len(specs)
+            assert sorted(job for job, _ in report.fits) == \
+                sorted(spec.cache_key() for spec in specs)
+            assert parent_fits.total() == before
+
+    @needs_fork
+    def test_rerun_resumes_a_mid_fit_checkpoint(self, tmp_path,
+                                                monkeypatch):
+        """A sweep stopped mid-fit leaves only a checkpoint in the cache;
+        the rerun starts its child at once and resumes the fit there."""
+        from repro.models import gae as gae_module
+        from repro.registry import get_entry
+        from repro.train import TrainState
+
+        spec = ExperimentSpec(model="gae", dataset=SMALLEST,
+                              profile="smoke")
+        cache = tmp_path / "cache"
+        runner = Runner(cache_dir=cache, checkpoint_interval=0.0)
+        model = get_entry(spec.model).build(spec.profile, spec.override_dict)
+        runner._install_train_control(spec, model)
+        save = TrainState.save
+
+        def save_then_stop(self, *args, **kwargs):
+            save(self, *args, **kwargs)
+            if self.epoch >= 2:
+                raise RuntimeError("stopped mid-fit")
+
+        with monkeypatch.context() as patch, \
+                pytest.raises(RuntimeError, match="stopped mid-fit"):
+            patch.setattr(TrainState, "save", save_then_stop)
+            model.fit(runner.dataset(spec.dataset).graph, spec.rng(stream=0))
+        ckpt = runner.checkpoint_path(spec)
+        assert ckpt.exists()
+
+        log = tmp_path / "epochs.log"
+        epoch = gae_module._GAETask.epoch
+
+        def logged_epoch(self, state, rng):
+            with open(log, "a") as fh:
+                fh.write(f"{state.epoch}\n")
+            return epoch(self, state, rng)
+
+        monkeypatch.setattr(gae_module._GAETask, "epoch", logged_epoch)
+        report = run_sweep([spec], cache, workers=1, timeout=300)
+        assert report.completed == 1 and len(report.fits) == 1
+        assert log.read_text().split()[0] == "2"  # resumed, not refit
+        assert not ckpt.exists()
+        # No claim or lease is left to wait out: a sub-second job stays
+        # far below the 60 s a stranded lease used to cost.
+        assert report.seconds < 30
 
     def test_failures_reported_not_raised(self, tmp_path):
         bad = ExperimentSpec(model="er", dataset="NO-SUCH-DATASET")
         good = ExperimentSpec(model="er", dataset=SMALLEST,
                               profile="smoke")
-        report = run_sweep([good, bad], tmp_path / "q", tmp_path / "cache",
-                           workers=1, max_retries=0, timeout=300)
+        report = run_sweep([good, bad], tmp_path / "cache", workers=1,
+                           timeout=300)
         assert report.completed == 1
         assert report.results[0] is not None and report.results[1] is None
         assert list(report.failures) == [bad.cache_key()]
+        # Three attempts, each failing with the same traceback.
+        errors = report.errors[bad.cache_key()]
+        assert len(errors) == 3
+        assert all("NO-SUCH-DATASET" in error for error in errors)
+        assert report.failures[bad.cache_key()] == errors[-1]
         with pytest.raises(Exception, match="NO-SUCH-DATASET"):
             report.raise_on_failure()
 
@@ -148,51 +221,43 @@ class TestRunSweep:
                                                          workers):
         specs = grid("er", SMALLEST, profiles="smoke")
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            run_sweep(specs, tmp_path / "q", tmp_path / "cache",
-                      workers=workers, timeout=2)
-        assert not (tmp_path / "q").exists()  # nothing was enqueued
+            run_sweep(specs, tmp_path / "cache", workers=workers, timeout=2)
+        assert not (tmp_path / "cache").exists()  # nothing ran
 
-    @pytest.mark.parametrize("alive, timeout, message", [
-        (0, 5, "all local sweep workers exited"),
-        (1, 0, "did not drain"),
-    ], ids=["workers-exited", "timed-out"])
-    def test_gives_up_and_terminates_the_pool(self, tmp_path, monkeypatch,
-                                              alive, timeout, message):
-        """The two give-up branches of the poll loop, reached without
-        starting a process: the pool stand-in never drains the queue."""
-        pools = []
+    @needs_fork
+    def test_long_traceback_reaches_the_parent(self, tmp_path, monkeypatch):
+        """An error report larger than a pipe's buffer must not leave its
+        child blocked in ``send``: the parent reads while it waits."""
+        def fail_loudly(*args, **kwargs):
+            raise RuntimeError("x" * 300_000)
 
-        class IdlePool:
-            def __init__(self, *args, **kwargs):
-                self.terminated = False
-                pools.append(self)
+        monkeypatch.setattr(Runner, "run", fail_loudly)
+        spec = ExperimentSpec(model="er", dataset=SMALLEST, profile="smoke")
+        report = run_sweep([spec], tmp_path / "cache", workers=1,
+                           timeout=120)
+        assert len(report.errors[spec.cache_key()]) == 3
+        assert "x" * 300_000 in report.failures[spec.cache_key()]
 
-            def start(self):
-                return self
-
-            def alive_count(self):
-                return alive
-
-            def terminate(self):
-                self.terminated = True
-
-        monkeypatch.setattr("repro.experiments.sweep.LocalWorkerPool",
-                            IdlePool)
-        specs = grid("er", SMALLEST, profiles="smoke")
-        with pytest.raises(QueueError, match=message):
-            run_sweep(specs, tmp_path / "q", tmp_path / "cache",
-                      workers=1, timeout=timeout, poll=0.0)
-        [pool] = pools
-        assert pool.terminated
+    @needs_fork
+    def test_timeout_kills_every_child(self, tmp_path, monkeypatch):
+        """Past its timeout the sweep raises and leaves no child alive,
+        here with every child blocked inside its run."""
+        monkeypatch.setattr(Runner, "run",
+                            lambda *args, **kwargs: threading.Event().wait())
+        specs = grid("er", SMALLEST, profiles="smoke", seeds=[0, 1, 2])
+        with pytest.raises(QueueError, match="did not drain"):
+            run_sweep(specs, tmp_path / "cache", workers=2, timeout=0.5)
+        assert multiprocessing.active_children() == []
 
     def test_report_alignment_with_duplicate_specs(self, tmp_path):
         spec = ExperimentSpec(model="er", dataset=SMALLEST,
                               profile="smoke")
-        report = run_sweep([spec, spec], tmp_path / "q",
-                           tmp_path / "cache", workers=1, timeout=300)
+        report = run_sweep([spec, spec], tmp_path / "cache", workers=1,
+                           timeout=300)
         assert len(report.results) == 2
         assert all(r is not None for r in report.results)
         assert report.job_ids == [spec.cache_key(), spec.cache_key()]
+        assert len(report.fits) == 1  # one job for both
 
 
 class TestSweepReport:
@@ -288,8 +353,8 @@ class TestScoreboard:
 
     def test_live_sweep_scoreboard_matches_runner_metrics(self, tmp_path):
         specs = grid("er", SMALLEST, profiles="smoke", seeds=[0, 1])
-        report = run_sweep(specs, tmp_path / "q", tmp_path / "cache",
-                           workers=1, with_metrics=True, timeout=300)
+        report = run_sweep(specs, tmp_path / "cache", workers=1,
+                           with_metrics=True, timeout=300)
         [row] = report.scoreboard()
         values = [r.metrics["overall_mean"] for r in report.results]
         assert row["seeds"] == 2

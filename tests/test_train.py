@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentSpec, Runner, Worker
+from repro.experiments import ExperimentSpec, Runner
 from repro.nn import Adam, Linear, Parameter, SGD, Tensor
 from repro.train import (TrainControl, Trainer, TrainState, minibatches,
                          train_step)
@@ -368,7 +368,7 @@ class TestInterruptResume:
         Fitted parameters, the loss history AND the caller's RNG state
         must all match exactly — the RNG state is what guarantees the
         post-fit ``generate`` consumes an identical stream, making final
-        cached artifacts byte-identical through the scheduler.
+        cached artifacts byte-identical through a resumed fit.
         """
         graph, labels, protected = parity.parity_graph()
         ckpt = tmp_path / f"{name}.ckpt.npz"
@@ -461,7 +461,7 @@ class TestGradFreeScoring:
 
 
 # ----------------------------------------------------------------------
-# Runner + Worker integration
+# Runner checkpoint/resume through the artifact cache
 # ----------------------------------------------------------------------
 class TestRunnerResume:
     SPEC = ExperimentSpec(model="gae", dataset="EMAIL", profile="smoke")
@@ -541,18 +541,3 @@ class TestRunnerResume:
         runner.run(self.SPEC)
         leftovers = list((tmp_path / "cache").glob("*.ckpt.npz"))
         assert leftovers == []  # sub-second fit: zero checkpoint I/O
-
-
-class TestWorkerCheckpointCadence:
-    def test_worker_checkpoints_on_heartbeat_interval(self, tmp_path):
-        worker = Worker(tmp_path / "q", tmp_path / "cache",
-                        heartbeat_interval=0.25)
-        assert worker.runner.checkpoint_interval == 0.25
-
-    def test_worker_default_cadence_follows_lease_timeout(self, tmp_path):
-        from repro.experiments import JobQueue
-
-        queue = JobQueue(tmp_path / "q", lease_timeout=8.0)
-        worker = Worker(queue, tmp_path / "cache")
-        assert worker.runner.checkpoint_interval == worker.heartbeat_interval
-        assert worker.heartbeat_interval == pytest.approx(2.0)
