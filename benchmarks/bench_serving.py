@@ -65,16 +65,20 @@ def _concurrent(model: TransformerWalkModel):
 
     Returns (elapsed seconds, walks per request, per-request latency
     seconds).  One dedicated thread steps the engine — the daemon's
-    decode-loop shape — while a thread per client blocks on
-    :func:`serve_walks`.
+    decode-loop shape, sleeping on the engine's wake event while idle —
+    while a thread per client blocks on :func:`serve_walks`.
     """
     engine = ContinuousBatcher(model, max_walks=256)
     stop = threading.Event()
 
     def decode_loop() -> None:
-        while not (stop.is_set() and engine.idle):
-            if not engine.step():
-                time.sleep(0.0005)
+        while True:
+            engine.wake.clear()
+            if engine.step():
+                continue
+            if stop.is_set() and engine.idle:
+                return
+            engine.wake.wait()
 
     decoder = threading.Thread(target=decode_loop, daemon=True)
     decoder.start()
@@ -100,6 +104,7 @@ def _concurrent(model: TransformerWalkModel):
         elapsed = time.perf_counter() - start
     finally:
         stop.set()
+        engine.wake.set()
         decoder.join()
     return elapsed, results, latencies
 

@@ -18,8 +18,12 @@ gates CI and merge-updates the trajectory into ``.bench/BENCH_train.json``
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +343,50 @@ def _sgns_smoke_walks() -> np.ndarray:
                         starts=starts)
 
 
+def _sgns_run(side: str, walks: np.ndarray):
+    """One seeded SGNS ``train()`` on ``side`` ("oracle" or "workspace").
+
+    Returns (model, rng, loss history, seconds, minor page faults).
+    """
+    import resource
+
+    from repro.embedding import SkipGramModel
+
+    rng = np.random.default_rng(8)
+    model = SkipGramModel(SGNS_NODES, SGNS_DIM, rng)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    if side == "workspace":
+        history = model.train(walks, **SGNS_KWARGS)
+    else:
+        history = _reference_sgns_train(model, walks, **SGNS_KWARGS)
+    seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return model, rng, history, seconds, faults
+
+
+def _fresh_sgns_faults(side: str) -> int:
+    """Minor faults of the first SGNS ``train()`` of a fresh interpreter.
+
+    glibc's malloc raises its mmap and heap-trim thresholds as large
+    blocks are freed, so how many pages a ``train()`` faults in depends
+    on what its process freed before it: after the other smokes, the
+    oracle's temporaries can land in an already-grown heap and fault
+    little.  Counting each side as the first ``train()`` of its own
+    interpreter starts both from the allocator's defaults.
+    """
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "sgns-faults", side],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout.split()[-1])
+
+
 @pytest.mark.smoke
 def test_training_smoke_sgns_workspace():
     """CI gate on SGNS's per-``train()`` workspace.
@@ -347,35 +395,18 @@ def test_training_smoke_sgns_workspace():
     per call, where the expression form allocates ~10 fresh 0.5-3 MB
     temporaries per 2048-pair step and the kernel zero-fills their pages
     anew.  The gate compares counts, not clocks: minor page faults per
-    ``train()`` must be <= 1/10 of the oracle's, and the trained vectors,
-    output matrix, loss history and RNG state must match it byte for
-    byte.
+    ``train()`` must be <= 1/10 of the oracle's, each counted in a fresh
+    interpreter (see :func:`_fresh_sgns_faults`), and the trained
+    vectors, output matrix, loss history and RNG state must match it
+    byte for byte.
     """
-    import resource
+    from repro.embedding import walks_to_pairs
 
-    from repro.embedding import SkipGramModel, walks_to_pairs
-
-    num_nodes, dim, kwargs = SGNS_NODES, SGNS_DIM, SGNS_KWARGS
+    kwargs = SGNS_KWARGS
     walks = _sgns_smoke_walks()
 
-    def run(train):
-        rng = np.random.default_rng(8)
-        model = SkipGramModel(num_nodes, dim, rng)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        start = time.perf_counter()
-        history = train(model)
-        seconds = time.perf_counter() - start
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        return model, rng, history, seconds, faults
-
-    def workspace(model):
-        return model.train(walks, **kwargs)
-
-    def oracle(model):
-        return _reference_sgns_train(model, walks, **kwargs)
-
-    runs = {name: [run(fn) for _ in range(2)]
-            for name, fn in (("oracle", oracle), ("workspace", workspace))}
+    runs = {name: [_sgns_run(name, walks) for _ in range(2)]
+            for name in ("oracle", "workspace")}
     (ref, ref_rng, ref_history, _, _) = runs["oracle"][0]
     for model, rng, history, _, _ in runs["workspace"]:
         assert np.array_equal(model.in_vectors, ref.in_vectors)
@@ -385,7 +416,7 @@ def test_training_smoke_sgns_workspace():
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     seconds = {name: min(r[3] for r in rs) for name, rs in runs.items()}
-    faults = {name: min(r[4] for r in rs) for name, rs in runs.items()}
+    faults = {name: _fresh_sgns_faults(name) for name in runs}
     pairs = len(walks_to_pairs(walks, kwargs["window"]))
     steps = kwargs["epochs"] * -(-pairs // kwargs["batch_size"])
     print(f"\n\nTraining smoke — SGNS train() over {pairs} pairs in "
@@ -395,8 +426,8 @@ def test_training_smoke_sgns_workspace():
           f"{faults['workspace']} minor faults")
 
     record("BENCH_train.json", "training_sgns_smoke", {
-        "num_nodes": num_nodes,
-        "dim": dim,
+        "num_nodes": SGNS_NODES,
+        "dim": SGNS_DIM,
         "pairs": pairs,
         "steps": steps,
         "oracle_seconds": round(seconds["oracle"], 4),
@@ -476,3 +507,12 @@ def test_scoring_cost_scales_linearly_with_nodes(benchmark):
     for n, seconds in times.items():
         print(f"  n={n:5d}  {seconds:.3f}s")
     assert times[2000] < times[500] * 16
+
+
+if __name__ == "__main__":
+    # python benchmarks/bench_training.py sgns-faults oracle|workspace
+    # prints the minor faults of one SGNS train() (_fresh_sgns_faults).
+    _, command, side = sys.argv
+    if command != "sgns-faults" or side not in ("oracle", "workspace"):
+        sys.exit("usage: bench_training.py sgns-faults oracle|workspace")
+    print(_sgns_run(side, _sgns_smoke_walks())[4])

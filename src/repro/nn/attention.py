@@ -64,11 +64,11 @@ class LayerKVCache:
     """Per-layer key/value cache for incremental decoding, one row per walk.
 
     Holds ``(B, H, capacity, d)`` key and value buffers, preallocated so
-    the decode hot path writes into slices and never reallocates, plus
-    :attr:`row_lengths`, the number of valid positions of each row.  The
-    cache stores detached ndarrays — gradients never flow into cached
-    positions — so it is an inference-only structure (use under
-    ``no_grad()``).
+    a fixed row set's decode (``sample``) writes into slices and never
+    reallocates, plus :attr:`row_lengths`, the number of valid positions
+    of each row.  The cache stores detached ndarrays — gradients never
+    flow into cached positions — so it is an inference-only structure
+    (use under ``no_grad()``).
 
     Rows are written in *groups*: contiguous rows that share a length —
     one sampling session's walks, or one served request's.
@@ -82,7 +82,8 @@ class LayerKVCache:
     :meth:`append_cache` transplants another cache's rows onto the end
     of this one (admitting a freshly prefilled request) and
     :meth:`gather_rows` keeps only the given rows (evicting finished
-    walks and compacting the batch).
+    walks and compacting the batch).  Both build new buffers, so the
+    engine reallocates its caches at every admission and eviction.
     """
 
     __slots__ = ("_k", "_v", "row_lengths")

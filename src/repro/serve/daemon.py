@@ -17,6 +17,10 @@ load plus a cold decode per call:
 * **Endpoints**: ``POST /generate`` (model key, n_walks, length,
   temperature, seed, starts), ``POST /evaluate`` (model key →
   discrepancy scoreboard), ``GET /healthz``, ``GET /stats``.
+* **Decode thread**: one thread steps every resident engine while any
+  has work, then sleeps on the house's wake event until a submit sets
+  it — a request reaching an idle daemon starts decoding at once, and
+  an idle daemon costs no CPU.
 * **Graceful shutdown**: SIGTERM/SIGINT stop the accept loop, in-flight
   requests drain through the still-running decode thread, and only then
   does the process exit (see :meth:`ServeDaemon.shutdown`).
@@ -84,14 +88,16 @@ class _Resident:
                  "starts_fn", "engine")
 
     def __init__(self, key: str, model, *, max_walks: int,
-                 registry: MetricsRegistry | None = None) -> None:
+                 registry: MetricsRegistry | None = None,
+                 wake: threading.Event) -> None:
         self.key = key
         self.model = model
         self.walk_model, self.default_length, self.starts_fn = \
             _walk_interface(model)
         self.engine = ContinuousBatcher(self.walk_model,
                                         max_walks=max_walks,
-                                        registry=registry, name=key)
+                                        registry=registry, name=key,
+                                        wake=wake)
 
 
 class ModelHouse:
@@ -105,6 +111,10 @@ class ModelHouse:
     used model whose engine is idle (a busy engine is never evicted —
     the house temporarily exceeds its bound rather than abandoning
     admitted walks).
+
+    Every resident engine shares the house's :attr:`wake` event, which
+    a submit to any of them sets; the daemon's decode thread sleeps on
+    it.
     """
 
     def __init__(self, cache_dir: str | Path | None, *,
@@ -117,6 +127,7 @@ class ModelHouse:
         self.max_walks = max_walks
         self._residents: OrderedDict[str, _Resident] = OrderedDict()
         self._lock = threading.Lock()
+        self.wake = threading.Event()
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self._m_loads = self.registry.counter(
@@ -143,7 +154,7 @@ class ModelHouse:
     def adopt(self, key: str, model) -> None:
         """Install an in-process model under ``key`` (tests, benches)."""
         resident = _Resident(key, model, max_walks=self.max_walks,
-                             registry=self.registry)
+                             registry=self.registry, wake=self.wake)
         with self._lock:
             self._residents[key] = resident
             self._residents.move_to_end(key)
@@ -161,7 +172,7 @@ class ModelHouse:
         with trace.span("serve.model_load", model=key):
             resident = _Resident(key, self._load(key),
                                  max_walks=self.max_walks,
-                                 registry=self.registry)
+                                 registry=self.registry, wake=self.wake)
         with self._lock:
             self._residents[key] = resident
             self._residents.move_to_end(key)
@@ -415,10 +426,11 @@ class ServeDaemon:
     """The ``repro serve`` process object (HTTP front + decode thread).
 
     One background thread owns every engine step (the engines require a
-    single driver); handler threads only submit requests and block on
-    their tickets.  :meth:`shutdown` drains: stop accepting, let
-    in-flight handlers finish (their tickets are fulfilled because the
-    decode thread keeps stepping), then stop the decode thread.
+    single driver) and sleeps while they are idle; handler threads only
+    submit requests, which wakes it, and block on their tickets.
+    :meth:`shutdown` drains: stop accepting, let in-flight handlers
+    finish (their tickets are fulfilled because the decode thread keeps
+    stepping), then stop the decode thread.
     """
 
     def __init__(self, cache_dir: str | Path | None, *,
@@ -452,7 +464,6 @@ class ServeDaemon:
         self._eval_runner = None
         self._eval_lock = threading.Lock()
         self._stop = threading.Event()
-        self._wake = threading.Event()
         self._server = _Server((host, port), _Handler)
         self._server.daemon = self
         self._decode_thread = threading.Thread(
@@ -505,13 +516,24 @@ class ServeDaemon:
     def _finish_shutdown(self) -> None:
         self._server.server_close()  # joins in-flight handler threads
         self._stop.set()
-        self._wake.set()
+        self.house.wake.set()
         if self._decode_thread.is_alive():
             self._decode_thread.join()
 
     # -- decode loop ---------------------------------------------------
     def _decode_loop(self) -> None:
+        """Step every engine while any has work; sleep until a submit.
+
+        The wake event is cleared *before* the scan, and a submit sets
+        it only after queueing its request, so a submit racing the scan
+        either is seen by it or leaves the event set and the wait
+        returns at once.  With nothing to do the thread blocks with no
+        timeout; shutdown sets the event after ``_stop``, and the loop
+        exits once every engine has drained.
+        """
+        wake = self.house.wake
         while True:
+            wake.clear()
             worked = 0
             for engine in self.house.engines():
                 worked += engine.step()
@@ -521,8 +543,7 @@ class ServeDaemon:
                 if all(engine.idle for engine in self.house.engines()):
                     return
                 continue  # drain admitted walks before exiting
-            self._wake.wait(0.02)
-            self._wake.clear()
+            wake.wait()
 
     # -- request execution ---------------------------------------------
     def generate(self, body: dict) -> dict:
@@ -561,8 +582,6 @@ class ServeDaemon:
                 deadline=time.monotonic() + float(timeout))
         except ValueError as exc:
             raise ServeError(400, str(exc))
-        finally:
-            self._wake.set()  # a no-op when the request failed early
         return {"model": key, "n_walks": n_walks, "length": length,
                 "seed": seed, "walks": walks.tolist(),
                 "seconds": time.perf_counter() - started}

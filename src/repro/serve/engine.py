@@ -56,12 +56,16 @@ import numpy as np
 from ..nn.attention import causal_mask
 from ..nn.backend import DECODE_KERNEL
 from ..obs import trace
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 __all__ = ["ContinuousBatcher", "WalkTicket", "EngineStats", "serve_walks"]
 
 #: powers-of-two row-occupancy buckets for the batch histogram
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+
+#: submit-to-admission seconds; an engine woken by its submit admits in
+#: well under a millisecond, so the buckets reach below the defaults'
+_QUEUE_BUCKETS = (0.0001, 0.00025, 0.0005) + DEFAULT_BUCKETS
 
 
 class WalkTicket:
@@ -182,9 +186,17 @@ class EngineStats:
         self._batch_rows = registry.histogram(
             "serve_engine_batch_rows",
             "Decode-batch row occupancy per step", buckets=_BATCH_BUCKETS)
+        self.queue_seconds = registry.histogram(
+            "serve_engine_queue_seconds",
+            "Seconds from submit to admission into the decode batch",
+            buckets=_QUEUE_BUCKETS)
 
     def note(self, field: str, amount: int = 1) -> None:
         self._counters[field].inc(amount, engine=self.engine)
+
+    def note_admitted(self, queued_seconds: float) -> None:
+        self._counters["admitted"].inc(engine=self.engine)
+        self.queue_seconds.observe(queued_seconds, engine=self.engine)
 
     def note_step(self, batch: int) -> None:
         self._counters["steps"].inc(engine=self.engine)
@@ -245,19 +257,31 @@ class ContinuousBatcher:
         fit wait in the admission deque and are swapped in as running
         walks finish; a single request larger than ``max_walks`` is
         rejected at :meth:`submit`.
+    wake:
+        The event :meth:`submit` sets once a request is queued.  The
+        daemon's :class:`~repro.serve.daemon.ModelHouse` hands one event
+        to all its engines, so its decode thread sleeps on that event
+        alone; left out, the engine makes its own.
 
     Thread model: any number of threads may :meth:`submit`; exactly one
     thread drives :meth:`step` (directly, via :meth:`drain`, or via the
-    daemon's decode loop).
+    daemon's decode loop).  A driver clears :attr:`wake` *before* each
+    pass of :meth:`step` and, when the pass found nothing to do, sleeps
+    on it with no timeout.  A submit queues its request before setting
+    the event, so one that lands after the pass's admission leaves the
+    event set and the wait returns at once: no request waits out a poll
+    interval, and no wakeup is lost.
     """
 
     def __init__(self, model, *, max_walks: int = 256,
                  registry: MetricsRegistry | None = None,
-                 name: str = "engine") -> None:
+                 name: str = "engine",
+                 wake: threading.Event | None = None) -> None:
         if max_walks < 1:
             raise ValueError("max_walks must be >= 1")
         self._model = model
         self.max_walks = max_walks
+        self.wake = wake if wake is not None else threading.Event()
         self._pending: deque[tuple] = deque()
         self._active: list[_ActiveRequest] = []
         self._caches = model.new_caches(0)
@@ -283,10 +307,12 @@ class ContinuousBatcher:
         tokens = self._model._sampling_prompt(n_walks, length, temperature,
                                               starts)
         ticket = WalkTicket(n_walks, length)
+        # Registry-locked: submit() runs on arbitrary caller threads.
+        # Counted before it is queued, so ``admitted`` never runs ahead.
+        self.stats.note("submitted")
         self._pending.append((ticket, n_walks, length, temperature, rng,
                               tokens))
-        # Registry-locked: submit() runs on arbitrary caller threads.
-        self.stats.note("submitted")
+        self.wake.set()
         return ticket
 
     @property
@@ -323,7 +349,8 @@ class ContinuousBatcher:
                 break
             ticket, n, length, temperature, rng, tokens = \
                 self._pending.popleft()
-            self.stats.note("admitted")
+            self.stats.note_admitted(time.perf_counter()
+                                     - ticket.submitted_at)
             # Replay the standalone ``sample`` flow exactly: prefill the
             # prompt built at submit in isolation, draw the first token
             # from the request's own RNG — then join the shared batch.

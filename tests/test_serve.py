@@ -41,13 +41,18 @@ def walk_model():
 @contextlib.contextmanager
 def _stepping(engine):
     """Step ``engine`` on a plain thread until the block exits and the
-    engine has drained."""
+    engine has drained; idle, the thread sleeps on the engine's wake
+    event, as the daemon's decode loop does."""
     stop = threading.Event()
 
     def loop():
-        while not (stop.is_set() and engine.idle):
-            if not engine.step():
-                time.sleep(0.001)
+        while True:
+            engine.wake.clear()
+            if engine.step():
+                continue
+            if stop.is_set() and engine.idle:
+                return
+            engine.wake.wait()
 
     thread = threading.Thread(target=loop)
     thread.start()
@@ -55,6 +60,7 @@ def _stepping(engine):
         yield
     finally:
         stop.set()
+        engine.wake.set()
         thread.join()
 
 
@@ -203,6 +209,26 @@ class TestContinuousBatcher:
             ticket.result(timeout=0.01)  # nobody is stepping
         engine.drain()
         assert ticket.result().shape == (2, 10)
+
+    def test_submit_sets_the_engines_own_wake_event(self, walk_model):
+        engine = ContinuousBatcher(walk_model, max_walks=4)
+        other = ContinuousBatcher(walk_model, max_walks=4)
+        assert engine.wake is not other.wake
+        assert not engine.wake.is_set()
+        engine.submit(2, 5, np.random.default_rng(0))
+        assert engine.wake.is_set() and not other.wake.is_set()
+
+    def test_queue_seconds_observed_once_per_admission(self, walk_model):
+        engine = ContinuousBatcher(walk_model, max_walks=4, name="toy")
+        queue = engine.stats.queue_seconds
+        assert queue.count(engine="toy") == 0
+        ticket = engine.submit(2, 5, np.random.default_rng(0))
+        engine.drain()
+        assert ticket.done
+        assert queue.count(engine="toy") == 1
+        assert queue.sum(engine="toy") >= 0.0
+        assert 'serve_engine_queue_seconds_count{engine="toy"} 1' in \
+            engine.stats.registry.render_prometheus()
 
 
 class TestServeWalks:
@@ -465,6 +491,124 @@ class TestServeDaemon:
         np.testing.assert_array_equal(
             box["walks"],
             walk_model.sample_chunked(8, 35, np.random.default_rng(9)))
+
+
+# ----------------------------------------------------------------------
+# The decode thread's wake contract
+# ----------------------------------------------------------------------
+#: failure bound only: a request the decode thread never wakes for
+#: would otherwise wait forever, since its idle wait has no timeout
+WAKE_DEADLINE_S = 30.0
+
+
+class TestWakeContract:
+    @pytest.fixture()
+    def daemon(self, walk_model):
+        daemon = ServeDaemon(None, port=0, max_walks=64)
+        daemon.house.adopt("toy", walk_model)
+        daemon.start()
+        yield daemon
+        daemon.shutdown()
+
+    def test_lone_requests_to_an_idle_daemon_complete(self, daemon,
+                                                      walk_model):
+        # Each request after the first reaches a daemon whose decode
+        # thread went idle when the previous one finished.
+        for seed in range(3):
+            got = daemon.generate({"model": "toy", "n_walks": 3,
+                                   "length": 6, "seed": seed,
+                                   "timeout": WAKE_DEADLINE_S})
+            np.testing.assert_array_equal(
+                got["walks"],
+                walk_model.sample_chunked(3, 6, np.random.default_rng(seed)))
+
+    def test_engine_submit_sets_the_house_event(self, walk_model):
+        house = ModelHouse(None)
+        house.adopt("a", walk_model)
+        house.adopt("b", walk_model)
+        engines = house.engines()
+        assert all(engine.wake is house.wake for engine in engines)
+        for engine in engines:
+            house.wake.clear()
+            engine.submit(2, 5, np.random.default_rng(0))
+            assert house.wake.is_set()
+
+    def test_simultaneous_submits_to_an_idle_daemon_all_complete(
+            self, daemon, walk_model):
+        engine = daemon.house.get("toy").engine
+        threads = 8  # more than cores, with a short switch interval
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(3):
+                barrier = threading.Barrier(threads)
+                results: dict[int, np.ndarray] = {}
+                errors: list[BaseException] = []
+
+                def client(i):
+                    barrier.wait()
+                    try:
+                        results[i] = serve_walks(
+                            engine, 2, 4 + i, np.random.default_rng(10 * i),
+                            deadline=time.monotonic() + WAKE_DEADLINE_S)
+                    except BaseException as exc:  # surfaced below
+                        errors.append(exc)
+
+                workers = [threading.Thread(target=client, args=(i,))
+                           for i in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(2 * WAKE_DEADLINE_S)
+                    assert not worker.is_alive()
+                assert not errors, f"round {round_}: {errors!r}"
+                for i in range(threads):
+                    np.testing.assert_array_equal(
+                        results[i],
+                        walk_model.sample_chunked(
+                            2, 4 + i, np.random.default_rng(10 * i)))
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_submit_landing_after_the_scan_is_not_lost(self, walk_model):
+        """A submit after an engine's idle admission pass, but before the
+        decode thread sleeps, must still wake it: the loop clears the
+        event before its scan, never after."""
+        daemon = ServeDaemon(None, port=0, max_walks=16)
+        daemon.house.adopt("toy", walk_model)
+        engine = daemon.house.get("toy").engine
+        real_step = engine.step
+        tickets = []
+        submitted = threading.Event()
+
+        def step():
+            rows = real_step()
+            if not rows and not tickets:
+                tickets.append(engine.submit(2, 5, np.random.default_rng(0)))
+                submitted.set()
+            return rows
+
+        engine.step = step
+        daemon.start()
+        try:
+            assert submitted.wait(WAKE_DEADLINE_S)
+            np.testing.assert_array_equal(
+                tickets[0].result(timeout=WAKE_DEADLINE_S),
+                walk_model.sample(2, 5, np.random.default_rng(0)))
+        finally:
+            daemon.shutdown()
+
+    def test_shutdown_joins_an_idle_decode_thread(self, walk_model):
+        daemon = ServeDaemon(None, port=0, max_walks=16)
+        daemon.house.adopt("toy", walk_model)
+        daemon.start()
+        daemon.generate({"model": "toy", "n_walks": 2, "length": 4,
+                         "timeout": WAKE_DEADLINE_S})
+        stopper = threading.Thread(target=daemon.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(WAKE_DEADLINE_S)
+        assert not stopper.is_alive(), "shutdown did not return"
+        assert not daemon._decode_thread.is_alive()
 
 
 # ----------------------------------------------------------------------
